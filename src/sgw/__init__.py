@@ -13,7 +13,7 @@ from .errors import (
     ResampleSignal,
     UnsupportedError,
 )
-from .exact import LinForm, Poly, Rational, RatFunc, complete_homogeneous
+from .exact import LinForm, Poly, complete_homogeneous
 from .graphs import (
     EdgeConfig,
     EulerData,
@@ -27,7 +27,7 @@ from .graphs import (
 )
 from .localize import LocalizationJob, check_extension, graph_contribution, invariant
 from .point import Invariant, mapping_to_point, sgw_point
-from .quantum import PairingMatrix, QElement, star, structure_table
+from .quantum import QElement, star, structure_table
 from .taut import TautExpr, TautMonomial, integrate, integrate_monomial, pushforward_step
 
 __all__ = [
@@ -41,11 +41,8 @@ __all__ = [
     "Invariant",
     "LinForm",
     "LocalizationJob",
-    "PairingMatrix",
     "Poly",
     "QElement",
-    "RatFunc",
-    "Rational",
     "ResampleSignal",
     "TautExpr",
     "TautMonomial",

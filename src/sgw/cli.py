@@ -18,7 +18,7 @@ from functools import wraps
 
 import click
 
-from . import graphs, localize, point, quantum, tables, taut
+from . import localize, point, quantum, tables, taut
 from .errors import DomainError, InconsistencyError
 from .point import Invariant
 
@@ -111,18 +111,8 @@ def cmd_invariant(n: int, k: int, classes: str, strategy: str, samples: int, see
     if strategy == "evaluate":
         diagnostics["samples"] = samples
         diagnostics["tau_samples"] = [entry["tau"] for entry in sample_log]
-    if trace:
-        job = localize.LocalizationJob(n=n, k=k, classes=class_tuple)
-        if not job.graded_zero:
-            rng_tau = sample_log[0]["tau"] if sample_log else None
-            contributions = []
-            if rng_tau is not None:
-                tau = [Fraction(t) for t in rng_tau]
-                for g in graphs.enumerate_graphs(n, k):
-                    contributions.append(
-                        {"graph": g.label(), "value": str(localize.graph_contribution(g, job, tau))}
-                    )
-            diagnostics["per_graph"] = contributions
+    if trace and not localize.LocalizationJob(n=n, k=k, classes=class_tuple).graded_zero:
+        diagnostics["per_graph"] = sample_log[0]["per_graph"] if sample_log else []
     if fmt == "json":
         _emit_json(_record("invariant", {"n": n, "k": k, "d": 1, "classes": list(class_tuple)}, result, diagnostics))
     else:

@@ -1,4 +1,4 @@
-"""Exact sparse multivariate polynomial and rational-function arithmetic.
+"""Exact sparse multivariate polynomial arithmetic.
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``).  A
 polynomial lives in Q[tau_0, .., tau_n, lam] where ``lam`` is nilpotent of
@@ -11,24 +11,20 @@ The fixed monomial order is graded lexicographic with
 tau_0 < tau_1 < ... < tau_n < lam.  Serialisation (`Poly.__str__`) lists
 terms in descending order under this order, which makes the text form
 canonical and suitable for golden tests.
+
+Quotients are never formed here: the localization layer keeps every
+inverse Euler class as a numerator over a factored product of
+(tau_i - tau_j), and the symbolic strategy sums them as one numerator over
+the shared denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, DomainError
-
-Rational = Fraction
-
-
-def rational_from_str(text: str) -> Fraction:
-    """Parse "p/q" or "p" (lowest terms not required on input)."""
-    return Fraction(text.strip())
-
 
 def rational_to_str(value: Fraction) -> str:
     """Render as "p/q", or "p" when the denominator is one."""
@@ -88,9 +84,6 @@ class Poly:
     # -- predicates ---------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_lambda_free(self) -> bool:
-        return all(mono[-1] == 0 for mono in self.terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -161,9 +154,6 @@ class Poly:
         return poly
 
     # -- structure ----------------------------------------------------
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
     def leading_monomial(self) -> tuple[int, ...]:
         if not self.terms:
             raise DomainError("zero polynomial has no leading monomial")
@@ -182,21 +172,6 @@ class Poly:
             else:
                 p1[mono[:-1] + (0,)] = coeff
         return self._raw(self.num_tau, p0), self._raw(self.num_tau, p1)
-
-    def lambda_coefficient(self) -> "Poly":
-        return self.lambda_parts()[1]
-
-    def content(self) -> Fraction:
-        """gcd of numerators over lcm of denominators, signed by the leading coefficient."""
-        if not self.terms:
-            return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for coeff in self.terms.values():
-            num_gcd = gcd(num_gcd, abs(coeff.numerator))
-            den_lcm = den_lcm * coeff.denominator // gcd(den_lcm, coeff.denominator)
-        result = Fraction(num_gcd, den_lcm)
-        return -result if self.leading_coeff() < 0 else result
 
     # -- evaluation ---------------------------------------------------
     def eval(self, tau_values: Sequence, lambda_value=0) -> Fraction:
@@ -293,14 +268,6 @@ class LinForm:
         return " + ".join(parts) if parts else "0"
 
 
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
-def poly_eval(p: Poly, tau_values: Sequence, lambda_value=0) -> Fraction:
-    return p.eval(tau_values, lambda_value)
-
-
 def complete_homogeneous(c: int, weights: Iterable[LinForm], num_tau: int) -> Poly:
     """Complete homogeneous symmetric polynomial h_c of the given weights.
 
@@ -317,104 +284,3 @@ def complete_homogeneous(c: int, weights: Iterable[LinForm], num_tau: int) -> Po
         for j in range(1, c + 1):
             h[j] = h[j] + w * h[j - 1]
     return h[c]
-
-
-class RatFunc:
-    """Quotient of two polynomials; the denominator is lam-free and nonzero.
-
-    Canonical form: a zero numerator forces denominator one; when the
-    numerator is a constant multiple of the denominator the quotient
-    collapses to that constant; otherwise the denominator is scaled to
-    integer coefficients with content one and positive leading coefficient.
-    Full multivariate gcd reduction is not performed.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        if num.num_tau != den.num_tau:
-            raise DimensionError("numerator and denominator variable counts differ")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if not den.is_lambda_free():
-            raise DomainError("denominator must be lam-free; expand nilpotents first")
-        if num.is_zero():
-            self.num = Poly.zero(num.num_tau)
-            self.den = Poly.one(num.num_tau)
-            return
-        ratio = self._constant_ratio(num, den)
-        if ratio is not None:
-            self.num = Poly.const(num.num_tau, ratio)
-            self.den = Poly.one(num.num_tau)
-            return
-        scale = den.content()
-        self.num = num.scale(1 / scale)
-        self.den = den.scale(1 / scale)
-
-    @staticmethod
-    def _constant_ratio(num: Poly, den: Poly) -> Fraction | None:
-        candidate = num.leading_coeff() / den.leading_coeff()
-        if num == den.scale(candidate):
-            return candidate
-        return None
-
-    @classmethod
-    def from_const(cls, num_tau: int, value) -> "RatFunc":
-        return cls(Poly.const(num_tau, value), Poly.one(num_tau))
-
-    @property
-    def num_tau(self) -> int:
-        return self.num.num_tau
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def constant_value(self) -> Fraction | None:
-        """The constant this quotient equals, or None if non-constant."""
-        if self.num.is_zero():
-            return Fraction(0)
-        if not self.num.is_lambda_free():
-            return None
-        return self._constant_ratio(self.num, self.den)
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + (-other)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def inverse(self) -> "RatFunc":
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        if not self.num.is_lambda_free():
-            raise DomainError("cannot invert a lam-bearing numerator")
-        return RatFunc(self.den, self.num)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatFunc) and self.num * other.den == other.num * self.den
-
-    def __str__(self) -> str:
-        if self.den == Poly.one(self.num_tau):
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self})"
-
-
-def ratfunc_add(a: RatFunc, b: RatFunc) -> RatFunc:
-    return a + b
-
-
-def ratfunc_mul(a: RatFunc, b: RatFunc) -> RatFunc:
-    return a * b
-
-
-def ratfunc_neg(a: RatFunc) -> RatFunc:
-    return -a

@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import DomainError, UnsupportedError
-from .exact import LinForm, Poly, RatFunc
+from .exact import LinForm, Poly
 
 
 class EdgeConfig(enum.Enum):
@@ -65,16 +65,14 @@ class GraphGeometry:
 class EulerData:
     """Per-graph equivariant data.
 
-    ``et_inverse`` is the inverse Euler class of the fixed locus.  Its
-    denominator is also kept factored: ``den_sign`` times the product of
-    (tau_i - tau_j) over ``den_factors`` (canonical pairs i < j with
-    multiplicities) equals ``et_inverse``'s unnormalised denominator.
+    The inverse Euler class of the fixed locus is
+    (num_lambda_free + lam * num_lambda_coeff) / (den_sign * prod (tau_i - tau_j)^m)
+    over ``den_factors``, the canonical pairs i < j with multiplicities m.
     """
 
     susy_weights: tuple[LinForm, ...]
-    et_inverse: RatFunc
-    num_lambda_free: "Poly"
-    num_lambda_coeff: "Poly"
+    num_lambda_free: Poly
+    num_lambda_coeff: Poly
     den_factors: tuple[tuple[tuple[int, int], int], ...]
     den_sign: int
 
@@ -197,20 +195,13 @@ def euler_data(g: FixedGraph) -> EulerData:
 
     ordered, extra_sign = _den_structure(g)
     factors, flip = _canonical_factors(ordered)
-    den_sign = extra_sign * flip
-    den = Poly.const(num_tau, den_sign)
-    for (i, j), mult in sorted(factors.items()):
-        diff = Poly.tau(num_tau, i) - Poly.tau(num_tau, j)
-        for _ in range(mult):
-            den = den * diff
     num0, num1 = numerator.lambda_parts()
     return EulerData(
         susy_weights=tuple(weights),
-        et_inverse=RatFunc(numerator, den),
         num_lambda_free=num0,
         num_lambda_coeff=num1,
         den_factors=tuple(sorted(factors.items())),
-        den_sign=den_sign,
+        den_sign=extra_sign * flip,
     )
 
 

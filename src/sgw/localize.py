@@ -11,7 +11,8 @@ four-pointed moduli curve take the lam-coefficient.  The sum is a constant
 rational function of the torus characters, so the default strategy
 evaluates it at several seeded generic integer tuples and insists the
 values agree; the symbolic strategy (three or fewer characters) builds the
-full rational-function sum and checks it collapses to a constant.
+sum as one numerator over the shared denominator and checks that the
+quotient is a constant.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
-from .exact import Poly, RatFunc, complete_homogeneous
+from .exact import Poly, complete_homogeneous
 from .graphs import FixedGraph, enumerate_graphs, euler_data, ev_pullback, geometry
 from .point import Invariant
 
 DEFAULT_SEED = 1729
 SAMPLE_RANGE = 1000
-MAX_RESAMPLES = 100
 
 LamValue = tuple[Fraction, Fraction]  # value a + b*lam with lam^2 = 0
 
@@ -93,6 +93,22 @@ def _h_values(c: int, weights: Sequence[LamValue]) -> LamValue:
     return h[c]
 
 
+def _integrand_part(g: FixedGraph, job: LocalizationJob, lam_free, lam_coeff):
+    """Signed part of h_c * ev * e^-1 = lam_free + lam * lam_coeff that the locus integrates.
+
+    The sign is (-1)^c; an m04 locus takes the lam coefficient, a point
+    locus the lam-free part, and lam must not survive on a point locus.
+    Works on numbers and on polynomials alike.
+    """
+    if job.c % 2:
+        lam_free, lam_coeff = -lam_free, -lam_coeff
+    if geometry(g).moduli_kind == "m04":
+        return lam_coeff
+    if lam_coeff:
+        raise InconsistencyError(f"lam survived on the point-type locus {g.label()}")
+    return lam_free
+
+
 def graph_contribution(g: FixedGraph, job: LocalizationJob, tau: Sequence[Fraction]) -> Fraction:
     """Exact value of one graph's summand at the given character tuple."""
     if g.n != job.n or g.k != job.k:
@@ -112,18 +128,12 @@ def graph_contribution(g: FixedGraph, job: LocalizationJob, tau: Sequence[Fracti
     weights: list[LamValue] = [(w.eval_tau(taus), w.lam) for w in data.susy_weights]
     h = _h_values(job.c, weights)
     ev = ev_pullback(g, job.classes).eval(taus, 0)
-    sign = Fraction(-1 if job.c % 2 else 1)
     value = _lam_mul(h, et)
-    value = (sign * ev * value[0], sign * ev * value[1])
-    if geometry(g).moduli_kind == "m04":
-        return value[1]
-    if value[1] != 0:
-        raise InconsistencyError(f"lam survived on the point-type locus {g.label()}")
-    return value[0]
+    return _integrand_part(g, job, ev * value[0], ev * value[1])
 
 
-def _symbolic_sum(graphs: Sequence[FixedGraph], job: LocalizationJob) -> RatFunc:
-    """Exact rational-function sum over a shared factored denominator.
+def _symbolic_sum(graphs: Sequence[FixedGraph], job: LocalizationJob) -> tuple[Poly, Poly]:
+    """Exact sum as (numerator, shared denominator).
 
     Every graph denominator divides prod_{i<j} (tau_i - tau_j)^k, so the
     sum is accumulated as one numerator over that fixed product; this
@@ -146,23 +156,19 @@ def _symbolic_sum(graphs: Sequence[FixedGraph], job: LocalizationJob) -> RatFunc
         numerator = data.num_lambda_free + Poly.lam(num_tau) * data.num_lambda_coeff
         integrand = complete_homogeneous(job.c, data.susy_weights, num_tau)
         integrand = integrand * ev_pullback(g, job.classes) * numerator * cofactor
-        if job.c % 2:
-            integrand = -integrand
-        if geometry(g).moduli_kind == "m04":
-            integrand = integrand.lambda_coefficient()
-        elif not integrand.is_lambda_free():
-            raise InconsistencyError(f"lam survived on the point-type locus {g.label()}")
-        total = total + integrand
-    return RatFunc(total, shared)
+        total = total + _integrand_part(g, job, *integrand.lambda_parts())
+    return total, shared
 
 
 def sample_tau(rng: random.Random, n: int) -> tuple[Fraction, ...]:
-    """Distinct integer characters in [-SAMPLE_RANGE, SAMPLE_RANGE]."""
-    return tuple(Fraction(v) for v in rng.sample(range(-SAMPLE_RANGE, SAMPLE_RANGE + 1), n + 1))
+    """n + 1 distinct integer characters in [-R, R], R = max(SAMPLE_RANGE, n)."""
+    bound = max(SAMPLE_RANGE, n)
+    return tuple(Fraction(v) for v in rng.sample(range(-bound, bound + 1), n + 1))
 
 
-def _evaluate_once(graphs: Sequence[FixedGraph], job: LocalizationJob, tau) -> Fraction:
-    return sum((graph_contribution(g, job, tau) for g in graphs), Fraction(0))
+def _evaluate_once(graphs: Sequence[FixedGraph], job: LocalizationJob, tau) -> list[Fraction]:
+    """Per-graph contributions at one character tuple, in graph order."""
+    return [graph_contribution(g, job, tau) for g in graphs]
 
 
 def invariant(
@@ -177,8 +183,9 @@ def invariant(
     """Degree-one k-point invariant of P^n with hyperplane-power insertions.
 
     ``strategy`` is "evaluate" (seeded generic evaluations, all required to
-    agree) or "symbolic" (full rational-function sum, n <= 2).  ``trace``,
-    if given, receives per-sample diagnostics.
+    agree) or "symbolic" (one numerator over the shared denominator,
+    n <= 2).  ``trace``, if given, receives one record per sample: its
+    characters, its value and the per-graph contributions.
     """
     job = LocalizationJob(n=n, k=k, classes=tuple(classes))
     if job.graded_zero:
@@ -188,10 +195,10 @@ def invariant(
     if strategy == "symbolic":
         if n > 2:
             raise DomainError("symbolic strategy supported for n <= 2")
-        total = _symbolic_sum(graphs, job)
-        constant = total.constant_value()
-        if constant is None:
-            raise InconsistencyError(f"symbolic sum is not constant: {total}")
+        total, shared = _symbolic_sum(graphs, job)
+        constant = total.leading_coeff() / shared.leading_coeff() if total else Fraction(0)
+        if total != shared.scale(constant):
+            raise InconsistencyError(f"symbolic sum is not constant: ({total}) / ({shared})")
         return Invariant.of(constant, job.kappa_exp)
 
     if strategy != "evaluate":
@@ -201,18 +208,18 @@ def invariant(
     rng = random.Random(seed)
     values = []
     for _ in range(samples):
-        for _attempt in range(MAX_RESAMPLES):
-            tau = sample_tau(rng, n)
-            try:
-                value = _evaluate_once(graphs, job, tau)
-            except ResampleSignal:
-                continue
-            break
-        else:
-            raise InconsistencyError("could not find a sample with nonvanishing denominators")
+        # Denominators are products of tau_i - tau_j and the characters are
+        # distinct, so no sample hits a pole.
+        tau = sample_tau(rng, n)
+        parts = _evaluate_once(graphs, job, tau)
+        value = sum(parts, Fraction(0))
         values.append(value)
         if trace is not None:
-            trace.append({"tau": [str(t) for t in tau], "value": str(value)})
+            trace.append({
+                "tau": [str(t) for t in tau],
+                "value": str(value),
+                "per_graph": [{"graph": g.label(), "value": str(v)} for g, v in zip(graphs, parts)],
+            })
     if len(set(values)) != 1:
         raise InconsistencyError(
             f"evaluations disagree across samples: {[str(v) for v in values]}"

@@ -11,7 +11,6 @@ L^c rescaled by kappa^(n+2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
@@ -20,28 +19,6 @@ from .localize import DEFAULT_SEED, invariant
 from .point import Invariant
 
 Laurent = dict[int, Fraction]  # kappa exponent -> coefficient
-
-
-@dataclass(frozen=True)
-class PairingMatrix:
-    """Poincare pairing of hyperplane powers and its inverse."""
-
-    n: int
-
-    def g(self, a: int, b: int) -> int:
-        return 1 if a + b == self.n else 0
-
-    def g_inv(self, a: int, b: int) -> int:
-        return 1 if a + b == self.n else 0
-
-    def is_identity_product(self) -> bool:
-        size = self.n + 1
-        for a in range(size):
-            for b in range(size):
-                entry = sum(self.g(a, m) * self.g_inv(m, b) for m in range(size))
-                if entry != (1 if a == b else 0):
-                    return False
-        return True
 
 
 class QElement:
@@ -147,13 +124,8 @@ def _basis_star(n: int, a: int, b: int, seed: int) -> QElement:
         comps[(a + b, 0)] = {0: Fraction(1)}
     for c in range(n + 1):
         inv = invariant(n, 3, (a, b, c), seed=seed)
-        if inv.is_zero:
-            continue
-        laurent = {inv.kappa_exp + n + 2: inv.coeff}
-        key = (n - c, 1)
-        acc = comps.setdefault(key, {})
-        for e, coeff in laurent.items():
-            acc[e] = acc.get(e, Fraction(0)) + coeff
+        if not inv.is_zero:
+            comps[(n - c, 1)] = {inv.kappa_exp + n + 2: inv.coeff}
     return QElement(n, comps)
 
 

@@ -1,12 +1,12 @@
-"""Polynomial, rational-function, and symmetric-function arithmetic."""
+"""Polynomial and symmetric-function arithmetic."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from sgw.errors import DimensionError, DomainError
-from sgw.exact import LinForm, Poly, RatFunc, complete_homogeneous, rational_from_str, rational_to_str
+from sgw.errors import DimensionError
+from sgw.exact import LinForm, Poly, complete_homogeneous, rational_to_str
 
 
 def tau(i, num_tau=2):
@@ -41,8 +41,6 @@ def test_poly_eval_examples():
 def test_rational_strings():
     assert rational_to_str(F(-1, 2)) == "-1/2"
     assert rational_to_str(F(4, 2)) == "2"
-    assert rational_from_str("-3/6") == F(-1, 2)
-    assert rational_from_str("7") == 7
 
 
 def test_poly_str_is_canonical():
@@ -146,57 +144,3 @@ def test_truncation_drops_exactly_high_lambda():
         reference = mul_without_truncation(a, b)
         truncated = {m: c for m, c in reference.items() if m[-1] < 2}
         assert (a * b).terms == truncated
-
-
-# -- rational functions --------------------------------------------------
-
-
-def test_ratfunc_cancellation_to_zero():
-    one = Poly.one(2)
-    u = tau(1) - tau(0)
-    total = RatFunc(one, u) + RatFunc(one, -u)
-    assert total.is_zero()
-
-
-def test_ratfunc_weighted_sum_is_one():
-    u = tau(1) - tau(0)
-    total = RatFunc(tau(1), u) + RatFunc(tau(0), -u)
-    assert total.constant_value() == 1
-
-
-def test_ratfunc_mul_inverse():
-    x, y = tau(0), tau(1)
-    assert (RatFunc(x, y) * RatFunc(y, x)).constant_value() == 1
-    rng = random.Random(9)
-    for _ in range(25):
-        num = random_poly(rng, 2)
-        den = random_poly(rng, 2)
-        num0, _ = num.lambda_parts()
-        den0, _ = den.lambda_parts()
-        if num0.is_zero() or den0.is_zero():
-            continue
-        r = RatFunc(num0, den0)
-        assert (r * r.inverse()).constant_value() == 1
-
-
-def test_ratfunc_rejects_lambda_denominator():
-    with pytest.raises(DomainError):
-        RatFunc(Poly.one(1), Poly.lam(1))
-
-
-def test_ratfunc_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        RatFunc(Poly.one(1), Poly.zero(1))
-
-
-def test_ratfunc_canonical_denominator():
-    u = (tau(1) - tau(0)).scale(F(-3, 2))
-    r = RatFunc(tau(0), u)
-    assert r.den.leading_coeff() > 0
-    assert r.den.content() == 1
-
-
-def test_ratfunc_str_is_canonical():
-    u = (tau(1) - tau(0)).scale(F(-3, 2))
-    assert str(RatFunc(tau(0), u)) == "(-2/3*tau0) / (tau1 - tau0)"
-    assert str(RatFunc(tau(0) * Poly.const(2, 5), tau(0))) == "5"

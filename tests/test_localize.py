@@ -1,5 +1,6 @@
 """Localization sums: worked examples, reference tables, cross-checks."""
 
+import random
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -7,7 +8,8 @@ import pytest
 
 import sgw.localize as localize
 from sgw.errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
-from sgw.graphs import FixedGraph
+from sgw.exact import Poly
+from sgw.graphs import FixedGraph, enumerate_graphs
 from sgw.localize import LocalizationJob, check_extension, graph_contribution, invariant
 from sgw.point import Invariant
 from sgw.tables import ALL_INVARIANT_ENTRIES, GOLDEN, entries_for
@@ -135,6 +137,12 @@ def test_symbolic_matches_evaluate():
         assert invariant(n, k, classes, strategy="symbolic") == invariant(n, k, classes)
 
 
+def test_symbolic_non_constant_sum_raises(monkeypatch):
+    monkeypatch.setattr(localize, "complete_homogeneous", lambda c, weights, num_tau: Poly.tau(num_tau, 0))
+    with pytest.raises(InconsistencyError, match="not constant"):
+        invariant(1, 2, (1, 1), strategy="symbolic")
+
+
 def test_symbolic_rejects_large_n():
     with pytest.raises(DomainError):
         invariant(3, 2, (1, 1), strategy="symbolic")
@@ -163,24 +171,31 @@ def test_disagreeing_samples_raise(monkeypatch):
 
 
 def test_resampling_retries_degenerate_tuples(monkeypatch):
-    tuples = iter(
-        [
-            (F(5), F(5)),
-            (F(0), F(1)),
-            (F(1), F(4)),
-            (F(2), F(9)),
-        ]
-    )
-    monkeypatch.setattr(localize, "sample_tau", lambda rng, n: next(tuples))
-    assert invariant(1, 1, (1,)) == Invariant.of(1, -1)
+    # No longer retried: sample_tau never repeats a character, so a forced
+    # repeat is a pole that invariant reports instead of redrawing.
+    monkeypatch.setattr(localize, "sample_tau", lambda rng, n: (F(5), F(5)))
+    with pytest.raises(ResampleSignal):
+        invariant(1, 1, (1,))
+
+
+def test_sample_tau_distinct_beyond_default_range():
+    tau = localize.sample_tau(random.Random(0), 2500)
+    assert len(set(tau)) == 2501
 
 
 def test_trace_records_samples():
     trace = []
     invariant(1, 2, (1, 1), trace=trace)
     assert len(trace) == 3
-    assert all(set(entry) == {"tau", "value"} for entry in trace)
+    assert all(set(entry) == {"tau", "value", "per_graph"} for entry in trace)
     assert {entry["value"] for entry in trace} == {"1"}
+    job = LocalizationJob(n=1, k=2, classes=(1, 1))
+    for entry in trace:
+        tau = [F(t) for t in entry["tau"]]
+        assert entry["per_graph"] == [
+            {"graph": g.label(), "value": str(graph_contribution(g, job, tau))}
+            for g in enumerate_graphs(1, 2)
+        ]
 
 
 def test_check_extension():

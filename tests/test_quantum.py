@@ -6,7 +6,7 @@ import pytest
 
 from sgw.errors import DomainError
 from sgw.point import Invariant
-from sgw.quantum import PairingMatrix, QElement, star, structure_table
+from sgw.quantum import QElement, star, structure_table
 
 
 def basis(n, a):
@@ -15,11 +15,6 @@ def basis(n, a):
 
 def q_unit(n):
     return QElement(n, {(0, 1): {0: F(1)}})
-
-
-def test_pairing_matrix_inverse():
-    for n in (1, 2, 3, 4):
-        assert PairingMatrix(n).is_identity_product()
 
 
 def test_hyperplane_squared_on_the_line():
