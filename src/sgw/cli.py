@@ -5,7 +5,8 @@ consistency check fails (evaluations disagreeing across samples - an
 implementation-bug signal, never a mathematical zero).  With
 ``--format json`` every command emits one self-describing record per line;
 given the same seed the bytes are identical between runs.  The default
-seed comes from the SGW_SEED environment variable.
+seed comes from the SGW_SEED environment variable.  Sizes above the
+ceilings below are refused before any work starts.
 """
 
 from __future__ import annotations
@@ -23,6 +24,15 @@ from .errors import DomainError, InconsistencyError
 from .point import Invariant
 
 _ENV_SEED = "SGW_SEED"
+
+# At each ceiling a command takes 20-35 s on a 2-core Xeon, and the work
+# grows steeply beyond it (point: about 4x per k; quantum: about n^4), so a
+# larger value is refused up front instead of running for hours or running
+# out of memory or stack.
+MAX_POINT_K = 14
+MAX_N = 20
+MAX_QUANTUM_N = 10
+MAX_SAMPLES = 100
 
 
 def _default_seed() -> int:
@@ -61,6 +71,11 @@ def _domain_errors(fn):
     return wrapper
 
 
+def _at_most(value: int, ceiling: int, option: str) -> None:
+    if value > ceiling:
+        raise DomainError(f"{option} must be at most {ceiling}, got {value}")
+
+
 def _parse_int_list(raw: str, what: str) -> tuple[int, ...]:
     raw = raw.strip()
     if not raw:
@@ -77,11 +92,12 @@ def main():
 
 
 @main.command("point")
-@click.option("--k", "k", type=int, required=True, help="Number of marked points, k >= 3.")
+@click.option("--k", "k", type=int, required=True, help=f"Number of marked points, 3 <= k <= {MAX_POINT_K}.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @_domain_errors
 def cmd_point(k: int, fmt: str):
     """k-point super Gromov-Witten number of a point."""
+    _at_most(k, MAX_POINT_K, "--k")
     result = point.sgw_point(k)
     if fmt == "json":
         _emit_json(_record("point", {"k": k}, result))
@@ -90,17 +106,19 @@ def cmd_point(k: int, fmt: str):
 
 
 @main.command("invariant")
-@click.option("--n", "n", type=int, required=True, help="Target dimension.")
+@click.option("--n", "n", type=int, required=True, help=f"Target dimension, 1 <= n <= {MAX_N}.")
 @click.option("--k", "k", type=int, required=True, help="Marked points, 1..3.")
 @click.option("--classes", required=True, help="Comma-separated hyperplane powers a1,..,ak.")
 @click.option("--strategy", type=click.Choice(["evaluate", "symbolic"]), default="evaluate")
-@click.option("--samples", type=int, default=3, show_default=True)
+@click.option("--samples", type=int, default=3, show_default=True, help=f"Character tuples to evaluate at, 2..{MAX_SAMPLES}.")
 @click.option("--seed", type=int, default=None, help=f"Random seed (default: ${_ENV_SEED} or {localize.DEFAULT_SEED}).")
 @click.option("--trace", is_flag=True, help="Include per-graph contributions in the diagnostics.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @_domain_errors
 def cmd_invariant(n: int, k: int, classes: str, strategy: str, samples: int, seed: int | None, trace: bool, fmt: str):
     """Degree-one k-point invariant of P^n via localization."""
+    _at_most(n, MAX_N, "--n")
+    _at_most(samples, MAX_SAMPLES, "--samples")
     class_tuple = _parse_int_list(classes, "--classes")
     seed = _default_seed() if seed is None else seed
     sample_log: list = []
@@ -135,12 +153,13 @@ def cmd_taut(k: int, exps: str, fmt: str):
 
 
 @main.command("quantum")
-@click.option("--n", "n", type=int, required=True, help="Target dimension, n <= 5 practical.")
+@click.option("--n", "n", type=int, required=True, help=f"Target dimension, 1 <= n <= {MAX_QUANTUM_N}.")
 @click.option("--seed", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @_domain_errors
 def cmd_quantum(n: int, seed: int | None, fmt: str):
     """Structure table and first-order quantum products of hyperplane powers."""
+    _at_most(n, MAX_QUANTUM_N, "--n")
     seed = _default_seed() if seed is None else seed
     table = quantum.structure_table(n, seed=seed)
     if fmt == "json":
@@ -183,8 +202,12 @@ def _reproduce_lines(seed: int):
     for pe in tables.POINT_ENTRIES:
         got = point.sgw_point(pe.k)
         lines.append(_compare_line(f"point k={pe.k}", got, pe))
+    groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for entry in tables.ALL_INVARIANT_ENTRIES:
-        got = localize.invariant(entry.n, entry.k, entry.classes, seed=seed)
+        groups.setdefault((entry.n, entry.k), []).append(entry.classes)
+    values = {(n, k): localize.table(n, k, classes, seed=seed) for (n, k), classes in groups.items()}
+    for entry in tables.ALL_INVARIANT_ENTRIES:
+        got = values[(entry.n, entry.k)][entry.classes]
         lines.append(_compare_line(entry.label, got, entry))
     product = quantum.star(1, quantum.QElement.basis(1, 1), quantum.QElement.basis(1, 1), seed=seed)
     expected = quantum.QElement(1, {(0, 1): {0: Fraction(1)}})

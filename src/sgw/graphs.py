@@ -205,12 +205,18 @@ def euler_data(g: FixedGraph) -> EulerData:
     )
 
 
-def ev_pullback(g: FixedGraph, classes: Sequence[int]) -> Poly:
-    """Evaluation pullback of hyperplane powers: tau_a over A, tau_b elsewhere."""
+def ev_exponents(g: FixedGraph, classes: Sequence[int]) -> tuple[int, int]:
+    """Powers of tau_a and tau_b in the evaluation pullback: classes over A go to tau_a."""
     if len(classes) != g.k:
         raise DomainError(f"expected {g.k} classes")
-    num_tau = g.n + 1
-    exp = [0] * (num_tau + 1)
-    for i, power in enumerate(classes, start=1):
-        exp[g.a if i in g.A else g.b] += power
-    return Poly(num_tau, {tuple(exp): Fraction(1)})
+    at_a = sum(power for i, power in enumerate(classes, start=1) if i in g.A)
+    return at_a, sum(classes) - at_a
+
+
+def ev_pullback(g: FixedGraph, classes: Sequence[int]) -> Poly:
+    """Evaluation pullback of hyperplane powers: tau_a over A, tau_b elsewhere."""
+    at_a, at_b = ev_exponents(g, classes)
+    exp = [0] * (g.n + 2)
+    exp[g.a] = at_a
+    exp[g.b] = at_b
+    return Poly(g.n + 1, {tuple(exp): Fraction(1)})

@@ -10,7 +10,10 @@ degree).  Point-type loci take the lam-free part, loci isomorphic to the
 four-pointed moduli curve take the lam-coefficient.  The sum is a constant
 rational function of the torus characters, so the default strategy
 evaluates it at several seeded generic integer tuples and insists the
-values agree; the symbolic strategy (three or fewer characters) builds the
+values agree.  ``table`` does so for many class tuples of one (n, k) at
+once: per sample, each graph's Euler data, weights and h_0 .. h_cmax are
+evaluated once and only the ev pullback and the codegree differ between
+tuples; ``invariant`` is its one-tuple case.  The symbolic strategy (three or fewer characters) builds the
 sum as one numerator over the shared denominator and checks that the
 quotient is a constant.
 """
@@ -21,11 +24,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
 from .exact import Poly, complete_homogeneous
-from .graphs import FixedGraph, enumerate_graphs, euler_data, ev_pullback, geometry
+from .graphs import FixedGraph, enumerate_graphs, euler_data, ev_exponents, ev_pullback, geometry
 from .point import Invariant
 
 DEFAULT_SEED = 1729
@@ -83,24 +86,24 @@ def _lam_mul(x: LamValue, y: LamValue) -> LamValue:
     return (x[0] * y[0], x[0] * y[1] + x[1] * y[0])
 
 
-def _h_values(c: int, weights: Sequence[LamValue]) -> LamValue:
-    """h_c of numeric weights in the ring Q[lam]/(lam^2)."""
+def _h_values(c: int, weights: Sequence[LamValue]) -> list[LamValue]:
+    """h_0 .. h_c of numeric weights in the ring Q[lam]/(lam^2)."""
     h: list[LamValue] = [(Fraction(1), Fraction(0))] + [(Fraction(0), Fraction(0))] * c
     for w in weights:
         for j in range(1, c + 1):
             prod = _lam_mul(w, h[j - 1])
             h[j] = (h[j][0] + prod[0], h[j][1] + prod[1])
-    return h[c]
+    return h
 
 
-def _integrand_part(g: FixedGraph, job: LocalizationJob, lam_free, lam_coeff):
+def _integrand_part(g: FixedGraph, c: int, lam_free, lam_coeff):
     """Signed part of h_c * ev * e^-1 = lam_free + lam * lam_coeff that the locus integrates.
 
     The sign is (-1)^c; an m04 locus takes the lam coefficient, a point
     locus the lam-free part, and lam must not survive on a point locus.
     Works on numbers and on polynomials alike.
     """
-    if job.c % 2:
+    if c % 2:
         lam_free, lam_coeff = -lam_free, -lam_coeff
     if geometry(g).moduli_kind == "m04":
         return lam_coeff
@@ -109,9 +112,15 @@ def _integrand_part(g: FixedGraph, job: LocalizationJob, lam_free, lam_coeff):
     return lam_free
 
 
-def graph_contribution(g: FixedGraph, job: LocalizationJob, tau: Sequence[Fraction]) -> Fraction:
-    """Exact value of one graph's summand at the given character tuple."""
-    if g.n != job.n or g.k != job.k:
+def graph_contribution(
+    g: FixedGraph, jobs: Sequence[LocalizationJob], tau: Sequence[Fraction]
+) -> list[Fraction]:
+    """Exact value of one graph's summand at the given character tuple, one per job.
+
+    The Euler data, the odd weights and h_0 .. h_cmax are evaluated once;
+    each job adds only its ev pullback and picks h at its codegree.
+    """
+    if any(job.n != g.n or job.k != g.k for job in jobs):
         raise DomainError("graph and job disagree on (n, k)")
     taus = [Fraction(t) for t in tau]
     data = euler_data(g)
@@ -126,10 +135,15 @@ def graph_contribution(g: FixedGraph, job: LocalizationJob, tau: Sequence[Fracti
     )
 
     weights: list[LamValue] = [(w.eval_tau(taus), w.lam) for w in data.susy_weights]
-    h = _h_values(job.c, weights)
-    ev = ev_pullback(g, job.classes).eval(taus, 0)
-    value = _lam_mul(h, et)
-    return _integrand_part(g, job, ev * value[0], ev * value[1])
+    h = _h_values(max((job.c for job in jobs), default=0), weights)
+    parts: dict[int, Fraction] = {}
+    values = []
+    for job in jobs:
+        if job.c not in parts:
+            parts[job.c] = _integrand_part(g, job.c, *_lam_mul(h[job.c], et))
+        at_a, at_b = ev_exponents(g, job.classes)
+        values.append(taus[g.a] ** at_a * taus[g.b] ** at_b * parts[job.c])
+    return values
 
 
 def _symbolic_sum(graphs: Sequence[FixedGraph], job: LocalizationJob) -> tuple[Poly, Poly]:
@@ -156,7 +170,7 @@ def _symbolic_sum(graphs: Sequence[FixedGraph], job: LocalizationJob) -> tuple[P
         numerator = data.num_lambda_free + Poly.lam(num_tau) * data.num_lambda_coeff
         integrand = complete_homogeneous(job.c, data.susy_weights, num_tau)
         integrand = integrand * ev_pullback(g, job.classes) * numerator * cofactor
-        total = total + _integrand_part(g, job, *integrand.lambda_parts())
+        total = total + _integrand_part(g, job.c, *integrand.lambda_parts())
     return total, shared
 
 
@@ -166,9 +180,66 @@ def sample_tau(rng: random.Random, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in rng.sample(range(-bound, bound + 1), n + 1))
 
 
-def _evaluate_once(graphs: Sequence[FixedGraph], job: LocalizationJob, tau) -> list[Fraction]:
-    """Per-graph contributions at one character tuple, in graph order."""
-    return [graph_contribution(g, job, tau) for g in graphs]
+def _evaluate_once(
+    graphs: Sequence[FixedGraph], jobs: Sequence[LocalizationJob], tau
+) -> list[list[Fraction]]:
+    """Per-graph contributions at one character tuple: one row per graph, one column per job."""
+    return [graph_contribution(g, jobs, tau) for g in graphs]
+
+
+def table(
+    n: int,
+    k: int,
+    class_tuples: Iterable[Sequence[int]],
+    samples: int = 3,
+    seed: int = DEFAULT_SEED,
+    trace: dict[tuple[int, ...], list] | None = None,
+) -> dict[tuple[int, ...], Invariant]:
+    """Degree-one k-point invariants of P^n for many class tuples in one sweep.
+
+    Every tuple sees the same seeded character tuples it would see alone,
+    so each sample evaluates the per-graph data once for all tuples; the
+    values of each tuple must agree exactly across its samples.  Tuples
+    with negative codegree are zero and take no part in the sweep.
+    ``trace``, if given, maps class tuples to lists that receive one
+    record per sample: its characters, its value and the per-graph
+    contributions.  The result maps each distinct tuple, in first-seen
+    order, to its invariant.
+    """
+    jobs: dict[tuple[int, ...], LocalizationJob] = {}
+    for classes in map(tuple, class_tuples):
+        if classes not in jobs:
+            jobs[classes] = LocalizationJob(n=n, k=k, classes=classes)
+    result = {classes: Invariant.zero() for classes in jobs}
+    live = [job for job in jobs.values() if not job.graded_zero]
+    if not live:
+        return result
+    if samples < 2:
+        raise DomainError("evaluate strategy needs at least 2 samples")
+    graphs = enumerate_graphs(n, k)
+    rng = random.Random(seed)
+    values: list[list[Fraction]] = [[] for _ in live]
+    for _ in range(samples):
+        # Denominators are products of tau_i - tau_j and the characters are
+        # distinct, so no sample hits a pole.
+        tau = sample_tau(rng, n)
+        rows = _evaluate_once(graphs, live, tau)
+        for job, column, job_values in zip(live, zip(*rows), values):
+            value = sum(column, Fraction(0))
+            job_values.append(value)
+            if trace is not None and job.classes in trace:
+                trace[job.classes].append({
+                    "tau": [str(t) for t in tau],
+                    "value": str(value),
+                    "per_graph": [{"graph": g.label(), "value": str(v)} for g, v in zip(graphs, column)],
+                })
+    for job, job_values in zip(live, values):
+        if len(set(job_values)) != 1:
+            raise InconsistencyError(
+                f"evaluations of {job.classes} disagree across samples: {[str(v) for v in job_values]}"
+            )
+        result[job.classes] = Invariant.of(job_values[0], job.kappa_exp)
+    return result
 
 
 def invariant(
@@ -183,48 +254,27 @@ def invariant(
     """Degree-one k-point invariant of P^n with hyperplane-power insertions.
 
     ``strategy`` is "evaluate" (seeded generic evaluations, all required to
-    agree) or "symbolic" (one numerator over the shared denominator,
-    n <= 2).  ``trace``, if given, receives one record per sample: its
-    characters, its value and the per-graph contributions.
+    agree: the one-tuple case of ``table``) or "symbolic" (one numerator
+    over the shared denominator, n <= 2).  ``trace``, if given, receives
+    one record per sample: its characters, its value and the per-graph
+    contributions.
     """
-    job = LocalizationJob(n=n, k=k, classes=tuple(classes))
+    classes = tuple(classes)
+    if strategy == "evaluate":
+        traces = None if trace is None else {classes: trace}
+        return table(n, k, [classes], samples=samples, seed=seed, trace=traces)[classes]
+    job = LocalizationJob(n=n, k=k, classes=classes)
     if job.graded_zero:
         return Invariant.zero()
-    graphs = enumerate_graphs(n, k)
-
-    if strategy == "symbolic":
-        if n > 2:
-            raise DomainError("symbolic strategy supported for n <= 2")
-        total, shared = _symbolic_sum(graphs, job)
-        constant = total.leading_coeff() / shared.leading_coeff() if total else Fraction(0)
-        if total != shared.scale(constant):
-            raise InconsistencyError(f"symbolic sum is not constant: ({total}) / ({shared})")
-        return Invariant.of(constant, job.kappa_exp)
-
-    if strategy != "evaluate":
+    if strategy != "symbolic":
         raise DomainError(f"unknown strategy {strategy!r}")
-    if samples < 2:
-        raise DomainError("evaluate strategy needs at least 2 samples")
-    rng = random.Random(seed)
-    values = []
-    for _ in range(samples):
-        # Denominators are products of tau_i - tau_j and the characters are
-        # distinct, so no sample hits a pole.
-        tau = sample_tau(rng, n)
-        parts = _evaluate_once(graphs, job, tau)
-        value = sum(parts, Fraction(0))
-        values.append(value)
-        if trace is not None:
-            trace.append({
-                "tau": [str(t) for t in tau],
-                "value": str(value),
-                "per_graph": [{"graph": g.label(), "value": str(v)} for g, v in zip(graphs, parts)],
-            })
-    if len(set(values)) != 1:
-        raise InconsistencyError(
-            f"evaluations disagree across samples: {[str(v) for v in values]}"
-        )
-    return Invariant.of(values[0], job.kappa_exp)
+    if n > 2:
+        raise DomainError("symbolic strategy supported for n <= 2")
+    total, shared = _symbolic_sum(enumerate_graphs(n, k), job)
+    constant = total.leading_coeff() / shared.leading_coeff() if total else Fraction(0)
+    if total != shared.scale(constant):
+        raise InconsistencyError(f"symbolic sum is not constant: ({total}) / ({shared})")
+    return Invariant.of(constant, job.kappa_exp)
 
 
 def check_extension(n: int, k: int, classes: Sequence[int], seed: int = DEFAULT_SEED) -> bool:

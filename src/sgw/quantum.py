@@ -6,16 +6,18 @@ coefficients that are Laurent polynomials in kappa^-1 times a q-power in
 powers has the classical cup product at q^0 (the degree-zero three-point
 invariants collapse to the pairing) and, at q^1, for each dual basis
 element L^(n-c) the degree-one three-point invariant with third insertion
-L^c rescaled by kappa^(n+2).
+L^c rescaled by kappa^(n+2).  All of them come from one localization
+sweep per (n, seed), which is kept for the products that follow.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError
 from .exact import rational_to_str
-from .localize import DEFAULT_SEED, invariant
+from .localize import DEFAULT_SEED, table
 from .point import Invariant
 
 Laurent = dict[int, Fraction]  # kappa exponent -> coefficient
@@ -107,23 +109,30 @@ def _laurent_mul(x: Laurent, y: Laurent) -> Laurent:
     return out
 
 
+@lru_cache(maxsize=8)
+def _three_point(n: int, seed: int) -> dict[tuple[int, int, int], Invariant]:
+    """<L^a, L^b, L^c> for all a <= b and every c, from one localization sweep."""
+    tuples = [(a, b, c) for a in range(n + 1) for b in range(a, n + 1) for c in range(n + 1)]
+    return table(n, 3, tuples, seed=seed)
+
+
 def structure_table(n: int, seed: int = DEFAULT_SEED) -> dict[tuple[int, int], list[tuple[int, Invariant]]]:
     """Degree-one three-point invariants <L^a, L^b, L^c> for all a <= b, c."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    table: dict[tuple[int, int], list[tuple[int, Invariant]]] = {}
-    for a in range(n + 1):
-        for b in range(a, n + 1):
-            table[(a, b)] = [(c, invariant(n, 3, (a, b, c), seed=seed)) for c in range(n + 1)]
-    return table
+    values = _three_point(n, seed)
+    return {
+        (a, b): [(c, values[(a, b, c)]) for c in range(n + 1)]
+        for a in range(n + 1)
+        for b in range(a, n + 1)
+    }
 
 
 def _basis_star(n: int, a: int, b: int, seed: int) -> QElement:
     comps: dict[tuple[int, int], Laurent] = {}
     if a + b <= n:
         comps[(a + b, 0)] = {0: Fraction(1)}
-    for c in range(n + 1):
-        inv = invariant(n, 3, (a, b, c), seed=seed)
+    for c, inv in structure_table(n, seed)[(min(a, b), max(a, b))]:
         if not inv.is_zero:
             comps[(n - c, 1)] = {inv.kappa_exp + n + 2: inv.coeff}
     return QElement(n, comps)

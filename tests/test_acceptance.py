@@ -19,7 +19,7 @@ from fractions import Fraction as F
 from itertools import permutations, product
 
 from sgw.exact import complete_homogeneous
-from sgw.localize import LocalizationJob, check_extension, invariant
+from sgw.localize import LocalizationJob, check_extension, invariant, table
 from sgw.point import point_sum, sgw_point
 from sgw.quantum import QElement, star
 from sgw.tables import GOLDEN, POINT_ENTRIES, entries_for
@@ -109,28 +109,33 @@ def test_criterion_6_property_suites():
     started = time.monotonic()
     failures: list[str] = []
 
-    golden_jobs = [(e.n, e.k, e.classes) for e in entries_for(1) + entries_for(2) + entries_for(3)]
+    # One sweep per (n, k, seed) serves every tuple of a group.
+    groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for e in entries_for(1) + entries_for(2) + entries_for(3):
+        groups.setdefault((e.n, e.k), []).append(e.classes)
 
-    # (a) weight independence: three distinct seeded sample sets agree.
-    for n, k, classes in golden_jobs:
-        values = {invariant(n, k, classes, seed=seed) for seed in (11, 22, 33)}
-        if len(values) != 1:
-            failures.append(f"(a) {n},{k},{classes}: seeds disagree")
+    for (n, k), tuples in groups.items():
+        # (a) weight independence: three distinct seeded sample sets agree.
+        by_seed = [table(n, k, tuples, seed=seed) for seed in (11, 22, 33)]
+        for classes in tuples:
+            if len({values[classes] for values in by_seed}) != 1:
+                failures.append(f"(a) {n},{k},{classes}: seeds disagree")
 
-    # (b) permutation invariance over the golden set.
-    for n, k, classes in golden_jobs:
-        if k == 1:
-            continue
-        values = {invariant(n, k, perm) for perm in set(permutations(classes))}
-        if len(values) != 1:
-            failures.append(f"(b) {n},{k},{classes}: permutations disagree")
+        # (b) permutation invariance over the golden set.
+        if k > 1:
+            orbits = {classes: set(permutations(classes)) for classes in tuples}
+            values = table(n, k, [perm for orbit in orbits.values() for perm in orbit])
+            for classes, orbit in orbits.items():
+                if len({values[perm] for perm in orbit}) != 1:
+                    failures.append(f"(b) {n},{k},{classes}: permutations disagree")
 
-    # (c) grading exponent for every nonzero result.
-    for n, k, classes in golden_jobs:
-        job = LocalizationJob(n=n, k=k, classes=tuple(classes))
-        got = invariant(n, k, classes)
-        if not got.is_zero and got.kappa_exp != job.kappa_exp:
-            failures.append(f"(c) {n},{k},{classes}: exponent {got.kappa_exp} != {job.kappa_exp}")
+        # (c) grading exponent for every nonzero result.
+        values = table(n, k, tuples)
+        for classes in tuples:
+            job = LocalizationJob(n=n, k=k, classes=classes)
+            got = values[classes]
+            if not got.is_zero and got.kappa_exp != job.kappa_exp:
+                failures.append(f"(c) {n},{k},{classes}: exponent {got.kappa_exp} != {job.kappa_exp}")
 
     # (d) extension: codegree-zero three-point values are kappa^-(n+2).
     for n in range(1, 5):
@@ -143,9 +148,11 @@ def test_criterion_6_property_suites():
     # (e) symbolic and evaluate strategies agree on every n <= 2 job.
     for n in (1, 2):
         for k in (1, 2, 3):
-            for classes in product(range(n + 1), repeat=k):
+            tuples = list(product(range(n + 1), repeat=k))
+            evaluated = table(n, k, tuples)
+            for classes in tuples:
                 sym = invariant(n, k, classes, strategy="symbolic")
-                ev = invariant(n, k, classes, strategy="evaluate")
+                ev = evaluated[classes]
                 if sym != ev:
                     failures.append(f"(e) {n},{k},{classes}: {sym} != {ev}")
 

@@ -4,10 +4,16 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import sgw.cli
 import sgw.localize
-from sgw.cli import main
+import sgw.point
+import sgw.quantum
+from sgw.cli import MAX_N, MAX_POINT_K, MAX_QUANTUM_N, MAX_SAMPLES, main
 from sgw.errors import InconsistencyError
+from sgw.point import Invariant
 
 
 @pytest.fixture
@@ -135,6 +141,101 @@ def test_quantum_json(runner):
     entry = next(l for l in lines if l["inputs"] == {"a": 1, "b": 1, "c": 1, "n": 1})
     assert entry["coefficient"] == "1"
     assert entry["kappa_exponent"] == -3
+
+
+def test_quantum_sweeps_each_graph_once_per_sample(runner, monkeypatch):
+    # 48 graphs of (n, k) = (3, 3) times 3 samples: one sweep serves all 40
+    # class tuples of the table and every product printed after it.
+    calls = []
+    contribution = sgw.localize.graph_contribution
+
+    def counting(g, jobs, tau):
+        calls.append(g)
+        return contribution(g, jobs, tau)
+
+    monkeypatch.setattr(sgw.localize, "graph_contribution", counting)
+    sgw.quantum._three_point.cache_clear()
+    result = runner.invoke(main, ["quantum", "--n", "3"])
+    assert result.exit_code == 0
+    assert len(calls) == 144
+
+
+def _forbid_heavy_paths(monkeypatch):
+    def heavy(*args, **kwargs):
+        raise AssertionError("the heavy computation started")
+
+    monkeypatch.setattr(sgw.localize, "enumerate_graphs", heavy)
+    monkeypatch.setattr(sgw.quantum, "structure_table", heavy)
+    monkeypatch.setattr(sgw.point, "compositions", heavy)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["point", "--k", "1500"], f"--k must be at most {MAX_POINT_K}, got 1500"),
+        (["invariant", "--n", "100000", "--k", "1", "--classes", "0"], f"--n must be at most {MAX_N}, got 100000"),
+        (
+            ["invariant", "--n", "2", "--k", "1", "--classes", "0", "--samples", "100000000"],
+            f"--samples must be at most {MAX_SAMPLES}, got 100000000",
+        ),
+        (["quantum", "--n", "40"], f"--n must be at most {MAX_QUANTUM_N}, got 40"),
+    ],
+)
+def test_huge_sizes_rejected_before_any_work(runner, monkeypatch, argv, message):
+    _forbid_heavy_paths(monkeypatch)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.output == message + "\n"
+
+
+def test_sizes_at_the_ceilings_are_accepted(runner, monkeypatch):
+    # The work itself is replaced: only the argument checks run for real.
+    monkeypatch.setattr(sgw.cli.point, "sgw_point", lambda k: Invariant.zero())
+    monkeypatch.setattr(sgw.cli.localize, "invariant", lambda *args, **kwargs: Invariant.zero())
+    monkeypatch.setattr(sgw.cli.quantum, "structure_table", lambda n, seed: {(0, 0): [(0, Invariant.zero())]})
+    monkeypatch.setattr(sgw.cli.quantum, "star", lambda n, x, y, seed: sgw.quantum.QElement.zero(n))
+    for argv in (
+        ["point", "--k", str(MAX_POINT_K)],
+        ["invariant", "--n", str(MAX_N), "--k", "1", "--classes", "0", "--samples", str(MAX_SAMPLES)],
+        ["quantum", "--n", str(MAX_QUANTUM_N)],
+    ):
+        assert runner.invoke(main, argv).exit_code == 0, argv
+
+
+_JUNK = st.text(alphabet="0123,-x ", max_size=8)
+
+
+def _small_or_huge(low, high, ceiling):
+    return st.one_of(st.integers(low, high), st.integers(ceiling + 1, 10**12))
+
+
+_ARGV = st.one_of(
+    st.tuples(
+        st.just("invariant"),
+        st.just("--n"), _small_or_huge(-2, 3, MAX_N).map(str),
+        st.just("--k"), st.integers(-1, 4).map(str),
+        st.just("--classes"), _JUNK,
+        st.just("--samples"), _small_or_huge(-2, 4, MAX_SAMPLES).map(str),
+    ),
+    st.tuples(st.just("taut"), st.just("--k"), st.integers(-1, 7).map(str), st.just("--exps"), _JUNK),
+    st.tuples(st.just("quantum"), st.just("--n"), _small_or_huge(-2, 2, MAX_QUANTUM_N).map(str)),
+    st.tuples(st.just("point"), st.just("--k"), _small_or_huge(-2, 8, MAX_POINT_K).map(str)),
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_ARGV)
+def test_malformed_or_out_of_range_arguments_never_crash(runner, argv):
+    result = runner.invoke(main, list(argv))
+    assert result.exit_code in (0, 2), (argv, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), argv
+    assert "Traceback" not in result.output
 
 
 def test_reproduce_paper(runner):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -40,27 +40,44 @@ def test_job_validation():
 
 def test_graph_contribution_one_point():
     job = LocalizationJob(n=1, k=1, classes=(1,))
-    value = graph_contribution(graph(1, 1, 0, 1, []), job, (F(0), F(1)))
-    assert value == 1
+    assert graph_contribution(graph(1, 1, 0, 1, []), [job], (F(0), F(1))) == [1]
 
 
 def test_graph_contribution_three_point_codegree_zero():
     job = LocalizationJob(n=1, k=3, classes=(1, 1, 1))
     tau = (F(3), F(11))
     t0, t1 = tau
-    value = graph_contribution(graph(1, 3, 0, 1, [1]), job, tau)
-    assert value == -t0 * t1**2 / (t1 - t0) ** 3
+    value = graph_contribution(graph(1, 3, 0, 1, [1]), [job], tau)
+    assert value == [-t0 * t1**2 / (t1 - t0) ** 3]
 
 
 def test_graph_contribution_m04_codegree_two():
     job = LocalizationJob(n=1, k=3, classes=(1, 1, 0))
-    assert graph_contribution(graph(1, 3, 0, 1, []), job, (F(2), F(9))) == 0
+    assert graph_contribution(graph(1, 3, 0, 1, []), [job], (F(2), F(9))) == [0]
+
+
+def test_graph_contribution_one_value_per_job():
+    # Jobs of different codegrees share one h_0..h_cmax pass; each value is
+    # the one the job gets alone, in job order, repeats included.
+    g = graph(1, 3, 0, 1, [1])
+    tau = (F(3), F(11))
+    jobs = [LocalizationJob(n=1, k=3, classes=c) for c in [(1, 1, 1), (0, 0, 0), (1, 0, 1), (1, 1, 1)]]
+    together = graph_contribution(g, jobs, tau)
+    assert together == [graph_contribution(g, [job], tau)[0] for job in jobs]
+    assert together[0] == -F(3) * F(11) ** 2 / F(8) ** 3
+    assert graph_contribution(g, [], tau) == []
+
+
+def test_graph_contribution_rejects_foreign_job():
+    jobs = [LocalizationJob(n=1, k=3, classes=(1, 1, 1)), LocalizationJob(n=2, k=3, classes=(1, 1, 1))]
+    with pytest.raises(DomainError):
+        graph_contribution(graph(1, 3, 0, 1, [1]), jobs, (F(3), F(11)))
 
 
 def test_graph_contribution_resample_signal():
     job = LocalizationJob(n=1, k=1, classes=(1,))
     with pytest.raises(ResampleSignal):
-        graph_contribution(graph(1, 1, 0, 1, []), job, (F(5), F(5)))
+        graph_contribution(graph(1, 1, 0, 1, []), [job], (F(5), F(5)))
 
 
 WORKED_EXAMPLES = [
@@ -126,6 +143,36 @@ def test_two_point_cells_follow_one_point_relations():
     assert golden == 14
 
 
+@pytest.mark.parametrize("seed", [localize.DEFAULT_SEED, 4])
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)])
+def test_table_matches_invariant(n, k, seed):
+    tuples = list(product(range(n + 1), repeat=k))  # includes the graded-zero tuples
+    swept = localize.table(n, k, tuples, seed=seed)
+    assert list(swept) == tuples
+    assert any(LocalizationJob(n=n, k=k, classes=c).graded_zero for c in tuples) == (k == 3 and n >= 2)
+    for classes in tuples:
+        assert swept[classes] == invariant(n, k, classes, seed=seed), classes
+
+
+def test_table_permuted_and_repeated_tuples():
+    tuples = [(2, 1, 0), (0, 1, 2), (2, 1, 0), [1, 2, 0], (2, 2, 2), (0, 1, 2)]
+    swept = localize.table(2, 3, tuples)
+    assert list(swept) == [(2, 1, 0), (0, 1, 2), (1, 2, 0), (2, 2, 2)]
+    assert swept[(2, 2, 2)] == Invariant.zero()
+    assert {swept[c] for c in [(2, 1, 0), (0, 1, 2), (1, 2, 0)]} == {invariant(2, 3, (2, 1, 0))}
+
+
+def test_table_validation():
+    assert localize.table(2, 3, []) == {}
+    assert localize.table(1, 3, [(1, 1, 1)], samples=10) == {(1, 1, 1): Invariant.of(1, -3)}
+    with pytest.raises(DomainError):
+        localize.table(1, 3, [(1, 1, 1)], samples=1)
+    with pytest.raises(DomainError):
+        localize.table(1, 3, [(1, 1, 1), (2, 0, 0)])
+    with pytest.raises(UnsupportedError):
+        localize.table(1, 4, [(1, 1, 1, 1)])
+
+
 def test_permutation_invariance():
     for classes in [(2, 1, 0), (3, 1, 1), (2, 2, 1)]:
         values = {invariant(3, 3, perm) for perm in permutations(classes)}
@@ -161,13 +208,33 @@ def test_unknown_strategy_rejected():
 def test_disagreeing_samples_raise(monkeypatch):
     calls = {"count": 0}
 
-    def fake_contribution(g, job, tau):
+    def fake_contribution(g, jobs, tau):
         calls["count"] += 1
-        return F(calls["count"])
+        return [F(calls["count"])] * len(jobs)
 
     monkeypatch.setattr(localize, "graph_contribution", fake_contribution)
     with pytest.raises(InconsistencyError):
         invariant(1, 1, (1,))
+    with pytest.raises(InconsistencyError, match=r"\(0,\)"):
+        localize.table(1, 1, [(0,), (1,)])
+
+
+def test_table_checks_each_tuple_on_its_own(monkeypatch):
+    # Only the second tuple's values move between samples; the table must
+    # still reject it although the first tuple agrees with itself.
+    samples = {"count": 0}
+
+    def fake_contribution(g, jobs, tau):
+        return [F(1), F(samples["count"])]
+
+    def counting_tau(rng, n):
+        samples["count"] += 1
+        return (F(samples["count"]), F(-samples["count"]))
+
+    monkeypatch.setattr(localize, "graph_contribution", fake_contribution)
+    monkeypatch.setattr(localize, "sample_tau", counting_tau)
+    with pytest.raises(InconsistencyError, match=r"\(1,\)"):
+        localize.table(1, 1, [(0,), (1,)])
 
 
 def test_resampling_retries_degenerate_tuples(monkeypatch):
@@ -193,9 +260,17 @@ def test_trace_records_samples():
     for entry in trace:
         tau = [F(t) for t in entry["tau"]]
         assert entry["per_graph"] == [
-            {"graph": g.label(), "value": str(graph_contribution(g, job, tau))}
+            {"graph": g.label(), "value": str(graph_contribution(g, [job], tau)[0])}
             for g in enumerate_graphs(1, 2)
         ]
+
+
+def test_table_trace_matches_invariant_trace():
+    alone = []
+    invariant(2, 3, (2, 1, 0), seed=9, trace=alone)
+    traces = {(2, 1, 0): []}
+    localize.table(2, 3, [(1, 1, 1), (2, 1, 0), (2, 2, 2)], seed=9, trace=traces)
+    assert traces == {(2, 1, 0): alone}
 
 
 def test_check_extension():

@@ -48,6 +48,16 @@ def test_k_seven_matches_oracle():
     assert sgw_point(7) == Invariant.of(expected, -9)
 
 
+def test_closed_form_oracle():
+    # sgw_point(k) = (-1)^(k-3) (2k-7)!! / 2^(k-3) kappa^(5-2k); the pushforward
+    # computes it, the double factorial only checks it.
+    for k in range(3, 12):
+        double_factorial = 1
+        for odd in range(2 * k - 7, 0, -2):
+            double_factorial *= odd
+        assert sgw_point(k) == Invariant.of(F((-1) ** (k - 3) * double_factorial, 2 ** (k - 3)), 5 - 2 * k), k
+
+
 def test_pruned_enumerator_agrees_with_unpruned():
     for k in range(3, 9):
         assert point_sum(k, pruned=True) == point_sum(k, pruned=False)
