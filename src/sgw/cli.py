@@ -25,11 +25,11 @@ from .point import Invariant
 
 _ENV_SEED = "SGW_SEED"
 
-# At each ceiling a command takes 20-35 s on a 2-core Xeon, and the work
-# grows steeply beyond it (point: about 4x per k; quantum: about n^4), so a
-# larger value is refused up front instead of running for hours or running
-# out of memory or stack.
-MAX_POINT_K = 14
+# Measured on a 2-core Xeon: point --k 24 takes 2-3 s and grows about 1.4x
+# per k; invariant --n 20 --k 3 and quantum --n 10 take about 21 s, and
+# quantum grows about n^4.  A larger value is refused up front instead of
+# running for hours or running out of memory.
+MAX_POINT_K = point.MAX_K
 MAX_N = 20
 MAX_QUANTUM_N = 10
 MAX_SAMPLES = 100
@@ -86,7 +86,18 @@ def _parse_int_list(raw: str, what: str) -> tuple[int, ...]:
         raise click.UsageError(f"{what} must be a comma-separated integer list, got {raw!r}") from exc
 
 
-@click.group()
+class _OneLineUsageErrors(click.Group):
+    """Report a usage error as one ``Error: ...`` line, without click's usage block."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            click.echo(f"Error: {exc.format_message()}", err=True)
+            ctx.exit(2)
+
+
+@click.group(cls=_OneLineUsageErrors)
 def main():
     """Exact super Gromov-Witten numbers for a point target and degree-one P^n."""
 

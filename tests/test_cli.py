@@ -167,6 +167,7 @@ def _forbid_heavy_paths(monkeypatch):
     monkeypatch.setattr(sgw.localize, "enumerate_graphs", heavy)
     monkeypatch.setattr(sgw.quantum, "structure_table", heavy)
     monkeypatch.setattr(sgw.point, "compositions", heavy)
+    monkeypatch.setattr(sgw.point, "pushforward_step", heavy)
 
 
 @pytest.mark.parametrize(
@@ -186,6 +187,26 @@ def test_huge_sizes_rejected_before_any_work(runner, monkeypatch, argv, message)
     result = runner.invoke(main, argv)
     assert result.exit_code == 2
     assert result.output == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv,env,message",
+    [
+        (["invariant", "--n", "1", "--k", "1", "--classes", "a"], {}, "--classes must be a comma-separated integer list"),
+        (["invariant", "--n", "x", "--k", "1", "--classes", "1"], {}, "Invalid value for '--n'"),
+        (["invariant", "--n", "1", "--k", "1.5", "--classes", "1"], {}, "Invalid value for '--k'"),
+        (["invariant", "--n", "1", "--k", "1", "--classes", "1", "--samples", "s"], {}, "Invalid value for '--samples'"),
+        (["point", "--k", "twelve"], {}, "Invalid value for '--k'"),
+        (["invariant", "--n", "1", "--k", "1", "--classes", "1"], {"SGW_SEED": "abc"}, "SGW_SEED must be an integer"),
+        (["quantum", "--n", "1"], {"SGW_SEED": "1e3"}, "SGW_SEED must be an integer"),
+    ],
+)
+def test_usage_errors_are_one_line(runner, argv, env, message):
+    result = runner.invoke(main, argv, env=env)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(f"Error: {message}")
 
 
 def test_sizes_at_the_ceilings_are_accepted(runner, monkeypatch):

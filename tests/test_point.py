@@ -4,8 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import sgw.point
+import sgw.taut
 from sgw.errors import DomainError
-from sgw.point import Invariant, compositions, mapping_to_point, point_sum, sgw_point
+from sgw.point import MAX_K, Invariant, compositions, mapping_to_point, point_sum, sgw_point
 from sgw.tables import TAUT_ENTRIES
 from sgw.taut import integrate_monomial
 from .test_taut import oracle_monomial
@@ -51,11 +53,54 @@ def test_k_seven_matches_oracle():
 def test_closed_form_oracle():
     # sgw_point(k) = (-1)^(k-3) (2k-7)!! / 2^(k-3) kappa^(5-2k); the pushforward
     # computes it, the double factorial only checks it.
-    for k in range(3, 12):
+    for k in range(3, 21):
         double_factorial = 1
         for odd in range(2 * k - 7, 0, -2):
             double_factorial *= odd
         assert sgw_point(k) == Invariant.of(F((-1) ** (k - 3) * double_factorial, 2 ** (k - 3)), 5 - 2 * k), k
+
+
+def test_sum_matches_per_composition_integrals():
+    # The reference integrates every pruned composition on its own, k - 3
+    # pushforward steps each; point_sum shares the steps between them.
+    for k in range(3, 11):
+        assert point_sum(k) == sum(integrate_monomial(k, c) for c in compositions(k - 3, k - 3)), k
+
+
+def test_sum_matches_independent_recursion():
+    for k in range(3, 9):
+        assert point_sum(k) == oracle_point_sum(k), k
+
+
+def test_k_twelve_takes_one_pushforward_per_level_and_split(monkeypatch):
+    # Nine levels, one step per (prefix sum, psi power) pair: 174 steps, where
+    # integrating the 4862 compositions one by one takes 9 steps each.
+    calls = []
+    step = sgw.point.pushforward_step
+
+    def counting(expr):
+        calls.append(expr.l)
+        return step(expr)
+
+    def forbidden(*args):
+        raise AssertionError("integrate_monomial is not on the point path")
+
+    monkeypatch.setattr(sgw.point, "pushforward_step", counting)
+    monkeypatch.setattr(sgw.point, "integrate_monomial", forbidden, raising=False)
+    monkeypatch.setattr(sgw.taut, "integrate_monomial", forbidden)
+    assert sgw_point(12) == Invariant.of(F(-1, 512) * 3 * 5 * 7 * 9 * 11 * 13 * 15 * 17, -19)
+    assert len(calls) == 174
+    assert sorted(set(calls)) == list(range(4, 13))
+
+
+@pytest.mark.parametrize("k", [MAX_K + 1, 1500])
+def test_k_above_ceiling_rejected_before_any_work(monkeypatch, k):
+    def heavy(*args):
+        raise AssertionError("the pushforward started")
+
+    monkeypatch.setattr(sgw.point, "pushforward_step", heavy)
+    with pytest.raises(DomainError, match=f"k must be at most {MAX_K}, got {k}"):
+        sgw_point(k)
 
 
 def test_pruned_enumerator_agrees_with_unpruned():
