@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import wraps
 
@@ -25,8 +26,8 @@ from .point import Invariant
 
 _ENV_SEED = "SGW_SEED"
 
-# Measured on a 2-core Xeon: point --k 24 takes 2-3 s and grows about 1.4x
-# per k; invariant --n 20 --k 3 and quantum --n 10 take about 21 s, and
+# Measured on a 2-core Xeon: point --k 24 takes 1.6 s and grows about 1.4x
+# per k; invariant --n 20 --k 3 takes 23-26 s and quantum --n 10 21 s, and
 # quantum grows about n^4.  A larger value is refused up front instead of
 # running for hours or running out of memory.
 MAX_POINT_K = point.MAX_K
@@ -86,15 +87,31 @@ def _parse_int_list(raw: str, what: str) -> tuple[int, ...]:
         raise click.UsageError(f"{what} must be a comma-separated integer list, got {raw!r}") from exc
 
 
+@contextmanager
+def _one_line_usage_errors(ctx):
+    try:
+        yield
+    except click.UsageError as exc:
+        click.echo(f"Error: {exc.format_message()}", err=True)
+        ctx.exit(2)
+
+
 class _OneLineUsageErrors(click.Group):
-    """Report a usage error as one ``Error: ...`` line, without click's usage block."""
+    """Report a usage error as one ``Error: ...`` line, without click's usage block.
+
+    This covers the group's own arguments (``sgw --bogus``) and every
+    subcommand's; a bare ``sgw`` still prints the help.
+    """
+
+    def parse_args(self, ctx, args):
+        if not args:
+            return super().parse_args(ctx, args)
+        with _one_line_usage_errors(ctx):
+            return super().parse_args(ctx, args)
 
     def invoke(self, ctx):
-        try:
+        with _one_line_usage_errors(ctx):
             return super().invoke(ctx)
-        except click.UsageError as exc:
-            click.echo(f"Error: {exc.format_message()}", err=True)
-            ctx.exit(2)
 
 
 @click.group(cls=_OneLineUsageErrors)

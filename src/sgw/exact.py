@@ -123,6 +123,9 @@ class Poly:
             return Poly(self.num_tau)
         return self._raw(self.num_tau, {m: c * v for m, v in self.terms.items()})
 
+    def __rmul__(self, value) -> "Poly":
+        return self.scale(value)
+
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         out: dict[tuple[int, ...], Fraction] = {}
@@ -161,17 +164,6 @@ class Poly:
 
     def leading_coeff(self) -> Fraction:
         return self.terms[self.leading_monomial()]
-
-    def lambda_parts(self) -> tuple["Poly", "Poly"]:
-        """Split p = p0 + lam*p1 into the lam-free polynomials (p0, p1)."""
-        p0: dict[tuple[int, ...], Fraction] = {}
-        p1: dict[tuple[int, ...], Fraction] = {}
-        for mono, coeff in self.terms.items():
-            if mono[-1] == 0:
-                p0[mono] = coeff
-            else:
-                p1[mono[:-1] + (0,)] = coeff
-        return self._raw(self.num_tau, p0), self._raw(self.num_tau, p1)
 
     # -- evaluation ---------------------------------------------------
     def eval(self, tau_values: Sequence, lambda_value=0) -> Fraction:
@@ -243,9 +235,6 @@ class LinForm:
 
     def is_zero(self) -> bool:
         return not self.taus and not self.lam
-
-    def has_lambda(self) -> bool:
-        return bool(self.lam)
 
     def to_poly(self, num_tau: int) -> Poly:
         terms: dict[tuple[int, ...], Fraction] = {}

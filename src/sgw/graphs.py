@@ -1,19 +1,19 @@
 """Torus fixed-point graphs for degree-one stable maps to P^n.
 
 A fixed locus is labelled by a pair of target fixed points q_a, q_b
-(a < b), the subset A of marked points sitting over q_a, and the map
-degree.  For one edge of degree d the equivariant weights of the odd
-normal directions come in two families,
+(a < b) and the subset A of marked points sitting over q_a.  The
+equivariant weights of the odd normal directions of its one edge are
 
-    (2d - 2q - 1)/(2d) * (tau_a - tau_b)            q = 0 .. 2d-1,
-    (2q - 1)/(2d) tau_a - (2d - 2q - 1)/(2d) tau_b + tau_m
-                                                    m != a, b, q = 0 .. d-1,
+    1/2 (tau_a - tau_b),  -1/2 (tau_a - tau_b),
+    -1/2 tau_a - 1/2 tau_b + tau_m                  m != a, b,
 
-where the first family drops q = d when the a-end of the edge carries a
-special point but the b-end does not, and drops q = d - 1 in the opposite
-case.  Marked points clustered at one end sit on a contracted component,
-which contributes weight 0 (three special points) or weights {0, -lam/2}
-(four special points, moduli a projective line with hyperplane class lam).
+where the first weight is dropped when only the b-end of the edge carries
+a special point and the second when only the a-end does.  Marked points
+clustered at one end sit on a contracted component, which contributes
+weight 0 (three special points) or weights {0, -lam/2} (four special
+points, moduli a projective line with hyperplane class lam).  The pure
+lam weight is kept apart from the lam-free ones, as
+``EulerData.lam_weight``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class EdgeConfig(enum.Enum):
 @dataclass(frozen=True)
 class FixedGraph:
     n: int
-    d: int
     a: int
     b: int
     A: frozenset[int]
@@ -52,27 +51,31 @@ class FixedGraph:
 
     def label(self) -> str:
         members = ",".join(str(i) for i in sorted(self.A))
-        return f"G(k={self.k},d={self.d},a={self.a},b={self.b},A={{{members}}})"
+        return f"G(k={self.k},d=1,a={self.a},b={self.b},A={{{members}}})"
 
 
 @dataclass(frozen=True)
 class GraphGeometry:
     moduli_kind: str  # "point" or "m04"
-    has_lambda: bool
 
 
 @dataclass(frozen=True)
 class EulerData:
     """Per-graph equivariant data.
 
-    The inverse Euler class of the fixed locus is
-    (num_lambda_free + lam * num_lambda_coeff) / (den_sign * prod (tau_i - tau_j)^m)
-    over ``den_factors``, the canonical pairs i < j with multiplicities m.
+    The odd normal weights are the lam-free ``susy_weights`` and, on m04
+    loci, the pure weight ``lam_weight * lam`` (``lam_weight`` is -1/2
+    there and 0 elsewhere).  The inverse Euler class of the fixed locus is
+    (num_one + num_u * u + num_lam * lam) / (den_sign * prod (tau_i - tau_j)^m)
+    with u = tau_b - tau_a, over ``den_factors``, the canonical pairs i < j
+    with multiplicities m.
     """
 
     susy_weights: tuple[LinForm, ...]
-    num_lambda_free: Poly
-    num_lambda_coeff: Poly
+    lam_weight: Fraction
+    num_one: int
+    num_u: int
+    num_lam: int
     den_factors: tuple[tuple[tuple[int, int], int], ...]
     den_sign: int
 
@@ -87,40 +90,27 @@ def enumerate_graphs(n: int, k: int) -> list[FixedGraph]:
     for a, b in combinations(range(n + 1), 2):
         for mask in range(2**k):
             members = frozenset(i + 1 for i in range(k) if mask >> i & 1)
-            graphs.append(FixedGraph(n=n, d=1, a=a, b=b, A=members, k=k))
+            graphs.append(FixedGraph(n=n, a=a, b=b, A=members, k=k))
     return graphs
 
 
 def geometry(g: FixedGraph) -> GraphGeometry:
     if g.k == 3 and len(g.A) in (0, 3):
-        return GraphGeometry(moduli_kind="m04", has_lambda=True)
-    return GraphGeometry(moduli_kind="point", has_lambda=False)
+        return GraphGeometry(moduli_kind="m04")
+    return GraphGeometry(moduli_kind="point")
 
 
-def single_edge_weights(n: int, d: int, a: int, b: int, config: EdgeConfig) -> list[LinForm]:
-    """Odd normal weights of a single degree-d edge through q_a and q_b."""
-    if d < 1:
-        raise DomainError("d must be >= 1")
+def single_edge_weights(n: int, a: int, b: int, config: EdgeConfig) -> list[LinForm]:
+    """Odd normal weights of the degree-one edge through q_a and q_b."""
     if not 0 <= a < b <= n:
         raise DomainError("need 0 <= a < b <= n")
-    skip = {EdgeConfig.MARK_AT_A: d, EdgeConfig.NO_MARK: d - 1}.get(config)
+    half = Fraction(1, 2)
     weights = []
-    for q in range(2 * d):
-        if q == skip:
-            continue
-        c = Fraction(2 * d - 2 * q - 1, 2 * d)
-        weights.append(LinForm.make({a: c, b: -c}))
-    for m in range(n + 1):
-        if m in (a, b):
-            continue
-        for q in range(d):
-            weights.append(
-                LinForm.make({
-                    a: Fraction(2 * q - 1, 2 * d),
-                    b: -Fraction(2 * d - 2 * q - 1, 2 * d),
-                    m: Fraction(1),
-                })
-            )
+    if config != EdgeConfig.NO_MARK:
+        weights.append(LinForm.make({a: half, b: -half}))
+    if config != EdgeConfig.MARK_AT_A:
+        weights.append(LinForm.make({a: -half, b: half}))
+    weights += [LinForm.make({a: -half, b: -half, m: 1}) for m in range(n + 1) if m not in (a, b)]
     return weights
 
 
@@ -130,17 +120,6 @@ def _edge_config(num_at_a: int, num_at_b: int) -> EdgeConfig:
     if num_at_a:
         return EdgeConfig.MARK_AT_A
     return EdgeConfig.NO_MARK
-
-
-def _vertex_factors(count: int) -> list[LinForm]:
-    """Weights of the contracted component carrying ``count`` marked points."""
-    if count <= 1:
-        return []
-    if count == 2:
-        return [LinForm.zero()]
-    if count == 3:
-        return [LinForm.zero(), LinForm.make(lam=Fraction(-1, 2))]
-    raise UnsupportedError("contracted components with five or more special points")
 
 
 def _canonical_factors(ordered: list[tuple[int, int]]) -> tuple[dict[tuple[int, int], int], int]:
@@ -175,31 +154,29 @@ def _den_structure(g: FixedGraph) -> tuple[list[tuple[int, int]], int]:
 
 @lru_cache(maxsize=None)
 def euler_data(g: FixedGraph) -> EulerData:
-    """Odd-normal weight multiset and inverse fixed-locus Euler class, d = 1."""
-    if g.d != 1 or g.k not in (1, 2, 3):
-        raise UnsupportedError("euler data implemented for d = 1 and k in {1, 2, 3}")
+    """Odd-normal weights and inverse fixed-locus Euler class of a degree-one graph."""
+    if g.k not in (1, 2, 3):
+        raise UnsupportedError("euler data implemented for k in {1, 2, 3}")
     num_at_a = len(g.A)
     num_at_b = g.k - num_at_a
-    weights = single_edge_weights(g.n, 1, g.a, g.b, _edge_config(num_at_a, num_at_b))
-    weights += _vertex_factors(num_at_a)
-    weights += _vertex_factors(num_at_b)
-
-    num_tau = g.n + 1
-    u = Poly.tau(num_tau, g.b) - Poly.tau(num_tau, g.a)
-    if g.k == 3 and num_at_a == 0:
-        numerator = -u - Poly.lam(num_tau)
-    elif g.k == 3 and num_at_a == 3:
-        numerator = u - Poly.lam(num_tau)
+    weights = single_edge_weights(g.n, g.a, g.b, _edge_config(num_at_a, num_at_b))
+    # a contracted component (two or three marked points) adds the weight 0;
+    # with three, it also carries the pure weight lam_weight * lam
+    weights += [LinForm.zero()] * sum(count >= 2 for count in (num_at_a, num_at_b))
+    if geometry(g).moduli_kind == "m04":
+        # numerator u - lam when the marked points sit over q_a, -u - lam over q_b
+        lam_weight, num_one, num_u, num_lam = Fraction(-1, 2), 0, (1 if num_at_a else -1), -1
     else:
-        numerator = Poly.one(num_tau)
+        lam_weight, num_one, num_u, num_lam = Fraction(0), 1, 0, 0
 
     ordered, extra_sign = _den_structure(g)
     factors, flip = _canonical_factors(ordered)
-    num0, num1 = numerator.lambda_parts()
     return EulerData(
         susy_weights=tuple(weights),
-        num_lambda_free=num0,
-        num_lambda_coeff=num1,
+        lam_weight=lam_weight,
+        num_one=num_one,
+        num_u=num_u,
+        num_lam=num_lam,
         den_factors=tuple(sorted(factors.items())),
         den_sign=extra_sign * flip,
     )

@@ -7,15 +7,21 @@ Each fixed graph contributes
 where c is the codegree in hyperplane-power units; the result is a single
 kappa-monomial with exponent -(rank) - (dimension) + (total insertion
 degree).  Point-type loci take the lam-free part, loci isomorphic to the
-four-pointed moduli curve take the lam-coefficient.  The sum is a constant
-rational function of the torus characters, so the default strategy
-evaluates it at several seeded generic integer tuples and insists the
-values agree.  ``table`` does so for many class tuples of one (n, k) at
-once: per sample, each graph's Euler data, weights and h_0 .. h_cmax are
-evaluated once and only the ev pullback and the codegree differ between
-tuples; ``invariant`` is its one-tuple case.  The symbolic strategy (three or fewer characters) builds the
-sum as one numerator over the shared denominator and checks that the
-quotient is a constant.
+four-pointed moduli curve take the lam-coefficient.  Both strategies
+build this integrand the same way: ``_h_values`` runs the h recurrence
+over the lam-free weights in the strategy's ring (``Fraction`` values or
+``Poly``), and ``_integrand_parts`` alone adds the pure lam weight by
+the nilpotent rule h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W).
+
+The sum is a constant rational function of the torus characters, so the
+default strategy evaluates it at several seeded generic integer tuples
+and insists the values agree.  ``table`` does so for many class tuples of
+one (n, k) at once: per sample, each graph's Euler data, weights and
+h_0 .. h_cmax are evaluated once and only the ev pullback and the
+codegree differ between tuples; ``invariant`` is its one-tuple case.  The
+symbolic strategy (three or fewer characters) builds the sum as one
+numerator over the shared denominator and checks that the quotient is a
+constant.
 """
 
 from __future__ import annotations
@@ -24,17 +30,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
-from .exact import Poly, complete_homogeneous
-from .graphs import FixedGraph, enumerate_graphs, euler_data, ev_exponents, ev_pullback, geometry
+from .exact import Poly
+from .graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents, ev_pullback, geometry
 from .point import Invariant
 
 DEFAULT_SEED = 1729
 SAMPLE_RANGE = 1000
-
-LamValue = tuple[Fraction, Fraction]  # value a + b*lam with lam^2 = 0
 
 
 @dataclass(frozen=True)
@@ -42,28 +46,26 @@ class LocalizationJob:
     n: int
     k: int
     classes: tuple[int, ...]
-    d: int = 1
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("n must be >= 1")
         if self.k not in (1, 2, 3):
             raise UnsupportedError("localization implemented for k in {1, 2, 3}")
-        if self.d != 1:
-            raise UnsupportedError("localization implemented for degree 1")
         if len(self.classes) != self.k:
             raise DomainError(f"expected {self.k} classes")
         for a in self.classes:
             if not 0 <= a <= self.n:
                 raise DomainError(f"class exponent {a} outside [0, {self.n}]")
 
+    # dimension n + d(n + 1) + k - 3 and odd rank d(n + 1) + k - 2 at degree d = 1
     @property
     def d_kd(self) -> int:
-        return self.n + self.d * (self.n + 1) + self.k - 3
+        return self.n + (self.n + 1) + self.k - 3
 
     @property
     def r_kd(self) -> int:
-        return self.d * (self.n + 1) + self.k - 2
+        return (self.n + 1) + self.k - 2
 
     @property
     def total_class_degree(self) -> int:
@@ -82,34 +84,43 @@ class LocalizationJob:
         return self.c < 0
 
 
-def _lam_mul(x: LamValue, y: LamValue) -> LamValue:
-    return (x[0] * y[0], x[0] * y[1] + x[1] * y[0])
-
-
-def _h_values(c: int, weights: Sequence[LamValue]) -> list[LamValue]:
-    """h_0 .. h_c of numeric weights in the ring Q[lam]/(lam^2)."""
-    h: list[LamValue] = [(Fraction(1), Fraction(0))] + [(Fraction(0), Fraction(0))] * c
+def _h_values(c: int, weights: Sequence) -> list:
+    """h_0 .. h_c of lam-free weights in any ring with + and * (Fractions or Polys)."""
+    one = weights[0] ** 0
+    h = [one] + [one - one] * c
     for w in weights:
         for j in range(1, c + 1):
-            prod = _lam_mul(w, h[j - 1])
-            h[j] = (h[j][0] + prod[0], h[j][1] + prod[1])
+            h[j] = h[j] + w * h[j - 1]
     return h
 
 
-def _integrand_part(g: FixedGraph, c: int, lam_free, lam_coeff):
-    """Signed part of h_c * ev * e^-1 = lam_free + lam * lam_coeff that the locus integrates.
+def _integrand_parts(
+    g: FixedGraph, data: EulerData, codegrees: Collection[int], weights: Sequence, u, scale
+) -> dict:
+    """Signed part of one graph's integrand that its locus integrates, per codegree c.
 
+    The integrand is h_c(W + {lam_weight * lam}) * (num_one + num_u * u +
+    num_lam * lam) * scale for the lam-free weights W of ``data``; since
+    lam^2 = 0, the pure lam weight only adds lam_weight * lam * h_{c-1}(W).
     The sign is (-1)^c; an m04 locus takes the lam coefficient, a point
     locus the lam-free part, and lam must not survive on a point locus.
-    Works on numbers and on polynomials alike.
+    ``weights``, ``u`` and ``scale`` are Fractions for the evaluate strategy
+    and Polys for the symbolic one.
     """
-    if c % 2:
-        lam_free, lam_coeff = -lam_free, -lam_coeff
-    if geometry(g).moduli_kind == "m04":
-        return lam_coeff
-    if lam_coeff:
-        raise InconsistencyError(f"lam survived on the point-type locus {g.label()}")
-    return lam_free
+    lam_free = data.num_one * scale + data.num_u * u * scale
+    lam_coeff = data.num_lam * scale
+    h = _h_values(max(codegrees, default=0), weights)
+    m04 = geometry(g).moduli_kind == "m04"
+    parts = {}
+    for c in codegrees:
+        coeff = h[c] * lam_coeff
+        if c and data.lam_weight:
+            coeff = coeff + data.lam_weight * h[c - 1] * lam_free
+        if not m04 and coeff:
+            raise InconsistencyError(f"lam survived on the point-type locus {g.label()}")
+        part = coeff if m04 else h[c] * lam_free
+        parts[c] = -part if c % 2 else part
+    return parts
 
 
 def graph_contribution(
@@ -129,18 +140,10 @@ def graph_contribution(
         den *= (taus[i] - taus[j]) ** mult
     if den == 0:
         raise ResampleSignal(f"denominator of {g.label()} vanishes at {taus}")
-    et: LamValue = (
-        data.num_lambda_free.eval(taus, 0) / den,
-        data.num_lambda_coeff.eval(taus, 0) / den,
-    )
-
-    weights: list[LamValue] = [(w.eval_tau(taus), w.lam) for w in data.susy_weights]
-    h = _h_values(max((job.c for job in jobs), default=0), weights)
-    parts: dict[int, Fraction] = {}
+    weights = [w.eval_tau(taus) for w in data.susy_weights]
+    parts = _integrand_parts(g, data, {job.c for job in jobs}, weights, taus[g.b] - taus[g.a], 1 / den)
     values = []
     for job in jobs:
-        if job.c not in parts:
-            parts[job.c] = _integrand_part(g, job.c, *_lam_mul(h[job.c], et))
         at_a, at_b = ev_exponents(g, job.classes)
         values.append(taus[g.a] ** at_a * taus[g.b] ** at_b * parts[job.c])
     return values
@@ -167,10 +170,9 @@ def _symbolic_sum(graphs: Sequence[FixedGraph], job: LocalizationJob) -> tuple[P
         cofactor = Poly.const(num_tau, data.den_sign)
         for pair in pairs:
             cofactor = cofactor * diffs[pair] ** (job.k - mults.get(pair, 0))
-        numerator = data.num_lambda_free + Poly.lam(num_tau) * data.num_lambda_coeff
-        integrand = complete_homogeneous(job.c, data.susy_weights, num_tau)
-        integrand = integrand * ev_pullback(g, job.classes) * numerator * cofactor
-        total = total + _integrand_part(g, job.c, *integrand.lambda_parts())
+        weights = [w.to_poly(num_tau) for w in data.susy_weights]
+        scale = ev_pullback(g, job.classes) * cofactor
+        total = total + _integrand_parts(g, data, [job.c], weights, -diffs[g.a, g.b], scale)[job.c]
     return total, shared
 
 

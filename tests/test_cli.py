@@ -199,6 +199,7 @@ def test_huge_sizes_rejected_before_any_work(runner, monkeypatch, argv, message)
         (["point", "--k", "twelve"], {}, "Invalid value for '--k'"),
         (["invariant", "--n", "1", "--k", "1", "--classes", "1"], {"SGW_SEED": "abc"}, "SGW_SEED must be an integer"),
         (["quantum", "--n", "1"], {"SGW_SEED": "1e3"}, "SGW_SEED must be an integer"),
+        (["--bogus"], {}, "No such option '--bogus'"),
     ],
 )
 def test_usage_errors_are_one_line(runner, argv, env, message):
@@ -207,6 +208,11 @@ def test_usage_errors_are_one_line(runner, argv, env, message):
     assert result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith(f"Error: {message}")
+
+
+def test_bare_group_prints_help(runner):
+    result = runner.invoke(main, [])
+    assert "Usage:" in result.output and "Commands:" in result.output
 
 
 def test_sizes_at_the_ceilings_are_accepted(runner, monkeypatch):

@@ -27,6 +27,15 @@ def test_difference_of_squares():
     assert (a - b) * (a + b) == a * a - b * b
 
 
+def test_scalar_times_poly_is_scale():
+    # The localization integrand multiplies ring elements by Fraction and int
+    # coefficients, which must act on Polys as they do on numbers.
+    p = tau(0) - Poly.lam(2)
+    assert F(-1, 2) * p == p.scale(F(-1, 2))
+    assert 3 * p == p + p + p
+    assert (0 * p).is_zero()
+
+
 def test_mul_dimension_mismatch():
     with pytest.raises(DimensionError):
         Poly.tau(1, 0) * Poly.tau(2, 0)

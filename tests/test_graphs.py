@@ -22,16 +22,18 @@ def lf(taus, lam=0):
     return LinForm.make(taus, lam=lam)
 
 
-def inverse_euler_parts(data, num_tau):
+def inverse_euler_parts(g, num_tau):
     """(den_sign * prod diff^m multiplied out, lam-free numerator, lam coefficient)."""
+    data = euler_data(g)
     den = Poly.const(num_tau, data.den_sign)
     for (i, j), mult in data.den_factors:
         den = den * (Poly.tau(num_tau, i) - Poly.tau(num_tau, j)) ** mult
-    return den, data.num_lambda_free, data.num_lambda_coeff
+    u = Poly.tau(num_tau, g.b) - Poly.tau(num_tau, g.a)
+    return den, Poly.const(num_tau, data.num_one) + u.scale(data.num_u), Poly.const(num_tau, data.num_lam)
 
 
 def graph(n, k, a, b, members):
-    return FixedGraph(n=n, d=1, a=a, b=b, A=frozenset(members), k=k)
+    return FixedGraph(n=n, a=a, b=b, A=frozenset(members), k=k)
 
 
 def test_enumeration_counts():
@@ -60,51 +62,55 @@ def test_graph_label():
 
 
 def test_single_edge_weights_degree_one():
-    assert single_edge_weights(1, 1, 0, 1, EdgeConfig.NO_MARK) == [
+    assert single_edge_weights(1, 0, 1, EdgeConfig.NO_MARK) == [
         lf({0: F(-1, 2), 1: F(1, 2)})
     ]
-    assert single_edge_weights(2, 1, 0, 1, EdgeConfig.MARKS_AT_BOTH) == [
+    assert single_edge_weights(1, 0, 1, EdgeConfig.MARK_AT_A) == [
+        lf({0: F(1, 2), 1: F(-1, 2)})
+    ]
+    assert single_edge_weights(2, 0, 1, EdgeConfig.MARKS_AT_BOTH) == [
         lf({0: F(1, 2), 1: F(-1, 2)}),
         lf({0: F(-1, 2), 1: F(1, 2)}),
         lf({0: F(-1, 2), 1: F(-1, 2), 2: 1}),
     ]
 
 
-def test_single_edge_weights_degree_two_mark_at_a():
-    weights = single_edge_weights(1, 2, 0, 1, EdgeConfig.MARK_AT_A)
-    coeffs = [dict(w.taus)[0] for w in weights]
-    assert coeffs == [F(3, 4), F(1, 4), F(-3, 4)]
-
-
 def test_single_edge_weights_rejects_bad_pair():
     with pytest.raises(DomainError):
-        single_edge_weights(2, 1, 1, 1, EdgeConfig.NO_MARK)
+        single_edge_weights(2, 1, 1, EdgeConfig.NO_MARK)
 
 
 def test_euler_data_one_point_empty():
-    data = euler_data(graph(1, 1, 0, 1, []))
+    g = graph(1, 1, 0, 1, [])
+    data = euler_data(g)
     assert list(data.susy_weights) == [lf({0: F(-1, 2), 1: F(1, 2)})]
+    assert data.lam_weight == 0
     u = Poly.tau(2, 1) - Poly.tau(2, 0)
-    assert inverse_euler_parts(data, 2) == (u, Poly.one(2), Poly.zero(2))
+    assert inverse_euler_parts(g, 2) == (u, Poly.one(2), Poly.zero(2))
 
 
 def test_euler_data_two_point_empty():
-    data = euler_data(graph(1, 2, 0, 1, []))
+    g = graph(1, 2, 0, 1, [])
+    data = euler_data(g)
     assert Counter(data.susy_weights) == Counter(
         [LinForm.zero(), lf({0: F(-1, 2), 1: F(1, 2)})]
     )
+    assert data.lam_weight == 0
     u = Poly.tau(2, 1) - Poly.tau(2, 0)
-    assert inverse_euler_parts(data, 2) == (u * u, Poly.one(2), Poly.zero(2))
+    assert inverse_euler_parts(g, 2) == (u * u, Poly.one(2), Poly.zero(2))
 
 
 def test_euler_data_three_point_empty():
-    data = euler_data(graph(1, 3, 0, 1, []))
+    g = graph(1, 3, 0, 1, [])
+    data = euler_data(g)
+    # the odd weights are {0, -lam/2, (tau_1 - tau_0)/2}, the lam one kept apart
     assert Counter(data.susy_weights) == Counter(
-        [LinForm.zero(), lf({}, lam=F(-1, 2)), lf({0: F(-1, 2), 1: F(1, 2)})]
+        [LinForm.zero(), lf({0: F(-1, 2), 1: F(1, 2)})]
     )
+    assert data.lam_weight == F(-1, 2)
     u = Poly.tau(2, 1) - Poly.tau(2, 0)
     # stored as (-u - lam) / (-u^3), which is (lam + u) / u^3
-    assert inverse_euler_parts(data, 2) == (-(u * u * u), -u, -Poly.one(2))
+    assert inverse_euler_parts(g, 2) == (-(u * u * u), -u, -Poly.one(2))
 
 
 def test_euler_data_rank():
@@ -112,18 +118,18 @@ def test_euler_data_rank():
         for k in (1, 2, 3):
             for g in enumerate_graphs(n, k):
                 data = euler_data(g)
-                assert len(data.susy_weights) == (n + 1) + k - 2
+                assert len(data.susy_weights) + (data.lam_weight != 0) == (n + 1) + k - 2
 
 
 def test_lambda_appears_iff_m04():
     for n in (1, 2, 3):
         for k in (1, 2, 3):
             for g in enumerate_graphs(n, k):
-                geo = geometry(g)
-                has_lam = any(w.has_lambda() for w in euler_data(g).susy_weights)
-                assert has_lam == geo.has_lambda
-                assert geo.has_lambda == (geo.moduli_kind == "m04")
-                assert geo.has_lambda == (k == 3 and len(g.A) in (0, 3))
+                data = euler_data(g)
+                m04 = geometry(g).moduli_kind == "m04"
+                assert not any(w.lam for w in data.susy_weights)
+                assert (data.lam_weight != 0) == m04 == (k == 3 and len(g.A) in (0, 3))
+                assert (data.num_lam != 0) == m04
 
 
 def test_two_point_singleton_weights_match_single_edge():
@@ -132,14 +138,8 @@ def test_two_point_singleton_weights_match_single_edge():
             if not a < b:
                 continue
             g = graph(n, 2, a, b, [1])
-            expected = single_edge_weights(n, 1, a, b, EdgeConfig.MARKS_AT_BOTH)
+            expected = single_edge_weights(n, a, b, EdgeConfig.MARKS_AT_BOTH)
             assert Counter(euler_data(g).susy_weights) == Counter(expected)
-
-
-def test_euler_data_rejects_higher_degree():
-    bad = FixedGraph(n=1, d=2, a=0, b=1, A=frozenset(), k=1)
-    with pytest.raises(UnsupportedError):
-        euler_data(bad)
 
 
 def test_ev_pullback():

@@ -8,15 +8,15 @@ import pytest
 
 import sgw.localize as localize
 from sgw.errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
-from sgw.exact import Poly
-from sgw.graphs import FixedGraph, enumerate_graphs
+from sgw.exact import LinForm, Poly, complete_homogeneous
+from sgw.graphs import FixedGraph, enumerate_graphs, euler_data, geometry
 from sgw.localize import LocalizationJob, check_extension, graph_contribution, invariant
 from sgw.point import Invariant
 from sgw.tables import ALL_INVARIANT_ENTRIES, GOLDEN, entries_for
 
 
 def graph(n, k, a, b, members):
-    return FixedGraph(n=n, d=1, a=a, b=b, A=frozenset(members), k=k)
+    return FixedGraph(n=n, a=a, b=b, A=frozenset(members), k=k)
 
 
 def test_job_derived_quantities():
@@ -72,6 +72,49 @@ def test_graph_contribution_rejects_foreign_job():
     jobs = [LocalizationJob(n=1, k=3, classes=(1, 1, 1)), LocalizationJob(n=2, k=3, classes=(1, 1, 1))]
     with pytest.raises(DomainError):
         graph_contribution(graph(1, 3, 0, 1, [1]), jobs, (F(3), F(11)))
+
+
+def test_h_values_is_the_reference_recurrence():
+    # One recurrence serves both strategies: over Polys it gives the reference
+    # h_c, over Fractions its value at the characters; adding a pure lam weight
+    # e*lam to lam-free weights W follows the nilpotent rule
+    # h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W).
+    rng = random.Random(2311)
+    for _ in range(60):
+        num_tau = rng.randint(1, 3)
+        weights = [
+            LinForm.make({i: F(rng.randint(-4, 4), rng.randint(1, 2)) for i in range(num_tau)})
+            for _ in range(rng.randint(1, 5))
+        ]
+        c = rng.randint(0, 5)
+        h = localize._h_values(c, [w.to_poly(num_tau) for w in weights])
+        assert h[c] == complete_homogeneous(c, weights, num_tau)
+        taus = [F(rng.randint(-9, 9)) for _ in range(num_tau)]
+        assert localize._h_values(c, [w.eval_tau(taus) for w in weights]) == [p.eval(taus) for p in h]
+        eps = F(rng.choice([-3, -1, 1, 2]), 2)
+        rule = h[c] + eps * Poly.lam(num_tau) * h[c - 1] if c else h[c]
+        assert complete_homogeneous(c, weights + [LinForm.make(lam=eps)], num_tau) == rule
+
+
+def test_integrand_parts_apply_the_lam_weight():
+    # Against the reference: h_c of every odd weight, the pure lam one
+    # included, times the whole numerator; m04 loci take its lam coefficient.
+    rng = random.Random(7)
+    for g in enumerate_graphs(2, 3):
+        data = euler_data(g)
+        taus = [F(rng.randint(-50, 50)) for _ in range(3)]
+        u = taus[g.b] - taus[g.a]
+        weights = [w.eval_tau(taus) for w in data.susy_weights]
+        parts = localize._integrand_parts(g, data, range(5), weights, u, 1)
+        lam_free, lam_coeff = data.num_one + data.num_u * u, data.num_lam
+        for c in range(5):
+            full = complete_homogeneous(c, data.susy_weights + (LinForm.make(lam=data.lam_weight),), 3)
+            h, h_lam = full.eval(taus, 0), full.eval(taus, 1) - full.eval(taus, 0)
+            if geometry(g).moduli_kind == "m04":
+                expected = h_lam * lam_free + h * lam_coeff
+            else:
+                expected = h * lam_free
+            assert parts[c] == (-1) ** c * expected, (g, c)
 
 
 def test_graph_contribution_resample_signal():
@@ -185,7 +228,7 @@ def test_symbolic_matches_evaluate():
 
 
 def test_symbolic_non_constant_sum_raises(monkeypatch):
-    monkeypatch.setattr(localize, "complete_homogeneous", lambda c, weights, num_tau: Poly.tau(num_tau, 0))
+    monkeypatch.setattr(localize, "_h_values", lambda c, weights: [Poly.tau(weights[0].num_tau, 0)] * (c + 1))
     with pytest.raises(InconsistencyError, match="not constant"):
         invariant(1, 2, (1, 1), strategy="symbolic")
 

@@ -1,6 +1,7 @@
 """First-order quantum product of hyperplane powers."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -37,6 +38,19 @@ def test_commutativity():
         for a in range(n + 1):
             for b in range(a, n + 1):
                 assert star(n, basis(n, a), basis(n, b)) == star(n, basis(n, b), basis(n, a))
+
+
+def test_star_is_associative():
+    # The super small quantum product modulo q^2 is a ring, so every basis
+    # triple must associate; this ties the stored three-point values together
+    # through star alone, however the table was summed.
+    triples = 0
+    for n in range(1, 6):
+        for a, b, c in product(range(n + 1), repeat=3):
+            x, y, z = basis(n, a), basis(n, b), basis(n, c)
+            assert star(n, star(n, x, y), z) == star(n, x, star(n, y, z)), (n, a, b, c)
+            triples += 1
+    assert triples == 440
 
 
 def test_leading_term_above_the_classical_range():
