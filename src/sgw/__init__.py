@@ -15,14 +15,11 @@ from .errors import (
 )
 from .exact import LinForm, Poly, complete_homogeneous
 from .graphs import (
-    EdgeConfig,
     EulerData,
     FixedGraph,
-    GraphGeometry,
     enumerate_graphs,
     euler_data,
     ev_pullback,
-    geometry,
     single_edge_weights,
 )
 from .localize import LocalizationJob, check_extension, graph_contribution, invariant
@@ -33,10 +30,8 @@ from .taut import TautExpr, TautMonomial, integrate, integrate_monomial, pushfor
 __all__ = [
     "DimensionError",
     "DomainError",
-    "EdgeConfig",
     "EulerData",
     "FixedGraph",
-    "GraphGeometry",
     "InconsistencyError",
     "Invariant",
     "LinForm",
@@ -52,7 +47,6 @@ __all__ = [
     "enumerate_graphs",
     "euler_data",
     "ev_pullback",
-    "geometry",
     "graph_contribution",
     "integrate",
     "integrate_monomial",

@@ -28,8 +28,9 @@ _ENV_SEED = "SGW_SEED"
 
 # Measured on a 2-core Xeon: point --k 24 takes 1.6 s and grows about 1.4x
 # per k; invariant --n 20 --k 3 takes 23-26 s and quantum --n 10 21 s, and
-# quantum grows about n^4.  A larger value is refused up front instead of
-# running for hours or running out of memory.
+# quantum grows about n^4.  taut --k shares the point ceiling.  A larger
+# value is refused up front instead of running for hours or running out of
+# memory.
 MAX_POINT_K = point.MAX_K
 MAX_N = 20
 MAX_QUANTUM_N = 10
@@ -166,12 +167,13 @@ def cmd_invariant(n: int, k: int, classes: str, strategy: str, samples: int, see
 
 
 @main.command("taut")
-@click.option("--k", "k", type=int, required=True, help="Marked points on the moduli space, k >= 3.")
+@click.option("--k", "k", type=int, required=True, help=f"Marked points on the moduli space, 3 <= k <= {MAX_POINT_K}.")
 @click.option("--exps", default="", help="Comma-separated exponents i4,..,ik (empty for k=3).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @_domain_errors
 def cmd_taut(k: int, exps: str, fmt: str):
     """Integrate a pullback psi-class monomial over the k-pointed moduli space."""
+    _at_most(k, MAX_POINT_K, "--k")
     exponents = _parse_int_list(exps, "--exps")
     value = taut.integrate_monomial(k, exponents)
     if fmt == "json":

@@ -13,7 +13,7 @@ terms in descending order under this order, which makes the text form
 canonical and suitable for golden tests.
 
 Quotients are never formed here: the localization layer keeps every
-inverse Euler class as a numerator over a factored product of
+inverse Euler class as a numerator over one closed-form product of
 (tau_i - tau_j), and the symbolic strategy sums them as one numerator over
 the shared denominator.
 """
@@ -25,10 +25,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, DomainError
-
-def rational_to_str(value: Fraction) -> str:
-    """Render as "p/q", or "p" when the denominator is one."""
-    return str(value)
 
 
 def _monomial_key(mono: tuple[int, ...]) -> tuple:
@@ -232,9 +228,6 @@ class LinForm:
     @classmethod
     def zero(cls) -> "LinForm":
         return cls((), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.taus and not self.lam
 
     def to_poly(self, num_tau: int) -> Poly:
         terms: dict[tuple[int, ...], Fraction] = {}

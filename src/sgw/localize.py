@@ -7,11 +7,14 @@ Each fixed graph contributes
 where c is the codegree in hyperplane-power units; the result is a single
 kappa-monomial with exponent -(rank) - (dimension) + (total insertion
 degree).  Point-type loci take the lam-free part, loci isomorphic to the
-four-pointed moduli curve take the lam-coefficient.  Both strategies
-build this integrand the same way: ``_h_values`` runs the h recurrence
-over the lam-free weights in the strategy's ring (``Fraction`` values or
-``Poly``), and ``_integrand_parts`` alone adds the pure lam weight by
-the nilpotent rule h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W).
+four-pointed moduli curve take the lam-coefficient.  The inverse Euler
+class is the numerator stored in ``EulerData`` over the closed form
+u^k * prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j), u = tau_b - tau_a,
+shared by every locus.  Both strategies build this integrand the same
+way: ``_h_values`` runs the h recurrence over the lam-free weights in the
+strategy's ring (``Fraction`` values or ``Poly``), and
+``_integrand_parts`` alone adds the pure lam weight by the nilpotent rule
+h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W).
 
 The sum is a constant rational function of the torus characters, so the
 default strategy evaluates it at several seeded generic integer tuples
@@ -34,7 +37,7 @@ from typing import Collection, Iterable, Sequence
 
 from .errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
 from .exact import Poly
-from .graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents, ev_pullback, geometry
+from .graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents, ev_pullback
 from .point import Invariant
 
 DEFAULT_SEED = 1729
@@ -110,15 +113,14 @@ def _integrand_parts(
     lam_free = data.num_one * scale + data.num_u * u * scale
     lam_coeff = data.num_lam * scale
     h = _h_values(max(codegrees, default=0), weights)
-    m04 = geometry(g).moduli_kind == "m04"
     parts = {}
     for c in codegrees:
         coeff = h[c] * lam_coeff
         if c and data.lam_weight:
             coeff = coeff + data.lam_weight * h[c - 1] * lam_free
-        if not m04 and coeff:
+        if not g.m04 and coeff:
             raise InconsistencyError(f"lam survived on the point-type locus {g.label()}")
-        part = coeff if m04 else h[c] * lam_free
+        part = coeff if g.m04 else h[c] * lam_free
         parts[c] = -part if c % 2 else part
     return parts
 
@@ -135,26 +137,30 @@ def graph_contribution(
         raise DomainError("graph and job disagree on (n, k)")
     taus = [Fraction(t) for t in tau]
     data = euler_data(g)
-    den = Fraction(data.den_sign)
-    for (i, j), mult in data.den_factors:
-        den *= (taus[i] - taus[j]) ** mult
+    tau_a, tau_b = taus[g.a], taus[g.b]
+    u = tau_b - tau_a
+    den = u ** g.k
+    for j, tau_j in enumerate(taus):
+        if j != g.a and j != g.b:
+            den *= (tau_a - tau_j) * (tau_b - tau_j)
     if den == 0:
         raise ResampleSignal(f"denominator of {g.label()} vanishes at {taus}")
     weights = [w.eval_tau(taus) for w in data.susy_weights]
-    parts = _integrand_parts(g, data, {job.c for job in jobs}, weights, taus[g.b] - taus[g.a], 1 / den)
+    parts = _integrand_parts(g, data, {job.c for job in jobs}, weights, u, 1 / den)
     values = []
     for job in jobs:
         at_a, at_b = ev_exponents(g, job.classes)
-        values.append(taus[g.a] ** at_a * taus[g.b] ** at_b * parts[job.c])
+        values.append(tau_a ** at_a * tau_b ** at_b * parts[job.c])
     return values
 
 
 def _symbolic_sum(graphs: Sequence[FixedGraph], job: LocalizationJob) -> tuple[Poly, Poly]:
     """Exact sum as (numerator, shared denominator).
 
-    Every graph denominator divides prod_{i<j} (tau_i - tau_j)^k, so the
-    sum is accumulated as one numerator over that fixed product; this
-    avoids the degree blow-up of pairwise cross-multiplication.
+    Every graph denominator u^k prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j)
+    divides prod_{i<j} (tau_i - tau_j)^k, so the sum is accumulated as one
+    numerator over that fixed product; this avoids the degree blow-up of
+    pairwise cross-multiplication.
     """
     num_tau = job.n + 1
     pairs = list(combinations(range(num_tau), 2))
@@ -166,10 +172,15 @@ def _symbolic_sum(graphs: Sequence[FixedGraph], job: LocalizationJob) -> tuple[P
     total = Poly.zero(num_tau)
     for g in graphs:
         data = euler_data(g)
-        mults = dict(data.den_factors)
-        cofactor = Poly.const(num_tau, data.den_sign)
+        # Over the pairs i < j the graph denominator is (tau_a - tau_b)^k times
+        # each pair {j, a} and {j, b}, j != a, b, once.  Its sign is (-1)^k from
+        # u = -(tau_a - tau_b), times -1 for each such j below a and each below
+        # b: a + (b - 1) of them.
+        cofactor = Poly.const(num_tau, (-1) ** (job.k + g.a + g.b - 1))
         for pair in pairs:
-            cofactor = cofactor * diffs[pair] ** (job.k - mults.get(pair, 0))
+            touching = (g.a in pair) + (g.b in pair)
+            mult = job.k if touching == 2 else touching
+            cofactor = cofactor * diffs[pair] ** (job.k - mult)
         weights = [w.to_poly(num_tau) for w in data.susy_weights]
         scale = ev_pullback(g, job.classes) * cofactor
         total = total + _integrand_parts(g, data, [job.c], weights, -diffs[g.a, g.b], scale)[job.c]
@@ -208,6 +219,8 @@ def table(
     contributions.  The result maps each distinct tuple, in first-seen
     order, to its invariant.
     """
+    if samples < 2:
+        raise DomainError("evaluate strategy needs at least 2 samples")
     jobs: dict[tuple[int, ...], LocalizationJob] = {}
     for classes in map(tuple, class_tuples):
         if classes not in jobs:
@@ -216,8 +229,6 @@ def table(
     live = [job for job in jobs.values() if not job.graded_zero]
     if not live:
         return result
-    if samples < 2:
-        raise DomainError("evaluate strategy needs at least 2 samples")
     graphs = enumerate_graphs(n, k)
     rng = random.Random(seed)
     values: list[list[Fraction]] = [[] for _ in live]
@@ -265,13 +276,13 @@ def invariant(
     if strategy == "evaluate":
         traces = None if trace is None else {classes: trace}
         return table(n, k, [classes], samples=samples, seed=seed, trace=traces)[classes]
-    job = LocalizationJob(n=n, k=k, classes=classes)
-    if job.graded_zero:
-        return Invariant.zero()
     if strategy != "symbolic":
         raise DomainError(f"unknown strategy {strategy!r}")
     if n > 2:
         raise DomainError("symbolic strategy supported for n <= 2")
+    job = LocalizationJob(n=n, k=k, classes=classes)
+    if job.graded_zero:
+        return Invariant.zero()
     total, shared = _symbolic_sum(enumerate_graphs(n, k), job)
     constant = total.leading_coeff() / shared.leading_coeff() if total else Fraction(0)
     if total != shared.scale(constant):

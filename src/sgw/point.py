@@ -5,7 +5,7 @@ normalisation 2^(k-3), the sum over all weak compositions (i_4, .., i_k)
 of k - 3 of the integrals of prod_j ((f^*)^(k-j) psi_j)^(i_j), attached to
 the kappa-power 5 - 2k.  Compositions whose prefix sums i_4 + .. + i_l
 exceed l - 3, the dimension of the l-pointed space, integrate to zero and
-are pruned; the unpruned sum is kept available for cross-checking.
+are pruned.
 
 The sum is not taken one composition at a time.  Integration pushes
 forward along the map forgetting the last point, and every psi_j with
@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import DomainError
-from .exact import rational_to_str
 from .taut import TautExpr, TautMonomial, integrate, pushforward_step
 
 # Largest k that ``sgw_point`` accepts: k = 24 takes 2-3 s on a 2-core Xeon,
@@ -64,12 +63,12 @@ class Invariant:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        return f"{rational_to_str(self.coeff)} * kappa^{self.kappa_exp}"
+        return f"{self.coeff} * kappa^{self.kappa_exp}"
 
     def to_json(self) -> dict:
         if self.is_zero:
             return {"zero": True}
-        return {"coefficient": rational_to_str(self.coeff), "kappa_exponent": self.kappa_exp}
+        return {"coefficient": str(self.coeff), "kappa_exponent": self.kappa_exp}
 
 
 def compositions(total: int, parts: int, pruned: bool = True) -> Iterator[tuple[int, ...]]:
@@ -98,7 +97,7 @@ def compositions(total: int, parts: int, pruned: bool = True) -> Iterator[tuple[
     yield from rec((), total, 0)
 
 
-def point_sum(k: int, pruned: bool = True) -> Fraction:
+def point_sum(k: int) -> Fraction:
     """Sum of the composition integrals entering the k-point number.
 
     ``states[P]`` is the kappa-only expression on the l-pointed space summed
@@ -109,7 +108,7 @@ def point_sum(k: int, pruned: bool = True) -> Fraction:
         down: dict[int, list[TautMonomial]] = {}
         for prefix_sum, state in states.items():
             # pruning keeps prefix sums of at most l - 4 one level down
-            low = max(0, prefix_sum - (l - 4)) if pruned else 0
+            low = max(0, prefix_sum - (l - 4))
             for i in range(low, prefix_sum + 1):
                 psi = ((0, i),) if i else ()
                 expr = TautExpr(l, (TautMonomial(l, psi, m.kappa, m.coeff) for m in state.monomials))

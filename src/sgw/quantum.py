@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .exact import rational_to_str
 from .localize import DEFAULT_SEED, table
 from .point import Invariant
 
@@ -76,11 +75,11 @@ class QElement:
         for e in sorted(laurent, reverse=True):
             c = laurent[e]
             if e == 0:
-                parts.append(rational_to_str(c))
+                parts.append(str(c))
             elif c == 1:
                 parts.append(f"kappa^{e}")
             else:
-                parts.append(f"{rational_to_str(c)}*kappa^{e}")
+                parts.append(f"{c}*kappa^{e}")
         return " + ".join(parts)
 
     def __str__(self) -> str:

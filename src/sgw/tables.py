@@ -40,10 +40,6 @@ class PointEntry:
     def printed(self) -> Invariant:
         return Invariant.of(self.coeff, self.kappa_exp)
 
-    @property
-    def expected(self) -> Invariant:
-        return self.recomputed if self.recomputed is not None else self.printed
-
 
 @dataclass(frozen=True)
 class TautEntry:
@@ -246,8 +242,5 @@ ALL_INVARIANT_ENTRIES: tuple[InvariantEntry, ...] = (
 )
 
 
-def entries_for(k: int, status: str | None = None) -> list[InvariantEntry]:
-    found = [e for e in ALL_INVARIANT_ENTRIES if e.k == k]
-    if status is not None:
-        found = [e for e in found if e.status == status]
-    return found
+def entries_for(k: int) -> list[InvariantEntry]:
+    return [e for e in ALL_INVARIANT_ENTRIES if e.k == k]

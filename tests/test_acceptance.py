@@ -26,6 +26,7 @@ from sgw.tables import GOLDEN, POINT_ENTRIES, entries_for
 from sgw.taut import integrate_monomial
 
 from .test_exact import brute_force_h, random_linform
+from .test_point import oracle_point_sum
 
 
 def _finish(criterion: str, failures: list[str], started: float, budget: float | None = None):
@@ -194,7 +195,7 @@ def test_criterion_8_oracles():
             failures.append(f"h_c trial {trial}: DP and series oracle disagree")
 
     for k in range(3, 9):
-        if point_sum(k, pruned=True) != point_sum(k, pruned=False):
-            failures.append(f"point sum k={k}: pruned and unpruned enumerators disagree")
+        if point_sum(k) != oracle_point_sum(k):
+            failures.append(f"point sum k={k}: the programme and the unpruned term-by-term recursion disagree")
 
     _finish("8 (oracles)", failures, started)

@@ -1,6 +1,8 @@
 """Command-line interface contract."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -11,6 +13,7 @@ import sgw.cli
 import sgw.localize
 import sgw.point
 import sgw.quantum
+import sgw.taut
 from sgw.cli import MAX_N, MAX_POINT_K, MAX_QUANTUM_N, MAX_SAMPLES, main
 from sgw.errors import InconsistencyError
 from sgw.point import Invariant
@@ -168,6 +171,7 @@ def _forbid_heavy_paths(monkeypatch):
     monkeypatch.setattr(sgw.quantum, "structure_table", heavy)
     monkeypatch.setattr(sgw.point, "compositions", heavy)
     monkeypatch.setattr(sgw.point, "pushforward_step", heavy)
+    monkeypatch.setattr(sgw.taut, "pushforward_step", heavy)
 
 
 @pytest.mark.parametrize(
@@ -180,6 +184,7 @@ def _forbid_heavy_paths(monkeypatch):
             f"--samples must be at most {MAX_SAMPLES}, got 100000000",
         ),
         (["quantum", "--n", "40"], f"--n must be at most {MAX_QUANTUM_N}, got 40"),
+        (["taut", "--k", "60", "--exps", ""], f"--k must be at most {MAX_POINT_K}, got 60"),
     ],
 )
 def test_huge_sizes_rejected_before_any_work(runner, monkeypatch, argv, message):
@@ -187,6 +192,31 @@ def test_huge_sizes_rejected_before_any_work(runner, monkeypatch, argv, message)
     result = runner.invoke(main, argv)
     assert result.exit_code == 2
     assert result.output == message + "\n"
+
+
+def test_readme_ceilings_match_the_cli():
+    # Every row of the README ceilings table names the constant it documents.
+    constants = {
+        "point --k": MAX_POINT_K,
+        "taut --k": MAX_POINT_K,
+        "invariant --n": MAX_N,
+        "invariant --samples": MAX_SAMPLES,
+        "quantum --n": MAX_QUANTUM_N,
+    }
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `([a-z]+ --[a-z]+)` \| (\d+) \|", readme, flags=re.MULTILINE))
+    assert {option: int(value) for option, value in rows.items()} == constants
+
+
+def test_samples_checked_before_negative_codegree(runner):
+    # (2, 2, 2) has negative codegree on P^2, so its value is zero without a
+    # sweep; the sample count is still refused.
+    result = runner.invoke(
+        main, ["invariant", "--n", "2", "--k", "3", "--classes", "2,2,2", "--samples", "-4", "--format", "json"]
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -221,8 +251,10 @@ def test_sizes_at_the_ceilings_are_accepted(runner, monkeypatch):
     monkeypatch.setattr(sgw.cli.localize, "invariant", lambda *args, **kwargs: Invariant.zero())
     monkeypatch.setattr(sgw.cli.quantum, "structure_table", lambda n, seed: {(0, 0): [(0, Invariant.zero())]})
     monkeypatch.setattr(sgw.cli.quantum, "star", lambda n, x, y, seed: sgw.quantum.QElement.zero(n))
+    monkeypatch.setattr(sgw.cli.taut, "integrate_monomial", lambda k, exps: 0)
     for argv in (
         ["point", "--k", str(MAX_POINT_K)],
+        ["taut", "--k", str(MAX_POINT_K)],
         ["invariant", "--n", str(MAX_N), "--k", "1", "--classes", "0", "--samples", str(MAX_SAMPLES)],
         ["quantum", "--n", str(MAX_QUANTUM_N)],
     ):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from sgw.errors import DimensionError
-from sgw.exact import LinForm, Poly, complete_homogeneous, rational_to_str
+from sgw.exact import LinForm, Poly, complete_homogeneous
 
 
 def tau(i, num_tau=2):
@@ -45,11 +45,6 @@ def test_poly_eval_examples():
     assert (tau(1, 2) - tau(0, 2)).eval([0, 1]) == 1
     assert (tau(0, 2) * tau(1, 2)).eval([F(2, 3), 3]) == 2
     assert Poly.lam(2).eval([5, 7], 0) == 0
-
-
-def test_rational_strings():
-    assert rational_to_str(F(-1, 2)) == "-1/2"
-    assert rational_to_str(F(4, 2)) == "2"
 
 
 def test_poly_str_is_canonical():

@@ -7,28 +7,25 @@ import pytest
 
 from sgw.errors import DomainError, UnsupportedError
 from sgw.exact import LinForm, Poly
-from sgw.graphs import (
-    EdgeConfig,
-    FixedGraph,
-    enumerate_graphs,
-    euler_data,
-    ev_pullback,
-    geometry,
-    single_edge_weights,
-)
+from sgw.graphs import FixedGraph, enumerate_graphs, euler_data, ev_pullback, single_edge_weights
 
 
 def lf(taus, lam=0):
     return LinForm.make(taus, lam=lam)
 
 
+def diff(num_tau, i, j):
+    return Poly.tau(num_tau, i) - Poly.tau(num_tau, j)
+
+
 def inverse_euler_parts(g, num_tau):
-    """(den_sign * prod diff^m multiplied out, lam-free numerator, lam coefficient)."""
+    """(closed-form denominator multiplied out, lam-free numerator, lam coefficient)."""
     data = euler_data(g)
-    den = Poly.const(num_tau, data.den_sign)
-    for (i, j), mult in data.den_factors:
-        den = den * (Poly.tau(num_tau, i) - Poly.tau(num_tau, j)) ** mult
-    u = Poly.tau(num_tau, g.b) - Poly.tau(num_tau, g.a)
+    u = diff(num_tau, g.b, g.a)
+    den = u ** g.k
+    for j in range(num_tau):
+        if j not in (g.a, g.b):
+            den = den * diff(num_tau, g.a, j) * diff(num_tau, g.b, j)
     return den, Poly.const(num_tau, data.num_one) + u.scale(data.num_u), Poly.const(num_tau, data.num_lam)
 
 
@@ -62,13 +59,13 @@ def test_graph_label():
 
 
 def test_single_edge_weights_degree_one():
-    assert single_edge_weights(1, 0, 1, EdgeConfig.NO_MARK) == [
+    assert single_edge_weights(1, 0, 1, 0, 1) == [
         lf({0: F(-1, 2), 1: F(1, 2)})
     ]
-    assert single_edge_weights(1, 0, 1, EdgeConfig.MARK_AT_A) == [
+    assert single_edge_weights(1, 0, 1, 2, 0) == [
         lf({0: F(1, 2), 1: F(-1, 2)})
     ]
-    assert single_edge_weights(2, 0, 1, EdgeConfig.MARKS_AT_BOTH) == [
+    assert single_edge_weights(2, 0, 1, 1, 2) == [
         lf({0: F(1, 2), 1: F(-1, 2)}),
         lf({0: F(-1, 2), 1: F(1, 2)}),
         lf({0: F(-1, 2), 1: F(-1, 2), 2: 1}),
@@ -77,7 +74,7 @@ def test_single_edge_weights_degree_one():
 
 def test_single_edge_weights_rejects_bad_pair():
     with pytest.raises(DomainError):
-        single_edge_weights(2, 1, 1, EdgeConfig.NO_MARK)
+        single_edge_weights(2, 1, 1, 0, 1)
 
 
 def test_euler_data_one_point_empty():
@@ -109,8 +106,35 @@ def test_euler_data_three_point_empty():
     )
     assert data.lam_weight == F(-1, 2)
     u = Poly.tau(2, 1) - Poly.tau(2, 0)
-    # stored as (-u - lam) / (-u^3), which is (lam + u) / u^3
-    assert inverse_euler_parts(g, 2) == (-(u * u * u), -u, -Poly.one(2))
+    # (u + lam) / u^3: all three marked points over q_b
+    assert inverse_euler_parts(g, 2) == (u * u * u, u, Poly.one(2))
+
+
+# One graph per (k, |A|) with |A| >= 1, on P^3 with (a, b) = (1, 3) so that
+# one other index lies below a and one between a and b: the inverse Euler
+# class written out factor by factor, as sign / prod (tau_x - tau_y) times a
+# numerator (one, u, lam).
+_P1 = [(1, 0), (1, 2), (3, 0), (3, 2)]
+_P2 = [(1, 0), (1, 2), (1, 3), (3, 0), (3, 1), (3, 2)]
+PINNED = [
+    (1, [1], 1, [(1, 3)] + _P1, (1, 0, 0)),
+    (2, [1], 1, _P2, (1, 0, 0)),
+    (2, [1, 2], -1, _P2, (1, 0, 0)),
+    (3, [2], 1, [(3, 1)] + _P2, (1, 0, 0)),
+    (3, [1, 3], 1, [(1, 3)] + _P2, (1, 0, 0)),
+    (3, [1, 2, 3], 1, [(1, 3)] + _P2, (0, 1, -1)),
+]
+
+
+@pytest.mark.parametrize("k,members,sign,factors,numerator", PINNED)
+def test_euler_data_pinned_per_sign_row(k, members, sign, factors, numerator):
+    den, lam_free, lam_coeff = inverse_euler_parts(graph(3, k, 1, 3, members), 4)
+    expected_den = Poly.const(4, sign)
+    for x, y in factors:
+        expected_den = expected_den * diff(4, x, y)
+    one, u_coeff, lam_coeff_expected = numerator
+    expected_num = Poly.const(4, one) + diff(4, 3, 1).scale(u_coeff) + Poly.lam(4).scale(lam_coeff_expected)
+    assert (lam_free + lam_coeff * Poly.lam(4)) * expected_den == expected_num * den
 
 
 def test_euler_data_rank():
@@ -126,10 +150,9 @@ def test_lambda_appears_iff_m04():
         for k in (1, 2, 3):
             for g in enumerate_graphs(n, k):
                 data = euler_data(g)
-                m04 = geometry(g).moduli_kind == "m04"
                 assert not any(w.lam for w in data.susy_weights)
-                assert (data.lam_weight != 0) == m04 == (k == 3 and len(g.A) in (0, 3))
-                assert (data.num_lam != 0) == m04
+                assert (data.lam_weight != 0) == g.m04 == (k == 3 and len(g.A) in (0, 3))
+                assert (data.num_lam != 0) == g.m04
 
 
 def test_two_point_singleton_weights_match_single_edge():
@@ -138,7 +161,7 @@ def test_two_point_singleton_weights_match_single_edge():
             if not a < b:
                 continue
             g = graph(n, 2, a, b, [1])
-            expected = single_edge_weights(n, a, b, EdgeConfig.MARKS_AT_BOTH)
+            expected = single_edge_weights(n, a, b, 1, 1)
             assert Counter(euler_data(g).susy_weights) == Counter(expected)
 
 

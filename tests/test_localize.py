@@ -9,7 +9,7 @@ import pytest
 import sgw.localize as localize
 from sgw.errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
 from sgw.exact import LinForm, Poly, complete_homogeneous
-from sgw.graphs import FixedGraph, enumerate_graphs, euler_data, geometry
+from sgw.graphs import FixedGraph, enumerate_graphs, euler_data
 from sgw.localize import LocalizationJob, check_extension, graph_contribution, invariant
 from sgw.point import Invariant
 from sgw.tables import ALL_INVARIANT_ENTRIES, GOLDEN, entries_for
@@ -110,7 +110,7 @@ def test_integrand_parts_apply_the_lam_weight():
         for c in range(5):
             full = complete_homogeneous(c, data.susy_weights + (LinForm.make(lam=data.lam_weight),), 3)
             h, h_lam = full.eval(taus, 0), full.eval(taus, 1) - full.eval(taus, 0)
-            if geometry(g).moduli_kind == "m04":
+            if g.m04:
                 expected = h_lam * lam_free + h * lam_coeff
             else:
                 expected = h * lam_free
@@ -233,19 +233,29 @@ def test_symbolic_non_constant_sum_raises(monkeypatch):
         invariant(1, 2, (1, 1), strategy="symbolic")
 
 
+# The argument checks come before the shortcut for tuples of negative
+# codegree, such as (2, 2, 2) on P^2 and (4, 4, 4) on P^4.
 def test_symbolic_rejects_large_n():
     with pytest.raises(DomainError):
         invariant(3, 2, (1, 1), strategy="symbolic")
+    with pytest.raises(DomainError, match="n <= 2"):
+        invariant(4, 3, (4, 4, 4), strategy="symbolic")
 
 
 def test_evaluate_needs_two_samples():
     with pytest.raises(DomainError):
         invariant(1, 1, (1,), samples=1)
+    with pytest.raises(DomainError, match="at least 2 samples"):
+        invariant(2, 3, (2, 2, 2), samples=-4)
+    with pytest.raises(DomainError, match="at least 2 samples"):
+        localize.table(2, 3, [(2, 2, 2)], samples=1)
 
 
 def test_unknown_strategy_rejected():
     with pytest.raises(DomainError):
         invariant(1, 1, (1,), strategy="guess")
+    with pytest.raises(DomainError, match="unknown strategy"):
+        invariant(2, 3, (2, 2, 2), strategy="guess")
 
 
 def test_disagreeing_samples_raise(monkeypatch):

@@ -104,11 +104,6 @@ def test_k_above_ceiling_rejected_before_any_work(monkeypatch, k):
         sgw_point(k)
 
 
-def test_pruned_enumerator_agrees_with_unpruned():
-    for k in range(3, 9):
-        assert point_sum(k, pruned=True) == point_sum(k, pruned=False)
-
-
 def test_pruning_skips_only_zero_terms():
     for k in range(4, 8):
         pruned = set(compositions(k - 3, k - 3, pruned=True))
