@@ -13,14 +13,14 @@ from .errors import (
     ResampleSignal,
     UnsupportedError,
 )
-from .exact import LinForm, Poly, complete_homogeneous
+from .exact import Poly, complete_homogeneous
 from .graphs import (
     EulerData,
     FixedGraph,
     enumerate_graphs,
     euler_data,
     ev_pullback,
-    single_edge_weights,
+    odd_weights,
 )
 from .localize import LocalizationJob, check_extension, graph_contribution, invariant
 from .point import Invariant, mapping_to_point, sgw_point
@@ -34,7 +34,6 @@ __all__ = [
     "FixedGraph",
     "InconsistencyError",
     "Invariant",
-    "LinForm",
     "LocalizationJob",
     "Poly",
     "QElement",
@@ -52,9 +51,9 @@ __all__ = [
     "integrate_monomial",
     "invariant",
     "mapping_to_point",
+    "odd_weights",
     "pushforward_step",
     "sgw_point",
-    "single_edge_weights",
     "star",
     "structure_table",
 ]

@@ -26,11 +26,11 @@ from .point import Invariant
 
 _ENV_SEED = "SGW_SEED"
 
-# Measured on a 2-core Xeon: point --k 24 takes 1.6 s and grows about 1.4x
-# per k; invariant --n 20 --k 3 takes 23-26 s and quantum --n 10 21 s, and
-# quantum grows about n^4.  taut --k shares the point ceiling.  A larger
-# value is refused up front instead of running for hours or running out of
-# memory.
+# Measured on a 2-core Xeon as whole processes: point --k 24 takes 0.9 s and
+# grows about 1.4x per k; invariant --n 20 --k 3 takes 0.5 s and quantum
+# --n 10 5.3 s, and quantum grows about n^4.  taut --k shares the point
+# ceiling.  A larger value is refused up front instead of running for hours
+# or running out of memory.
 MAX_POINT_K = point.MAX_K
 MAX_N = 20
 MAX_QUANTUM_N = 10

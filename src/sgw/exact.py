@@ -15,12 +15,13 @@ canonical and suitable for golden tests.
 Quotients are never formed here: the localization layer keeps every
 inverse Euler class as a numerator over one closed-form product of
 (tau_i - tau_j), and the symbolic strategy sums them as one numerator over
-the shared denominator.
+the shared denominator.  The odd weights are built from ``Poly.tau``
+characters by ``graphs.odd_weights``; ``complete_homogeneous`` is the
+reference h_c of such weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -209,60 +210,20 @@ class Poly:
         return f"Poly({self.num_tau}, {self})"
 
 
-@dataclass(frozen=True)
-class LinForm:
-    """Homogeneous degree-one form: sum of tau coefficients plus a lam part."""
-
-    taus: tuple[tuple[int, Fraction], ...]
-    lam: Fraction = Fraction(0)
-
-    @classmethod
-    def make(cls, taus: Mapping[int, object] | None = None, lam=0) -> "LinForm":
-        entries = []
-        for index, coeff in sorted((taus or {}).items()):
-            c = Fraction(coeff)
-            if c:
-                entries.append((index, c))
-        return cls(tuple(entries), Fraction(lam))
-
-    @classmethod
-    def zero(cls) -> "LinForm":
-        return cls((), Fraction(0))
-
-    def to_poly(self, num_tau: int) -> Poly:
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for index, coeff in self.taus:
-            exp = [0] * (num_tau + 1)
-            exp[index] = 1
-            terms[tuple(exp)] = coeff
-        if self.lam:
-            terms[(0,) * num_tau + (1,)] = self.lam
-        return Poly(num_tau, terms)
-
-    def eval_tau(self, tau_values: Sequence[Fraction]) -> Fraction:
-        """Value of the tau part; the lam coefficient is carried separately."""
-        return sum((coeff * tau_values[index] for index, coeff in self.taus), Fraction(0))
-
-    def __str__(self) -> str:
-        parts = [f"{coeff}*tau{index}" for index, coeff in self.taus]
-        if self.lam:
-            parts.append(f"{self.lam}*lam")
-        return " + ".join(parts) if parts else "0"
-
-
-def complete_homogeneous(c: int, weights: Iterable[LinForm], num_tau: int) -> Poly:
+def complete_homogeneous(c: int, weights: Iterable[Poly], num_tau: int) -> Poly:
     """Complete homogeneous symmetric polynomial h_c of the given weights.
 
     h_c is the sum over all size-c multisets of weights of the product of
     their elements; h_0 = 1.  Computed by the one-pass recurrence
     h_c(w_1..w_m) = h_c(w_1..w_{m-1}) + w_m * h_{c-1}(w_1..w_m), with
-    lam-truncation applied by the underlying polynomial product.
+    lam-truncation applied by the polynomial product.  This is the
+    reference for ``localize._h_values``, which runs the same recurrence in
+    any ring.
     """
     if c < 0:
         raise DomainError("h_c needs c >= 0")
     h = [Poly.one(num_tau)] + [Poly.zero(num_tau) for _ in range(c)]
-    for weight in weights:
-        w = weight.to_poly(num_tau)
+    for w in weights:
         for j in range(1, c + 1):
             h[j] = h[j] + w * h[j - 1]
     return h[c]

@@ -11,15 +11,17 @@ four-pointed moduli curve take the lam-coefficient.  The inverse Euler
 class is the numerator stored in ``EulerData`` over the closed form
 u^k * prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j), u = tau_b - tau_a,
 shared by every locus.  Both strategies build this integrand the same
-way: ``_h_values`` runs the h recurrence over the lam-free weights in the
-strategy's ring (``Fraction`` values or ``Poly``), and
-``_integrand_parts`` alone adds the pure lam weight by the nilpotent rule
-h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W).
+way: ``graphs.odd_weights`` gives twice the lam-free odd weights in the
+strategy's ring (integers or ``Poly``), ``_h_values`` runs the h
+recurrence over them, which gives 2^c h_c, and ``_integrand_parts``
+alone adds the pure lam weight by the nilpotent rule
+h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W) and applies the factor
+(-1/2)^c.
 
 The sum is a constant rational function of the torus characters, so the
 default strategy evaluates it at several seeded generic integer tuples
 and insists the values agree.  ``table`` does so for many class tuples of
-one (n, k) at once: per sample, each graph's Euler data, weights and
+one (n, k) at once: per sample, each graph's Euler data, odd weights and
 h_0 .. h_cmax are evaluated once and only the ev pullback and the
 codegree differ between tuples; ``invariant`` is its one-tuple case.  The
 symbolic strategy (three or fewer characters) builds the sum as one
@@ -37,7 +39,7 @@ from typing import Collection, Iterable, Sequence
 
 from .errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
 from .exact import Poly
-from .graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents, ev_pullback
+from .graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents, ev_pullback, odd_weights
 from .point import Invariant
 
 DEFAULT_SEED = 1729
@@ -88,7 +90,7 @@ class LocalizationJob:
 
 
 def _h_values(c: int, weights: Sequence) -> list:
-    """h_0 .. h_c of lam-free weights in any ring with + and * (Fractions or Polys)."""
+    """h_0 .. h_c of lam-free weights in any ring with + and * (integers, Fractions or Polys)."""
     one = weights[0] ** 0
     h = [one] + [one - one] * c
     for w in weights:
@@ -102,13 +104,14 @@ def _integrand_parts(
 ) -> dict:
     """Signed part of one graph's integrand that its locus integrates, per codegree c.
 
-    The integrand is h_c(W + {lam_weight * lam}) * (num_one + num_u * u +
-    num_lam * lam) * scale for the lam-free weights W of ``data``; since
-    lam^2 = 0, the pure lam weight only adds lam_weight * lam * h_{c-1}(W).
-    The sign is (-1)^c; an m04 locus takes the lam coefficient, a point
-    locus the lam-free part, and lam must not survive on a point locus.
-    ``weights``, ``u`` and ``scale`` are Fractions for the evaluate strategy
-    and Polys for the symbolic one.
+    ``weights`` are twice the lam-free odd weights of ``g`` and
+    ``data.lam_weight * lam`` is twice the pure lam weight, so h_c of them
+    all is 2^c times h_c of the odd weights; since lam^2 = 0, the pure
+    weight only adds lam_weight * lam * h_{c-1}(weights).  The part is that
+    h_c times (num_one + num_u * u + num_lam * lam) * scale * (-1/2)^c: an
+    m04 locus takes its lam coefficient, a point locus its lam-free part,
+    and lam must not survive on a point locus.  ``weights`` and ``u`` are
+    integers for the evaluate strategy and Polys for the symbolic one.
     """
     lam_free = data.num_one * scale + data.num_u * u * scale
     lam_coeff = data.num_lam * scale
@@ -121,13 +124,11 @@ def _integrand_parts(
         if not g.m04 and coeff:
             raise InconsistencyError(f"lam survived on the point-type locus {g.label()}")
         part = coeff if g.m04 else h[c] * lam_free
-        parts[c] = -part if c % 2 else part
+        parts[c] = Fraction((-1) ** c, 2**c) * part
     return parts
 
 
-def graph_contribution(
-    g: FixedGraph, jobs: Sequence[LocalizationJob], tau: Sequence[Fraction]
-) -> list[Fraction]:
+def graph_contribution(g: FixedGraph, jobs: Sequence[LocalizationJob], tau: Sequence[int]) -> list[Fraction]:
     """Exact value of one graph's summand at the given character tuple, one per job.
 
     The Euler data, the odd weights and h_0 .. h_cmax are evaluated once;
@@ -135,18 +136,16 @@ def graph_contribution(
     """
     if any(job.n != g.n or job.k != g.k for job in jobs):
         raise DomainError("graph and job disagree on (n, k)")
-    taus = [Fraction(t) for t in tau]
     data = euler_data(g)
-    tau_a, tau_b = taus[g.a], taus[g.b]
+    tau_a, tau_b = tau[g.a], tau[g.b]
     u = tau_b - tau_a
     den = u ** g.k
-    for j, tau_j in enumerate(taus):
+    for j, tau_j in enumerate(tau):
         if j != g.a and j != g.b:
             den *= (tau_a - tau_j) * (tau_b - tau_j)
     if den == 0:
-        raise ResampleSignal(f"denominator of {g.label()} vanishes at {taus}")
-    weights = [w.eval_tau(taus) for w in data.susy_weights]
-    parts = _integrand_parts(g, data, {job.c for job in jobs}, weights, u, 1 / den)
+        raise ResampleSignal(f"denominator of {g.label()} vanishes at {tau}")
+    parts = _integrand_parts(g, data, {job.c for job in jobs}, odd_weights(g, tau), u, Fraction(1, den))
     values = []
     for job in jobs:
         at_a, at_b = ev_exponents(g, job.classes)
@@ -163,9 +162,10 @@ def _symbolic_sum(graphs: Sequence[FixedGraph], job: LocalizationJob) -> tuple[P
     pairwise cross-multiplication.
     """
     num_tau = job.n + 1
+    taus = [Poly.tau(num_tau, i) for i in range(num_tau)]
     pairs = list(combinations(range(num_tau), 2))
     shared = Poly.one(num_tau)
-    diffs = {pair: Poly.tau(num_tau, pair[0]) - Poly.tau(num_tau, pair[1]) for pair in pairs}
+    diffs = {(i, j): taus[i] - taus[j] for i, j in pairs}
     for pair in pairs:
         shared = shared * diffs[pair] ** job.k
 
@@ -181,16 +181,20 @@ def _symbolic_sum(graphs: Sequence[FixedGraph], job: LocalizationJob) -> tuple[P
             touching = (g.a in pair) + (g.b in pair)
             mult = job.k if touching == 2 else touching
             cofactor = cofactor * diffs[pair] ** (job.k - mult)
-        weights = [w.to_poly(num_tau) for w in data.susy_weights]
         scale = ev_pullback(g, job.classes) * cofactor
-        total = total + _integrand_parts(g, data, [job.c], weights, -diffs[g.a, g.b], scale)[job.c]
+        total = total + _integrand_parts(g, data, [job.c], odd_weights(g, taus), -diffs[g.a, g.b], scale)[job.c]
     return total, shared
 
 
-def sample_tau(rng: random.Random, n: int) -> tuple[Fraction, ...]:
+def sample_tau(rng: random.Random, n: int) -> tuple[int, ...]:
     """n + 1 distinct integer characters in [-R, R], R = max(SAMPLE_RANGE, n)."""
     bound = max(SAMPLE_RANGE, n)
-    return tuple(Fraction(v) for v in rng.sample(range(-bound, bound + 1), n + 1))
+    return tuple(rng.sample(range(-bound, bound + 1), n + 1))
+
+
+def _check_samples(samples: int) -> None:
+    if samples < 2:
+        raise DomainError(f"localization needs at least 2 samples, got {samples}")
 
 
 def _evaluate_once(
@@ -219,8 +223,7 @@ def table(
     contributions.  The result maps each distinct tuple, in first-seen
     order, to its invariant.
     """
-    if samples < 2:
-        raise DomainError("evaluate strategy needs at least 2 samples")
+    _check_samples(samples)
     jobs: dict[tuple[int, ...], LocalizationJob] = {}
     for classes in map(tuple, class_tuples):
         if classes not in jobs:
@@ -268,11 +271,12 @@ def invariant(
 
     ``strategy`` is "evaluate" (seeded generic evaluations, all required to
     agree: the one-tuple case of ``table``) or "symbolic" (one numerator
-    over the shared denominator, n <= 2).  ``trace``, if given, receives
-    one record per sample: its characters, its value and the per-graph
-    contributions.
+    over the shared denominator, n <= 2); either needs ``samples`` >= 2.
+    ``trace``, if given, receives one record per sample: its characters,
+    its value and the per-graph contributions.
     """
     classes = tuple(classes)
+    _check_samples(samples)
     if strategy == "evaluate":
         traces = None if trace is None else {classes: trace}
         return table(n, k, [classes], samples=samples, seed=seed, trace=traces)[classes]

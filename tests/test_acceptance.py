@@ -25,7 +25,7 @@ from sgw.quantum import QElement, star
 from sgw.tables import GOLDEN, POINT_ENTRIES, entries_for
 from sgw.taut import integrate_monomial
 
-from .test_exact import brute_force_h, random_linform
+from .test_exact import brute_force_h, random_weight
 from .test_point import oracle_point_sum
 
 
@@ -187,7 +187,7 @@ def test_criterion_8_oracles():
     rng = random.Random(424242)
     for trial in range(200):
         num_tau = rng.randint(1, 3)
-        weights = [random_linform(rng, num_tau) for _ in range(rng.randint(0, 6))]
+        weights = [random_weight(rng, num_tau) for _ in range(rng.randint(0, 6))]
         c = rng.randint(0, 5)
         fast = complete_homogeneous(c, weights, num_tau)
         slow = brute_force_h(c, weights, num_tau)

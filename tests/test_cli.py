@@ -106,6 +106,39 @@ def test_invariant_trace(runner):
     assert per_graph[0]["graph"] == "G(k=1,d=1,a=0,b=1,A={})"
 
 
+# Whole records pinned byte for byte, so that the per-graph value strings and
+# tau_samples keep their text whatever number types compute them.
+GOLDEN_TRACE = (
+    '{"coefficient":"1","command":"invariant","diagnostics":{"per_graph":['
+    '{"graph":"G(k=3,d=1,a=0,b=1,A={})","value":"66923416/13312053"},'
+    '{"graph":"G(k=3,d=1,a=0,b=1,A={1})","value":"-27857284/13312053"},'
+    '{"graph":"G(k=3,d=1,a=0,b=1,A={2})","value":"-27857284/13312053"},'
+    '{"graph":"G(k=3,d=1,a=0,b=1,A={1,2})","value":"11595766/13312053"},'
+    '{"graph":"G(k=3,d=1,a=0,b=1,A={3})","value":"-27857284/13312053"},'
+    '{"graph":"G(k=3,d=1,a=0,b=1,A={1,3})","value":"11595766/13312053"},'
+    '{"graph":"G(k=3,d=1,a=0,b=1,A={2,3})","value":"11595766/13312053"},'
+    '{"graph":"G(k=3,d=1,a=0,b=1,A={1,2,3})","value":"-4826809/13312053"}],'
+    '"samples":3,"seed":1729,"strategy":"evaluate","tau_samples":[["338","812"],["-908","-159"],["26","-63"]]},'
+    '"inputs":{"classes":[1,1,1],"d":1,"k":3,"n":1},"kappa_exponent":-3}'
+    "\n"
+)
+GOLDEN_SYMBOLIC = (
+    '{"coefficient":"3/2","command":"invariant","diagnostics":{"seed":1729,"strategy":"symbolic"},'
+    '"inputs":{"classes":[2,1],"d":1,"k":2,"n":2},"kappa_exponent":-4}'
+    "\n"
+)
+
+
+def test_invariant_records_are_byte_identical(runner):
+    base = ["invariant", "--format", "json", "--seed", "1729"]
+    traced = runner.invoke(main, base + ["--n", "1", "--k", "3", "--classes", "1,1,1", "--trace"])
+    assert traced.exit_code == 0
+    assert traced.stdout == GOLDEN_TRACE
+    symbolic = runner.invoke(main, base + ["--n", "2", "--k", "2", "--classes", "2,1", "--strategy", "symbolic"])
+    assert symbolic.exit_code == 0
+    assert symbolic.stdout == GOLDEN_SYMBOLIC
+
+
 def test_invariant_domain_error(runner):
     result = runner.invoke(main, ["invariant", "--n", "1", "--k", "3", "--classes", "2,0,0"])
     assert result.exit_code == 2
@@ -217,6 +250,17 @@ def test_samples_checked_before_negative_codegree(runner):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
+
+
+def test_symbolic_strategy_checks_samples(runner):
+    result = runner.invoke(
+        main,
+        ["invariant", "--n", "2", "--k", "3", "--classes", "1,1,0", "--strategy", "symbolic", "--samples", "-4"],
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert "at least 2 samples" in result.stderr
 
 
 @pytest.mark.parametrize(

@@ -6,11 +6,19 @@ from fractions import Fraction as F
 import pytest
 
 from sgw.errors import DimensionError
-from sgw.exact import LinForm, Poly, complete_homogeneous
+from sgw.exact import Poly, complete_homogeneous
 
 
 def tau(i, num_tau=2):
     return Poly.tau(num_tau, i)
+
+
+def linear(num_tau, taus=None, lam=0):
+    """The degree-one Poly sum_i taus[i] * tau_i + lam * lam."""
+    p = Poly.lam(num_tau).scale(lam)
+    for i, coeff in (taus or {}).items():
+        p = p + Poly.tau(num_tau, i).scale(coeff)
+    return p
 
 
 def test_monomial_product():
@@ -60,10 +68,9 @@ def brute_force_h(c, weights, num_tau):
     """Coefficient of t^c in prod_i sum_{j<=c} (w_i t)^j, truncated at t^c."""
     series = [Poly.one(num_tau)] + [Poly.zero(num_tau)] * c
     for w in weights:
-        wp = w.to_poly(num_tau)
         powers = [Poly.one(num_tau)]
         for _ in range(c):
-            powers.append(powers[-1] * wp)
+            powers.append(powers[-1] * w)
         new = [Poly.zero(num_tau) for _ in range(c + 1)]
         for i in range(c + 1):
             for j in range(c + 1 - i):
@@ -73,38 +80,37 @@ def brute_force_h(c, weights, num_tau):
 
 
 def test_h_zero_is_one():
-    assert complete_homogeneous(0, [LinForm.make({0: 3})], 1) == Poly.one(1)
+    assert complete_homogeneous(0, [linear(1, {0: 3})], 1) == Poly.one(1)
     assert complete_homogeneous(0, [], 4) == Poly.one(4)
 
 
 def test_h_one_is_sum():
-    w1 = LinForm.make({0: 1})
-    w2 = LinForm.make({1: F(1, 2)}, lam=1)
-    expect = w1.to_poly(2) + w2.to_poly(2)
-    assert complete_homogeneous(1, [w1, w2], 2) == expect
+    w1 = linear(2, {0: 1})
+    w2 = linear(2, {1: F(1, 2)}, lam=1)
+    assert complete_homogeneous(1, [w1, w2], 2) == Poly(2, {(1, 0, 0): 1, (0, 1, 0): F(1, 2), (0, 0, 1): 1})
 
 
 def test_h_two_nilpotent_pair_vanishes():
-    weights = [LinForm.zero(), LinForm.make(lam=F(-1, 2))]
+    weights = [Poly.zero(1), linear(1, lam=F(-1, 2))]
     assert complete_homogeneous(2, weights, 1).is_zero()
 
 
 def test_h_two_single_weight_squares():
-    w = LinForm.make({0: 2, 1: -1})
-    assert complete_homogeneous(2, [w], 2) == w.to_poly(2) * w.to_poly(2)
+    w = linear(2, {0: 2, 1: -1})
+    assert complete_homogeneous(2, [w], 2) == w * w
 
 
-def random_linform(rng, num_tau):
+def random_weight(rng, num_tau):
     taus = {i: F(rng.randint(-3, 3), rng.randint(1, 3)) for i in range(num_tau)}
     lam = F(rng.randint(-2, 2), 2) if rng.random() < 0.4 else F(0)
-    return LinForm.make(taus, lam=lam)
+    return linear(num_tau, taus, lam=lam)
 
 
 def test_h_matches_brute_force_series():
     rng = random.Random(20)
     for _ in range(60):
         num_tau = rng.randint(1, 3)
-        weights = [random_linform(rng, num_tau) for _ in range(rng.randint(0, 6))]
+        weights = [random_weight(rng, num_tau) for _ in range(rng.randint(0, 6))]
         c = rng.randint(0, 4)
         assert complete_homogeneous(c, weights, num_tau) == brute_force_h(c, weights, num_tau)
 

@@ -1,17 +1,19 @@
 """Fixed-point graph enumeration and equivariant weight data."""
 
-from collections import Counter
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from sgw.errors import DomainError, UnsupportedError
-from sgw.exact import LinForm, Poly
-from sgw.graphs import FixedGraph, enumerate_graphs, euler_data, ev_pullback, single_edge_weights
+from sgw.exact import Poly
+from sgw.graphs import FixedGraph, enumerate_graphs, euler_data, ev_pullback, odd_weights
+
+from .test_exact import linear
 
 
-def lf(taus, lam=0):
-    return LinForm.make(taus, lam=lam)
+def characters(num_tau):
+    return [Poly.tau(num_tau, i) for i in range(num_tau)]
 
 
 def diff(num_tau, i, j):
@@ -58,54 +60,72 @@ def test_graph_label():
     assert graph(3, 3, 0, 1, [1, 3]).label() == "G(k=3,d=1,a=0,b=1,A={1,3})"
 
 
-def test_single_edge_weights_degree_one():
-    assert single_edge_weights(1, 0, 1, 0, 1) == [
-        lf({0: F(-1, 2), 1: F(1, 2)})
-    ]
-    assert single_edge_weights(1, 0, 1, 2, 0) == [
-        lf({0: F(1, 2), 1: F(-1, 2)})
-    ]
-    assert single_edge_weights(2, 0, 1, 1, 2) == [
-        lf({0: F(1, 2), 1: F(-1, 2)}),
-        lf({0: F(-1, 2), 1: F(1, 2)}),
-        lf({0: F(-1, 2), 1: F(-1, 2), 2: 1}),
-    ]
-
-
-def test_single_edge_weights_rejects_bad_pair():
+def test_graph_rejects_bad_pair():
     with pytest.raises(DomainError):
-        single_edge_weights(2, 1, 1, 0, 1)
+        graph(2, 2, 1, 1, [1])
+    with pytest.raises(DomainError):
+        graph(2, 2, 0, 3, [1])
+
+
+def test_odd_weights_agree_across_rings():
+    # The same formula at integer characters and at Poly characters evaluated there.
+    rng = random.Random(41)
+    for n in range(1, 5):
+        taus = rng.sample(range(-99, 100), n + 1)
+        for k in (1, 2, 3):
+            for g in enumerate_graphs(n, k):
+                symbolic = odd_weights(g, characters(n + 1))
+                assert odd_weights(g, taus) == [w.eval(taus) for w in symbolic], g
+
+
+# One graph per end configuration on P^3 with (a, b) = (1, 3): twice the odd
+# weights are -u for a marked a-end, u for a marked b-end, and
+# 2 tau_m - tau_1 - tau_3 for m = 0, 2, with u = tau_3 - tau_1.
+_U = {1: -1, 3: 1}
+_OTHERS = [{0: 2, 1: -1, 3: -1}, {2: 2, 1: -1, 3: -1}]
+PINNED_WEIGHTS = [
+    (1, [], [_U] + _OTHERS),
+    (3, [], [_U] + _OTHERS),
+    (1, [1], [{1: 1, 3: -1}] + _OTHERS),
+    (3, [1, 2, 3], [{1: 1, 3: -1}] + _OTHERS),
+    (2, [2], [{1: 1, 3: -1}, _U] + _OTHERS),
+    (3, [1, 3], [{1: 1, 3: -1}, _U] + _OTHERS),
+]
+
+
+@pytest.mark.parametrize("k,members,expected", PINNED_WEIGHTS)
+def test_odd_weights_pinned_per_end_configuration(k, members, expected):
+    got = odd_weights(graph(3, k, 1, 3, members), characters(4))
+    assert sorted(map(str, got)) == sorted(str(linear(4, taus)) for taus in expected)
 
 
 def test_euler_data_one_point_empty():
     g = graph(1, 1, 0, 1, [])
     data = euler_data(g)
-    assert list(data.susy_weights) == [lf({0: F(-1, 2), 1: F(1, 2)})]
-    assert data.lam_weight == 0
     u = Poly.tau(2, 1) - Poly.tau(2, 0)
+    assert odd_weights(g, characters(2)) == [u]
+    assert data.lam_weight == 0
     assert inverse_euler_parts(g, 2) == (u, Poly.one(2), Poly.zero(2))
 
 
 def test_euler_data_two_point_empty():
     g = graph(1, 2, 0, 1, [])
     data = euler_data(g)
-    assert Counter(data.susy_weights) == Counter(
-        [LinForm.zero(), lf({0: F(-1, 2), 1: F(1, 2)})]
-    )
-    assert data.lam_weight == 0
     u = Poly.tau(2, 1) - Poly.tau(2, 0)
+    # the weight 0 of the contracted component is left out
+    assert odd_weights(g, characters(2)) == [u]
+    assert data.lam_weight == 0
     assert inverse_euler_parts(g, 2) == (u * u, Poly.one(2), Poly.zero(2))
 
 
 def test_euler_data_three_point_empty():
     g = graph(1, 3, 0, 1, [])
     data = euler_data(g)
-    # the odd weights are {0, -lam/2, (tau_1 - tau_0)/2}, the lam one kept apart
-    assert Counter(data.susy_weights) == Counter(
-        [LinForm.zero(), lf({0: F(-1, 2), 1: F(1, 2)})]
-    )
-    assert data.lam_weight == F(-1, 2)
     u = Poly.tau(2, 1) - Poly.tau(2, 0)
+    # the odd weights are {0, -lam/2, u/2}: odd_weights gives twice the
+    # nonzero lam-free one, lam_weight twice the coefficient of the lam one
+    assert odd_weights(g, characters(2)) == [u]
+    assert data.lam_weight == -1
     # (u + lam) / u^3: all three marked points over q_b
     assert inverse_euler_parts(g, 2) == (u * u * u, u, Poly.one(2))
 
@@ -139,10 +159,13 @@ def test_euler_data_pinned_per_sign_row(k, members, sign, factors, numerator):
 
 def test_euler_data_rank():
     for n in range(1, 6):
+        taus = list(range(n + 1))
         for k in (1, 2, 3):
             for g in enumerate_graphs(n, k):
-                data = euler_data(g)
-                assert len(data.susy_weights) + (data.lam_weight != 0) == (n + 1) + k - 2
+                # each contracted component (two or more marks at one end) has one weight 0
+                contracted = sum(count >= 2 for count in (len(g.A), k - len(g.A)))
+                pure_lam = euler_data(g).lam_weight != 0
+                assert len(odd_weights(g, taus)) + contracted + pure_lam == (n + 1) + k - 2
 
 
 def test_lambda_appears_iff_m04():
@@ -150,19 +173,9 @@ def test_lambda_appears_iff_m04():
         for k in (1, 2, 3):
             for g in enumerate_graphs(n, k):
                 data = euler_data(g)
-                assert not any(w.lam for w in data.susy_weights)
+                assert all(mono[-1] == 0 for w in odd_weights(g, characters(n + 1)) for mono in w.terms)
                 assert (data.lam_weight != 0) == g.m04 == (k == 3 and len(g.A) in (0, 3))
                 assert (data.num_lam != 0) == g.m04
-
-
-def test_two_point_singleton_weights_match_single_edge():
-    for n in (1, 2, 4):
-        for a, b in [(0, 1), (0, n), (n - 1, n)]:
-            if not a < b:
-                continue
-            g = graph(n, 2, a, b, [1])
-            expected = single_edge_weights(n, a, b, 1, 1)
-            assert Counter(euler_data(g).susy_weights) == Counter(expected)
 
 
 def test_ev_pullback():

@@ -8,11 +8,13 @@ import pytest
 
 import sgw.localize as localize
 from sgw.errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
-from sgw.exact import LinForm, Poly, complete_homogeneous
-from sgw.graphs import FixedGraph, enumerate_graphs, euler_data
+from sgw.exact import Poly, complete_homogeneous
+from sgw.graphs import FixedGraph, enumerate_graphs, euler_data, odd_weights
 from sgw.localize import LocalizationJob, check_extension, graph_contribution, invariant
 from sgw.point import Invariant
 from sgw.tables import ALL_INVARIANT_ENTRIES, GOLDEN, entries_for
+
+from .test_exact import linear
 
 
 def graph(n, k, a, b, members):
@@ -76,39 +78,40 @@ def test_graph_contribution_rejects_foreign_job():
 
 def test_h_values_is_the_reference_recurrence():
     # One recurrence serves both strategies: over Polys it gives the reference
-    # h_c, over Fractions its value at the characters; adding a pure lam weight
+    # h_c, over numbers its value at the characters; adding a pure lam weight
     # e*lam to lam-free weights W follows the nilpotent rule
     # h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W).
     rng = random.Random(2311)
     for _ in range(60):
         num_tau = rng.randint(1, 3)
         weights = [
-            LinForm.make({i: F(rng.randint(-4, 4), rng.randint(1, 2)) for i in range(num_tau)})
+            linear(num_tau, {i: F(rng.randint(-4, 4), rng.randint(1, 2)) for i in range(num_tau)})
             for _ in range(rng.randint(1, 5))
         ]
         c = rng.randint(0, 5)
-        h = localize._h_values(c, [w.to_poly(num_tau) for w in weights])
+        h = localize._h_values(c, weights)
         assert h[c] == complete_homogeneous(c, weights, num_tau)
-        taus = [F(rng.randint(-9, 9)) for _ in range(num_tau)]
-        assert localize._h_values(c, [w.eval_tau(taus) for w in weights]) == [p.eval(taus) for p in h]
+        taus = [rng.randint(-9, 9) for _ in range(num_tau)]
+        assert localize._h_values(c, [w.eval(taus) for w in weights]) == [p.eval(taus) for p in h]
         eps = F(rng.choice([-3, -1, 1, 2]), 2)
         rule = h[c] + eps * Poly.lam(num_tau) * h[c - 1] if c else h[c]
-        assert complete_homogeneous(c, weights + [LinForm.make(lam=eps)], num_tau) == rule
+        assert complete_homogeneous(c, weights + [linear(num_tau, lam=eps)], num_tau) == rule
 
 
 def test_integrand_parts_apply_the_lam_weight():
-    # Against the reference: h_c of every odd weight, the pure lam one
-    # included, times the whole numerator; m04 loci take its lam coefficient.
+    # Against the reference: h_c of every odd weight (half of the doubled
+    # ones), the pure lam one included, times the whole numerator; m04 loci
+    # take its lam coefficient.
     rng = random.Random(7)
     for g in enumerate_graphs(2, 3):
         data = euler_data(g)
-        taus = [F(rng.randint(-50, 50)) for _ in range(3)]
+        taus = [rng.randint(-50, 50) for _ in range(3)]
         u = taus[g.b] - taus[g.a]
-        weights = [w.eval_tau(taus) for w in data.susy_weights]
-        parts = localize._integrand_parts(g, data, range(5), weights, u, 1)
+        parts = localize._integrand_parts(g, data, range(5), odd_weights(g, taus), u, 1)
         lam_free, lam_coeff = data.num_one + data.num_u * u, data.num_lam
+        halves = [w.scale(F(1, 2)) for w in odd_weights(g, [Poly.tau(3, i) for i in range(3)])]
         for c in range(5):
-            full = complete_homogeneous(c, data.susy_weights + (LinForm.make(lam=data.lam_weight),), 3)
+            full = complete_homogeneous(c, halves + [linear(3, lam=F(data.lam_weight, 2))], 3)
             h, h_lam = full.eval(taus, 0), full.eval(taus, 1) - full.eval(taus, 0)
             if g.m04:
                 expected = h_lam * lam_free + h * lam_coeff
@@ -249,6 +252,8 @@ def test_evaluate_needs_two_samples():
         invariant(2, 3, (2, 2, 2), samples=-4)
     with pytest.raises(DomainError, match="at least 2 samples"):
         localize.table(2, 3, [(2, 2, 2)], samples=1)
+    with pytest.raises(DomainError, match="at least 2 samples"):
+        invariant(2, 3, (1, 1, 0), strategy="symbolic", samples=-4)
 
 
 def test_unknown_strategy_rejected():
