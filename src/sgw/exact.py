@@ -1,28 +1,28 @@
 """Exact sparse multivariate polynomial arithmetic.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``).  A
-polynomial lives in Q[tau_0, .., tau_n, lam] where ``lam`` is nilpotent of
-order two: every product discards terms with lam-exponent >= 2.  Monomials
-are exponent tuples of length ``num_tau + 1`` (the last slot is the
-lam-exponent); zero coefficients are never stored, so two polynomials are
-equal iff their term maps are equal.
+Coefficients are the caller's exact numbers, kept as given: Python ints
+in practice, ``fractions.Fraction`` only where a caller scales by one.
+A polynomial lives in Z[tau_0, .., tau_n, lam] where ``lam`` is
+nilpotent of order two: every product discards terms with lam-exponent
+>= 2.  Monomials are exponent tuples of length ``num_tau + 1`` (the last
+slot is the lam-exponent); zero coefficients are never stored, so two
+polynomials are equal iff their term maps are equal.
 
 The fixed monomial order is graded lexicographic with
 tau_0 < tau_1 < ... < tau_n < lam.  Serialisation (`Poly.__str__`) lists
 terms in descending order under this order, which makes the text form
 canonical and suitable for golden tests.
 
-Quotients are never formed here: the localization layer keeps every
-inverse Euler class as a numerator over one closed-form product of
-(tau_i - tau_j), and the symbolic strategy sums them as one numerator over
-the shared denominator.  The odd weights are built from ``Poly.tau``
-characters by ``graphs.odd_weights``; ``complete_homogeneous`` is the
-reference h_c of such weights.
+Nothing here divides.  The localization layer keeps every inverse Euler
+class as a numerator over one closed-form product of (tau_i - tau_j),
+and the symbolic strategy sums them as one integer numerator over the
+shared denominator; ``localize`` forms the one quotient.  The odd weights
+are built from ``Poly.tau`` characters by ``graphs.odd_weights``;
+``complete_homogeneous`` is the reference h_c of such weights.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, DomainError
@@ -38,18 +38,17 @@ class Poly:
 
     __slots__ = ("num_tau", "terms")
 
-    def __init__(self, num_tau: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, num_tau: int, terms: Mapping[tuple[int, ...], object] | None = None):
         self.num_tau = num_tau
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], object] = {}
         if terms:
             for mono, coeff in terms.items():
                 if len(mono) != num_tau + 1:
                     raise DimensionError(f"exponent tuple {mono} needs length {num_tau + 1}")
                 if mono[-1] >= 2:
                     continue
-                c = Fraction(coeff)
-                if c:
-                    clean[tuple(mono)] = c
+                if coeff:
+                    clean[tuple(mono)] = coeff
         self.terms = clean
 
     # -- constructors -------------------------------------------------
@@ -59,7 +58,7 @@ class Poly:
 
     @classmethod
     def const(cls, num_tau: int, value) -> "Poly":
-        return cls(num_tau, {(0,) * (num_tau + 1): Fraction(value)})
+        return cls(num_tau, {(0,) * (num_tau + 1): value})
 
     @classmethod
     def one(cls, num_tau: int) -> "Poly":
@@ -71,12 +70,12 @@ class Poly:
             raise DomainError(f"tau index {index} out of range for {num_tau} variables")
         exp = [0] * (num_tau + 1)
         exp[index] = 1
-        return cls(num_tau, {tuple(exp): Fraction(1)})
+        return cls(num_tau, {tuple(exp): 1})
 
     @classmethod
     def lam(cls, num_tau: int) -> "Poly":
         exp = [0] * num_tau + [1]
-        return cls(num_tau, {tuple(exp): Fraction(1)})
+        return cls(num_tau, {tuple(exp): 1})
 
     # -- predicates ---------------------------------------------------
     def is_zero(self) -> bool:
@@ -101,7 +100,7 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            acc = out.get(mono, Fraction(0)) + coeff
+            acc = out.get(mono, 0) + coeff
             if acc:
                 out[mono] = acc
             else:
@@ -115,23 +114,22 @@ class Poly:
         return self._raw(self.num_tau, {m: -c for m, c in self.terms.items()})
 
     def scale(self, value) -> "Poly":
-        c = Fraction(value)
-        if not c:
+        if not value:
             return Poly(self.num_tau)
-        return self._raw(self.num_tau, {m: c * v for m, v in self.terms.items()})
+        return self._raw(self.num_tau, {m: value * v for m, v in self.terms.items()})
 
     def __rmul__(self, value) -> "Poly":
         return self.scale(value)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], object] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 if ma[-1] + mb[-1] >= 2:
                     continue
                 mono = tuple(x + y for x, y in zip(ma, mb))
-                acc = out.get(mono, Fraction(0)) + ca * cb
+                acc = out.get(mono, 0) + ca * cb
                 if acc:
                     out[mono] = acc
                 else:
@@ -159,23 +157,21 @@ class Poly:
             raise DomainError("zero polynomial has no leading monomial")
         return max(self.terms, key=_monomial_key)
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self):
         return self.terms[self.leading_monomial()]
 
     # -- evaluation ---------------------------------------------------
-    def eval(self, tau_values: Sequence, lambda_value=0) -> Fraction:
-        values = [Fraction(v) for v in tau_values]
-        if len(values) != self.num_tau:
-            raise DimensionError(f"expected {self.num_tau} tau values, got {len(values)}")
-        lam = Fraction(lambda_value)
-        total = Fraction(0)
+    def eval(self, tau_values: Sequence, lambda_value=0):
+        if len(tau_values) != self.num_tau:
+            raise DimensionError(f"expected {self.num_tau} tau values, got {len(tau_values)}")
+        total = 0
         for mono, coeff in self.terms.items():
             term = coeff
-            for value, exp in zip(values, mono):
+            for value, exp in zip(tau_values, mono):
                 if exp:
                     term *= value**exp
             if mono[-1]:
-                term *= lam
+                term *= lambda_value
             total += term
         return total
 

@@ -15,8 +15,9 @@ way: ``graphs.odd_weights`` gives twice the lam-free odd weights in the
 strategy's ring (integers or ``Poly``), ``_h_values`` runs the h
 recurrence over them, which gives 2^c h_c, and ``_integrand_parts``
 alone adds the pure lam weight by the nilpotent rule
-h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W) and applies the factor
-(-1/2)^c.
+h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W).  Everything up to here is
+an integer (or integer ``Poly``); each strategy divides once, by the
+Euler denominator times (-2)^c, which turns 2^c h_c into (-1)^c h_c.
 
 The sum is a constant rational function of the torus characters, so the
 default strategy evaluates it at several seeded generic integer tuples
@@ -99,40 +100,40 @@ def _h_values(c: int, weights: Sequence) -> list:
     return h
 
 
-def _integrand_parts(
-    g: FixedGraph, data: EulerData, codegrees: Collection[int], weights: Sequence, u, scale
-) -> dict:
-    """Signed part of one graph's integrand that its locus integrates, per codegree c.
+def _integrand_parts(g: FixedGraph, data: EulerData, codegrees: Collection[int], weights: Sequence, u) -> dict:
+    """Part of one graph's integrand numerator that its locus integrates, per codegree c.
 
     ``weights`` are twice the lam-free odd weights of ``g`` and
     ``data.lam_weight * lam`` is twice the pure lam weight, so h_c of them
     all is 2^c times h_c of the odd weights; since lam^2 = 0, the pure
     weight only adds lam_weight * lam * h_{c-1}(weights).  The part is that
-    h_c times (num_one + num_u * u + num_lam * lam) * scale * (-1/2)^c: an
-    m04 locus takes its lam coefficient, a point locus its lam-free part,
-    and lam must not survive on a point locus.  ``weights`` and ``u`` are
-    integers for the evaluate strategy and Polys for the symbolic one.
+    h_c times (num_one + num_u * u + num_lam * lam): an m04 locus takes its
+    lam coefficient, a point locus its lam-free part, and lam must not
+    survive on a point locus.  ``weights`` and ``u`` are integers for the
+    evaluate strategy and Polys for the symbolic one (``u**0`` is the
+    ring's one), and so is each part: 2^c times the integrand part without
+    its sign (-1)^c.  The caller divides by (-2)^c along with the Euler
+    denominator.
     """
-    lam_free = data.num_one * scale + data.num_u * u * scale
-    lam_coeff = data.num_lam * scale
+    lam_free = data.num_one * u**0 + data.num_u * u
     h = _h_values(max(codegrees, default=0), weights)
     parts = {}
     for c in codegrees:
-        coeff = h[c] * lam_coeff
+        coeff = data.num_lam * h[c]
         if c and data.lam_weight:
             coeff = coeff + data.lam_weight * h[c - 1] * lam_free
         if not g.m04 and coeff:
             raise InconsistencyError(f"lam survived on the point-type locus {g.label()}")
-        part = coeff if g.m04 else h[c] * lam_free
-        parts[c] = Fraction((-1) ** c, 2**c) * part
+        parts[c] = coeff if g.m04 else h[c] * lam_free
     return parts
 
 
 def graph_contribution(g: FixedGraph, jobs: Sequence[LocalizationJob], tau: Sequence[int]) -> list[Fraction]:
     """Exact value of one graph's summand at the given character tuple, one per job.
 
-    The Euler data, the odd weights and h_0 .. h_cmax are evaluated once;
-    each job adds only its ev pullback and picks h at its codegree.
+    The Euler data, the odd weights and h_0 .. h_cmax are evaluated once
+    in integers; each job adds only its ev pullback, picks h at its
+    codegree c and divides once by the Euler denominator times (-2)^c.
     """
     if any(job.n != g.n or job.k != g.k for job in jobs):
         raise DomainError("graph and job disagree on (n, k)")
@@ -145,16 +146,16 @@ def graph_contribution(g: FixedGraph, jobs: Sequence[LocalizationJob], tau: Sequ
             den *= (tau_a - tau_j) * (tau_b - tau_j)
     if den == 0:
         raise ResampleSignal(f"denominator of {g.label()} vanishes at {tau}")
-    parts = _integrand_parts(g, data, {job.c for job in jobs}, odd_weights(g, tau), u, Fraction(1, den))
+    parts = _integrand_parts(g, data, {job.c for job in jobs}, odd_weights(g, tau), u)
     values = []
     for job in jobs:
         at_a, at_b = ev_exponents(g, job.classes)
-        values.append(tau_a ** at_a * tau_b ** at_b * parts[job.c])
+        values.append(Fraction(tau_a**at_a * tau_b**at_b * parts[job.c], den * (-2) ** job.c))
     return values
 
 
 def _symbolic_sum(graphs: Sequence[FixedGraph], job: LocalizationJob) -> tuple[Poly, Poly]:
-    """Exact sum as (numerator, shared denominator).
+    """Exact sum times (-2)^c as integer Polys (numerator, shared denominator).
 
     Every graph denominator u^k prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j)
     divides prod_{i<j} (tau_i - tau_j)^k, so the sum is accumulated as one
@@ -181,8 +182,8 @@ def _symbolic_sum(graphs: Sequence[FixedGraph], job: LocalizationJob) -> tuple[P
             touching = (g.a in pair) + (g.b in pair)
             mult = job.k if touching == 2 else touching
             cofactor = cofactor * diffs[pair] ** (job.k - mult)
-        scale = ev_pullback(g, job.classes) * cofactor
-        total = total + _integrand_parts(g, data, [job.c], odd_weights(g, taus), -diffs[g.a, g.b], scale)[job.c]
+        part = _integrand_parts(g, data, [job.c], odd_weights(g, taus), -diffs[g.a, g.b])[job.c]
+        total = total + ev_pullback(g, job.classes) * cofactor * part
     return total, shared
 
 
@@ -288,10 +289,10 @@ def invariant(
     if job.graded_zero:
         return Invariant.zero()
     total, shared = _symbolic_sum(enumerate_graphs(n, k), job)
-    constant = total.leading_coeff() / shared.leading_coeff() if total else Fraction(0)
-    if total != shared.scale(constant):
+    lead = total.leading_coeff() if total else 0
+    if total.scale(shared.leading_coeff()) != shared.scale(lead):
         raise InconsistencyError(f"symbolic sum is not constant: ({total}) / ({shared})")
-    return Invariant.of(constant, job.kappa_exp)
+    return Invariant.of(Fraction(lead, shared.leading_coeff() * (-2) ** job.c), job.kappa_exp)
 
 
 def check_extension(n: int, k: int, classes: Sequence[int], seed: int = DEFAULT_SEED) -> bool:

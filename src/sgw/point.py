@@ -114,7 +114,7 @@ def point_sum(k: int) -> Fraction:
                 expr = TautExpr(l, (TautMonomial(l, psi, m.kappa, m.coeff) for m in state.monomials))
                 down.setdefault(prefix_sum - i, []).extend(pushforward_step(expr).monomials)
         states = {prefix_sum: TautExpr(l - 1, monos) for prefix_sum, monos in down.items()}
-    return integrate(states[0]) if 0 in states else Fraction(0)
+    return integrate(states.get(0, TautExpr(3)))
 
 
 def sgw_point(k: int) -> Invariant:
@@ -123,9 +123,7 @@ def sgw_point(k: int) -> Invariant:
         raise DomainError("k must be >= 3")
     if k > MAX_K:
         raise DomainError(f"k must be at most {MAX_K}, got {k}")
-    total = point_sum(k)
-    coeff = Fraction((-1) ** (k - 3), 2 ** (k - 3)) * total
-    return Invariant.of(coeff, 5 - 2 * k)
+    return Invariant.of(Fraction((-1) ** (k - 3) * point_sum(k), 2 ** (k - 3)), 5 - 2 * k)
 
 
 def mapping_to_point(n: int, classes: Sequence[int]) -> Invariant:

@@ -6,8 +6,11 @@ Integration repeatedly pushes forward along the map forgetting the last
 marked point: kappa_a upstairs equals f^* kappa_a + psi_l^a, pushing
 f^*(x) * psi_l^s forward gives x * kappa_{s-1}, and kappa_0 on the
 l-pointed space is the scalar l - 2.  A term with no psi_l factor pushes
-to zero.  After reaching three marked points only the degree-zero part
-survives.
+to zero.  Each step lowers the degree by one, so only the monomials of
+degree l - 3 reach the degree-zero part on the three-pointed space; the
+rest are dropped before the first step.  Coefficients stay in the ring
+they come in (integers from ``make``'s default), and ``integrate`` turns
+the result into a ``Fraction`` at its boundary.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ class TautMonomial:
     l: int
     psi: PsiFactors
     kappa: KappaFactors
-    coeff: Fraction
+    coeff: int | Fraction  # as given; pushforward keeps integers integral
 
     def __post_init__(self):
         if self.l < 3:
@@ -49,7 +52,7 @@ class TautMonomial:
     def make(cls, l: int, psi=(), kappa=(), coeff=1) -> "TautMonomial":
         psi_t = tuple(sorted((int(m), int(p)) for m, p in psi if p))
         kappa_t = _merge_kappa((int(a), int(p)) for a, p in kappa if p)
-        return cls(l, psi_t, kappa_t, Fraction(coeff))
+        return cls(l, psi_t, kappa_t, coeff)
 
     @classmethod
     def from_exponents(cls, k: int, exponents: Sequence[int], coeff=1) -> "TautMonomial":
@@ -116,10 +119,9 @@ class TautExpr:
         return sorted(self._terms.values(), key=lambda m: m.key())
 
     def scale(self, value) -> "TautExpr":
-        c = Fraction(value)
         return TautExpr(
             self.l,
-            (TautMonomial(self.l, m.psi, m.kappa, c * m.coeff) for m in self._terms.values()),
+            (TautMonomial(self.l, m.psi, m.kappa, value * m.coeff) for m in self._terms.values()),
         )
 
     def __add__(self, other: "TautExpr") -> "TautExpr":
@@ -179,15 +181,11 @@ def pushforward_step(expr: TautExpr) -> TautExpr:
 
 
 def integrate(expr: TautExpr) -> Fraction:
-    """Integrate over the moduli space; exact rational."""
-    current = expr
+    """Integrate over the moduli space; exact rational.  Monomials of degree other than l - 3 are dropped first."""
+    current = TautExpr(expr.l, (m for m in expr.monomials if m.degree() == expr.l - 3))
     while current.l > 3:
         current = pushforward_step(current)
-    total = Fraction(0)
-    for mono in current.monomials:
-        if not mono.psi and not mono.kappa:
-            total += mono.coeff
-    return total
+    return Fraction(sum(mono.coeff for mono in current.monomials))
 
 
 def integrate_monomial(k: int, exponents: Sequence[int]) -> Fraction:

@@ -163,6 +163,23 @@ def test_taut(runner):
     assert result.output.strip() == "1"
 
 
+def test_taut_skips_monomials_of_the_wrong_degree(runner, monkeypatch):
+    # Exponents summing to 231 on the 24-pointed space, of dimension 21,
+    # integrate to zero: no term of the monomial may reach a pushforward,
+    # where its kappa expansion would run away.
+    step = sgw.taut.pushforward_step
+
+    def empty_only(expr):
+        if expr.monomials:
+            raise RuntimeError(f"pushed forward a term of the wrong degree: {expr}")
+        return step(expr)
+
+    monkeypatch.setattr(sgw.taut, "pushforward_step", empty_only)
+    result = runner.invoke(main, ["taut", "--k", "24", "--exps", ",".join(str(e) for e in range(1, 22))])
+    assert result.exit_code == 0
+    assert result.output.strip() == "0"
+
+
 def test_quantum_text(runner):
     result = runner.invoke(main, ["quantum", "--n", "1"])
     assert result.exit_code == 0

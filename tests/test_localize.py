@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import permutations, product
+from math import comb
 
 import pytest
 
@@ -101,13 +103,14 @@ def test_h_values_is_the_reference_recurrence():
 def test_integrand_parts_apply_the_lam_weight():
     # Against the reference: h_c of every odd weight (half of the doubled
     # ones), the pure lam one included, times the whole numerator; m04 loci
-    # take its lam coefficient.
+    # take its lam coefficient.  The parts carry 2^c h_c and no sign: the
+    # callers divide by (-2)^c.
     rng = random.Random(7)
     for g in enumerate_graphs(2, 3):
         data = euler_data(g)
         taus = [rng.randint(-50, 50) for _ in range(3)]
         u = taus[g.b] - taus[g.a]
-        parts = localize._integrand_parts(g, data, range(5), odd_weights(g, taus), u, 1)
+        parts = localize._integrand_parts(g, data, range(5), odd_weights(g, taus), u)
         lam_free, lam_coeff = data.num_one + data.num_u * u, data.num_lam
         halves = [w.scale(F(1, 2)) for w in odd_weights(g, [Poly.tau(3, i) for i in range(3)])]
         for c in range(5):
@@ -117,7 +120,7 @@ def test_integrand_parts_apply_the_lam_weight():
                 expected = h_lam * lam_free + h * lam_coeff
             else:
                 expected = h * lam_free
-            assert parts[c] == (-1) ** c * expected, (g, c)
+            assert parts[c] == 2**c * expected, (g, c)
 
 
 def test_graph_contribution_resample_signal():
@@ -187,6 +190,72 @@ def test_two_point_cells_follow_one_point_relations():
         else:
             assert entry.printed != predicted, entry.label
     assert golden == 14
+
+
+@lru_cache(maxsize=None)
+def one_point_table(n):
+    return localize.table(n, 1, [(a,) for a in range(n + 1)])
+
+
+def test_divisor_relations_hold_beyond_the_tables():
+    # The two relations above, computed for every 1 <= a <= n <= 10 rather
+    # than read from the table cells: 55 relations <H^a, H>_2 and 10
+    # relations <H, 1>_2.  Every one-point value is nonzero, so a sum that
+    # collapses to zero cannot satisfy them by accident.
+    checked, broken = 0, []
+    for n in range(1, 11):
+        one = one_point_table(n)
+        assert not any(v.is_zero for v in one.values()), n
+        relations = [((a, 1), F(2 * a - 1, 3 * a - 2), one[a,]) for a in range(1, n + 1)]
+        relations.append(((1, 0), F(1, 2), one[0,]))
+        two = localize.table(n, 2, [classes for classes, _, _ in relations])
+        for classes, factor, base in relations:
+            checked += 1
+            if two[classes] != Invariant.of(factor * base.coeff, base.kappa_exp - 1):
+                broken.append((n, classes, str(two[classes])))
+    assert checked == 65
+    assert not broken
+
+
+def test_top_one_point_value_empirical():
+    # An empirical check, fitted to this code's own output: it is neither
+    # derived nor printed in the paper, and it is never a reason to edit
+    # tables.py.  <H^n>_1 = (C(2n, n) - C(2n-2, n-1)) / 2^(n-1) kappa^-(2n-1).
+    broken = [
+        (n, str(one_point_table(n)[n,]))
+        for n in range(1, 11)
+        if one_point_table(n)[n,] != Invariant.of(F(comb(2 * n, n) - comb(2 * n - 2, n - 1), 2 ** (n - 1)), 1 - 2 * n)
+    ]
+    assert not broken
+
+
+def test_integer_core_divides_once():
+    # Integers go in and integers come out until the one division per value:
+    # the integrand parts at int characters, every coefficient of the
+    # symbolic numerator and denominator, and nothing is ever a float.
+    rng = random.Random(5)
+    for n, k in product((1, 2, 3), (1, 2, 3)):
+        for g in enumerate_graphs(n, k):
+            taus = rng.sample(range(-50, 51), n + 1)
+            u = taus[g.b] - taus[g.a]
+            parts = localize._integrand_parts(g, euler_data(g), range(5), odd_weights(g, taus), u)
+            assert all(type(v) is int for v in parts.values()), g
+    symbolic = 0
+    for entry in ALL_INVARIANT_ENTRIES:
+        job = LocalizationJob(n=entry.n, k=entry.k, classes=entry.classes)
+        if job.n > 2 or job.graded_zero:
+            continue
+        symbolic += 1
+        total, shared = localize._symbolic_sum(enumerate_graphs(job.n, job.k), job)
+        coeffs = list(total.terms.values()) + list(shared.terms.values())
+        assert all(type(c) is int for c in coeffs), entry.label
+    assert symbolic > 0
+    jobs = [LocalizationJob(n=2, k=3, classes=c) for c in [(1, 1, 0), (2, 1, 1), (0, 0, 0)]]
+    for g in enumerate_graphs(2, 3):
+        assert all(type(v) is F for v in graph_contribution(g, jobs, (3, -7, 11))), g
+    for strategy in ("evaluate", "symbolic"):
+        assert type(invariant(2, 3, (1, 1, 0), strategy=strategy).coeff) is F
+        assert type(invariant(2, 3, (2, 2, 2), strategy=strategy).coeff) is F
 
 
 @pytest.mark.parametrize("seed", [localize.DEFAULT_SEED, 4])

@@ -81,6 +81,22 @@ def test_linearity():
         assert integrate(combined) == a * integrate(e1) + b * integrate(e2)
 
 
+def test_pushforward_keeps_integer_coefficients():
+    # Pushforward only multiplies by integers, so integer coefficients stay
+    # integers; integrate forms a Fraction once, at its return.
+    rng = random.Random(17)
+    for _ in range(40):
+        l = rng.randint(4, 8)
+        psi = [(depth, rng.randint(1, 2)) for depth in rng.sample(range(l - 3), rng.randint(0, l - 3))]
+        kappa = [(rng.randint(1, 3), rng.randint(1, 2))] if rng.random() < 0.5 else []
+        current = expr(l, psi=psi, kappa=kappa, coeff=rng.choice([-3, -1, 2, 5]))
+        while current.l > 3:
+            current = pushforward_step(current)
+            assert all(type(m.coeff) is int for m in current.monomials), str(current)
+    assert type(integrate_monomial(6, (1, 1, 1))) is F
+    assert type(integrate_monomial(6, (3, 3, 3))) is F
+
+
 def test_kappa_zero_never_stored():
     with pytest.raises(DomainError):
         TautMonomial.make(5, kappa=[(0, 1)])
