@@ -25,7 +25,7 @@ from .graphs import (
 from .localize import LocalizationJob, check_extension, graph_contribution, invariant
 from .point import Invariant, mapping_to_point, sgw_point
 from .quantum import QElement, star, structure_table
-from .taut import TautExpr, TautMonomial, integrate, integrate_monomial, pushforward_step
+from .taut import TautExpr, integrate, integrate_monomial, pushforward_step
 
 __all__ = [
     "DimensionError",
@@ -39,7 +39,6 @@ __all__ = [
     "QElement",
     "ResampleSignal",
     "TautExpr",
-    "TautMonomial",
     "UnsupportedError",
     "check_extension",
     "complete_homogeneous",

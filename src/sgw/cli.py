@@ -16,7 +16,6 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import wraps
 
 import click
 
@@ -26,11 +25,11 @@ from .point import Invariant
 
 _ENV_SEED = "SGW_SEED"
 
-# Measured on a 2-core Xeon as whole processes: point --k 24 takes 0.9 s and
-# grows about 1.4x per k; invariant --n 20 --k 3 takes 0.5 s and quantum
-# --n 10 5.3 s, and quantum grows about n^4.  taut --k shares the point
-# ceiling.  A larger value is refused up front instead of running for hours
-# or running out of memory.
+# Measured on a shared 2-core Xeon as whole processes: point --k 24 takes
+# 0.4-0.5 s and grows about 1.4x per k; invariant --n 20 --k 3 takes 0.7-1.0 s
+# and quantum --n 10 8-12 s, and quantum grows about n^4.  taut --k shares
+# the point ceiling.  A larger value is refused up front instead of running
+# for hours or running out of memory.
 MAX_POINT_K = point.MAX_K
 MAX_N = 20
 MAX_QUANTUM_N = 10
@@ -58,21 +57,6 @@ def _record(command: str, inputs: dict, result: Invariant, diagnostics: dict | N
     return record
 
 
-def _domain_errors(fn):
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except InconsistencyError as exc:
-            click.echo(f"internal inconsistency: {exc}", err=True)
-            sys.exit(3)
-        except DomainError as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(2)
-
-    return wrapper
-
-
 def _at_most(value: int, ceiling: int, option: str) -> None:
     if value > ceiling:
         raise DomainError(f"{option} must be at most {ceiling}, got {value}")
@@ -89,33 +73,41 @@ def _parse_int_list(raw: str, what: str) -> tuple[int, ...]:
 
 
 @contextmanager
-def _one_line_usage_errors(ctx):
+def _one_line_errors(ctx):
     try:
         yield
     except click.UsageError as exc:
         click.echo(f"Error: {exc.format_message()}", err=True)
         ctx.exit(2)
+    except DomainError as exc:
+        click.echo(str(exc), err=True)
+        ctx.exit(2)
+    except InconsistencyError as exc:
+        click.echo(f"internal inconsistency: {exc}", err=True)
+        ctx.exit(3)
 
 
-class _OneLineUsageErrors(click.Group):
-    """Report a usage error as one ``Error: ...`` line, without click's usage block.
+class _OneLineErrors(click.Group):
+    """The one error boundary: every error becomes one stderr line and an exit code.
 
-    This covers the group's own arguments (``sgw --bogus``) and every
-    subcommand's; a bare ``sgw`` still prints the help.
+    A usage error prints ``Error: ...`` without click's usage block, for the
+    group's own arguments (``sgw --bogus``) and every subcommand's; a bare
+    ``sgw`` still prints the help.  A domain error prints its message and
+    exits 2, a failed consistency check exits 3.
     """
 
     def parse_args(self, ctx, args):
         if not args:
             return super().parse_args(ctx, args)
-        with _one_line_usage_errors(ctx):
+        with _one_line_errors(ctx):
             return super().parse_args(ctx, args)
 
     def invoke(self, ctx):
-        with _one_line_usage_errors(ctx):
+        with _one_line_errors(ctx):
             return super().invoke(ctx)
 
 
-@click.group(cls=_OneLineUsageErrors)
+@click.group(cls=_OneLineErrors)
 def main():
     """Exact super Gromov-Witten numbers for a point target and degree-one P^n."""
 
@@ -123,7 +115,6 @@ def main():
 @main.command("point")
 @click.option("--k", "k", type=int, required=True, help=f"Number of marked points, 3 <= k <= {MAX_POINT_K}.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@_domain_errors
 def cmd_point(k: int, fmt: str):
     """k-point super Gromov-Witten number of a point."""
     _at_most(k, MAX_POINT_K, "--k")
@@ -143,7 +134,6 @@ def cmd_point(k: int, fmt: str):
 @click.option("--seed", type=int, default=None, help=f"Random seed (default: ${_ENV_SEED} or {localize.DEFAULT_SEED}).")
 @click.option("--trace", is_flag=True, help="Include per-graph contributions in the diagnostics.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@_domain_errors
 def cmd_invariant(n: int, k: int, classes: str, strategy: str, samples: int, seed: int | None, trace: bool, fmt: str):
     """Degree-one k-point invariant of P^n via localization."""
     _at_most(n, MAX_N, "--n")
@@ -170,7 +160,6 @@ def cmd_invariant(n: int, k: int, classes: str, strategy: str, samples: int, see
 @click.option("--k", "k", type=int, required=True, help=f"Marked points on the moduli space, 3 <= k <= {MAX_POINT_K}.")
 @click.option("--exps", default="", help="Comma-separated exponents i4,..,ik (empty for k=3).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@_domain_errors
 def cmd_taut(k: int, exps: str, fmt: str):
     """Integrate a pullback psi-class monomial over the k-pointed moduli space."""
     _at_most(k, MAX_POINT_K, "--k")
@@ -186,7 +175,6 @@ def cmd_taut(k: int, exps: str, fmt: str):
 @click.option("--n", "n", type=int, required=True, help=f"Target dimension, 1 <= n <= {MAX_QUANTUM_N}.")
 @click.option("--seed", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@_domain_errors
 def cmd_quantum(n: int, seed: int | None, fmt: str):
     """Structure table and first-order quantum products of hyperplane powers."""
     _at_most(n, MAX_QUANTUM_N, "--n")
@@ -248,7 +236,6 @@ def _reproduce_lines(seed: int):
 
 @main.command("reproduce-paper")
 @click.option("--seed", type=int, default=None)
-@_domain_errors
 def cmd_reproduce_paper(seed: int | None):
     """Recompute every published reference value and report PASS/FAIL/SKIP."""
     seed = _default_seed() if seed is None else seed

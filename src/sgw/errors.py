@@ -18,4 +18,9 @@ class InconsistencyError(RuntimeError):
 
 
 class ResampleSignal(Exception):
-    """A denominator vanished at the sampled point; caller must redraw."""
+    """A graph's Euler denominator vanishes at the given characters.
+
+    ``sample_tau`` draws pairwise distinct characters, so its samples never
+    raise this; a caller that passes repeated characters gets the error
+    raised through to it, and nothing redraws.
+    """

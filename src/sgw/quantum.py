@@ -131,7 +131,9 @@ def _basis_star(n: int, a: int, b: int, seed: int) -> QElement:
     comps: dict[tuple[int, int], Laurent] = {}
     if a + b <= n:
         comps[(a + b, 0)] = {0: Fraction(1)}
-    for c, inv in structure_table(n, seed)[(min(a, b), max(a, b))]:
+    values = _three_point(n, seed)
+    for c in range(n + 1):
+        inv = values[(min(a, b), max(a, b), c)]
         if not inv.is_zero:
             comps[(n - c, 1)] = {inv.kappa_exp + n + 2: inv.coeff}
     return QElement(n, comps)

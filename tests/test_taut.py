@@ -5,13 +5,15 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgw.errors import DomainError
-from sgw.taut import TautExpr, TautMonomial, integrate, integrate_monomial, pushforward_step
+from sgw.taut import TautExpr, integrate, integrate_monomial, pushforward_step
 
 
 def expr(l, psi=(), kappa=(), coeff=1):
-    return TautExpr(l, [TautMonomial.make(l, psi=psi, kappa=kappa, coeff=coeff)])
+    return TautExpr.monomial(l, psi=psi, kappa=kappa, coeff=coeff)
 
 
 def test_psi4_pushes_to_the_point_count():
@@ -64,9 +66,9 @@ def test_degree_gate():
         for depth in rng.sample(range(l - 3), rng.randint(0, l - 3)):
             psi.append((depth, rng.randint(1, 2)))
         kappa = [(rng.randint(1, 3), 1)] if rng.random() < 0.5 else []
-        mono = TautMonomial.make(l, psi=psi, kappa=kappa)
-        if mono.degree() != l - 3:
-            assert integrate(TautExpr(l, [mono])) == 0
+        degree = sum(p for _, p in psi) + sum(a * p for a, p in kappa)
+        if degree != l - 3:
+            assert integrate(expr(l, psi=psi, kappa=kappa)) == 0
 
 
 def test_linearity():
@@ -92,19 +94,75 @@ def test_pushforward_keeps_integer_coefficients():
         current = expr(l, psi=psi, kappa=kappa, coeff=rng.choice([-3, -1, 2, 5]))
         while current.l > 3:
             current = pushforward_step(current)
-            assert all(type(m.coeff) is int for m in current.monomials), str(current)
+            assert all(type(c) is int for c in current._terms.values()), current
     assert type(integrate_monomial(6, (1, 1, 1))) is F
     assert type(integrate_monomial(6, (3, 3, 3))) is F
 
 
+@st.composite
+def _expressions(draw):
+    """A sum of a few checked monomials with nonzero integer coefficients on one l."""
+    l = draw(st.integers(4, 9))
+    total = TautExpr(l)
+    for _ in range(draw(st.integers(1, 4))):
+        depths = draw(st.lists(st.integers(0, l - 4), unique=True, max_size=3))
+        psi = [(m, draw(st.integers(1, 3))) for m in depths]
+        kappa = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)), max_size=2))
+        coeff = draw(st.integers(-4, 4).filter(bool))
+        total = total + expr(l, psi=psi, kappa=kappa, coeff=coeff)
+    return total
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(start=_expressions())
+def test_pushforward_emits_canonical_terms(start):
+    # Only the checked constructors validate their input; every key a step
+    # builds must already be what they would accept, on the smaller space.
+    current = start
+    while current.l > 3:
+        current = pushforward_step(current)
+        for (psi, kappa), coeff in current._terms.items():
+            assert type(coeff) is int and coeff != 0, current
+            depths = [m for m, _ in psi]
+            assert depths == sorted(set(depths)) and all(0 <= m <= current.l - 4 for m in depths), current
+            indices = [a for a, _ in kappa]
+            assert indices == sorted(set(indices)) and all(a >= 1 for a in indices), current
+            assert all(p >= 1 for _, p in psi + kappa), current
+            assert expr(current.l, psi=psi, kappa=kappa, coeff=coeff) == TautExpr(current.l, {(psi, kappa): coeff})
+
+
+@pytest.mark.parametrize(
+    "l,psi,kappa,message",
+    [
+        (2, (), (), "monomials live on a moduli space with l >= 3 points"),
+        (6, [(-1, 1)], (), "psi factors need depth >= 0 and power >= 1"),
+        (6, [(0, 3), (1, -1)], (), "psi factors need depth >= 0 and power >= 1"),
+        (6, [(3, 1)], (), "depth 3 names a psi-class missing from the 6-pointed space"),
+        (5, (), [(1, 2), (1, -2)], "kappa factors need index >= 1 and power >= 1"),
+    ],
+)
+def test_monomial_checks(l, psi, kappa, message):
+    with pytest.raises(DomainError) as info:
+        TautExpr.monomial(l, psi=psi, kappa=kappa)
+    assert str(info.value) == message
+
+
+def test_from_exponents_checks():
+    assert TautExpr.from_exponents(6, (1, 0, 2)) == expr(6, psi=[(2, 1), (0, 2)])
+    with pytest.raises(DomainError, match="k >= 3 required"):
+        TautExpr.from_exponents(2, ())
+    with pytest.raises(DomainError, match="expected 2 exponents for k=5"):
+        TautExpr.from_exponents(5, (1,))
+
+
 def test_kappa_zero_never_stored():
-    with pytest.raises(DomainError):
-        TautMonomial.make(5, kappa=[(0, 1)])
+    with pytest.raises(DomainError, match="^kappa factors need index >= 1 and power >= 1$"):
+        TautExpr.monomial(5, kappa=[(0, 1)])
 
 
 def test_duplicate_depths_rejected():
-    with pytest.raises(DomainError):
-        TautMonomial.make(6, psi=[(1, 1), (1, 2)])
+    with pytest.raises(DomainError, match="^pull depths must be pairwise distinct$"):
+        TautExpr.monomial(6, psi=[(1, 1), (1, 2)])
 
 
 # -- independent oracle --------------------------------------------------
@@ -158,5 +216,4 @@ def test_oracle_agrees_on_random_monomials():
         kappa = {}
         if rng.random() < 0.6:
             kappa[rng.randint(1, 3)] = rng.randint(1, 2)
-        mono = TautMonomial.make(l, psi=psi.items(), kappa=kappa.items())
-        assert integrate(TautExpr(l, [mono])) == oracle_integrate(l, psi, kappa)
+        assert integrate(expr(l, psi=psi.items(), kappa=kappa.items())) == oracle_integrate(l, psi, kappa)
