@@ -16,18 +16,21 @@ strategy's ring (integers or ``Poly``), ``_h_values`` runs the h
 recurrence over them, which gives 2^c h_c, and ``_integrand_parts``
 alone adds the pure lam weight by the nilpotent rule
 h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W).  Everything up to here is
-an integer (or integer ``Poly``); each strategy divides once, by the
-Euler denominator times (-2)^c, which turns 2^c h_c into (-1)^c h_c.
+an integer (or integer ``Poly``), and so is each strategy's sum: both add
+the graphs over one common denominator and divide once per value, by that
+denominator times (-2)^c, which turns 2^c h_c into (-1)^c h_c.
 
 The sum is a constant rational function of the torus characters, so the
 default strategy evaluates it at several seeded generic integer tuples
 and insists the values agree.  ``table`` does so for many class tuples of
 one (n, k) at once: per sample, each graph's Euler data, odd weights and
-h_0 .. h_cmax are evaluated once and only the ev pullback and the
-codegree differ between tuples; ``invariant`` is its one-tuple case.  The
+h_0 .. h_cmax are evaluated once (``graph_contribution``), and only the
+ev pullback and the codegree differ between tuples.  Each tuple's sample
+is an integer sum over L = lcm of the graph denominators, which ``table``
+divides once, by L * (-2)^c; ``invariant`` is its one-tuple case.  The
 symbolic strategy (three or fewer characters) builds the sum as one
-numerator over the shared denominator and checks that the quotient is a
-constant.
+numerator over the shared denominator prod_{i<j} (tau_i - tau_j)^k and
+checks that the quotient is a constant.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 from typing import Collection, Iterable, Sequence
 
 from .errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
@@ -128,12 +133,16 @@ def _integrand_parts(g: FixedGraph, data: EulerData, codegrees: Collection[int],
     return parts
 
 
-def graph_contribution(g: FixedGraph, jobs: Sequence[LocalizationJob], tau: Sequence[int]) -> list[Fraction]:
-    """Exact value of one graph's summand at the given character tuple, one per job.
+def graph_contribution(
+    g: FixedGraph, jobs: Sequence[LocalizationJob], tau: Sequence[int]
+) -> tuple[dict[int, int], int]:
+    """One graph's integer parts at the given characters, per codegree of ``jobs``, and its Euler denominator.
 
     The Euler data, the odd weights and h_0 .. h_cmax are evaluated once
-    in integers; each job adds only its ev pullback, picks h at its
-    codegree c and divides once by the Euler denominator times (-2)^c.
+    in integers, and nothing is divided: a job of codegree c whose ev
+    pullback is tau_a^x tau_b^y gets the summand
+    tau_a^x tau_b^y parts[c] / (den * (-2)^c), which ``table`` adds up over
+    one common denominator.
     """
     if any(job.n != g.n or job.k != g.k for job in jobs):
         raise DomainError("graph and job disagree on (n, k)")
@@ -146,12 +155,7 @@ def graph_contribution(g: FixedGraph, jobs: Sequence[LocalizationJob], tau: Sequ
             den *= (tau_a - tau_j) * (tau_b - tau_j)
     if den == 0:
         raise ResampleSignal(f"denominator of {g.label()} vanishes at {tau}")
-    parts = _integrand_parts(g, data, {job.c for job in jobs}, odd_weights(g, tau), u)
-    values = []
-    for job in jobs:
-        at_a, at_b = ev_exponents(g, job.classes)
-        values.append(Fraction(tau_a**at_a * tau_b**at_b * parts[job.c], den * (-2) ** job.c))
-    return values
+    return _integrand_parts(g, data, {job.c for job in jobs}, odd_weights(g, tau), u), den
 
 
 def _symbolic_sum(graphs: Sequence[FixedGraph], job: LocalizationJob) -> tuple[Poly, Poly]:
@@ -200,8 +204,8 @@ def _check_samples(samples: int) -> None:
 
 def _evaluate_once(
     graphs: Sequence[FixedGraph], jobs: Sequence[LocalizationJob], tau
-) -> list[list[Fraction]]:
-    """Per-graph contributions at one character tuple: one row per graph, one column per job."""
+) -> list[tuple[dict[int, int], int]]:
+    """Each graph's integer parts per codegree and Euler denominator at one character tuple, in graph order."""
     return [graph_contribution(g, jobs, tau) for g in graphs]
 
 
@@ -217,12 +221,15 @@ def table(
 
     Every tuple sees the same seeded character tuples it would see alone,
     so each sample evaluates the per-graph data once for all tuples; the
-    values of each tuple must agree exactly across its samples.  Tuples
-    with negative codegree are zero and take no part in the sweep.
-    ``trace``, if given, maps class tuples to lists that receive one
-    record per sample: its characters, its value and the per-graph
-    contributions.  The result maps each distinct tuple, in first-seen
-    order, to its invariant.
+    values of each tuple must agree exactly across its samples.  Per
+    sample, a tuple of codegree c adds the integers
+    (L // den_g) tau_a^x tau_b^y parts_g[c] over the graphs g, with
+    L = lcm(den_g), and divides once, by L * (-2)^c.  Tuples with negative
+    codegree are zero and take no part in the sweep.  ``trace``, if given,
+    maps class tuples to lists that receive one record per sample: its
+    characters, its value and the per-graph contributions, each divided
+    on its own (only traced tuples pay for that).  The result maps each
+    distinct tuple, in first-seen order, to its invariant.
     """
     _check_samples(samples)
     jobs: dict[tuple[int, ...], LocalizationJob] = {}
@@ -234,22 +241,45 @@ def table(
     if not live:
         return result
     graphs = enumerate_graphs(n, k)
+    codegrees = [job.c for job in live]
+    # A graph's parts depend on a job only through its codegree, and its ev
+    # exponents only through A, so graphs of one A are summed together.
+    by_codegree = {c: job for c, job in zip(codegrees, live)}
+    kinds: dict[frozenset[int], list[int]] = {}
+    for i, g in enumerate(graphs):
+        kinds.setdefault(g.A, []).append(i)
+    exponents = {A: [ev_exponents(graphs[idx[0]], job.classes) for job in live] for A, idx in kinds.items()}
+    top = max(job.total_class_degree for job in live)
     rng = random.Random(seed)
     values: list[list[Fraction]] = [[] for _ in live]
     for _ in range(samples):
         # Denominators are products of tau_i - tau_j and the characters are
         # distinct, so no sample hits a pole.
         tau = sample_tau(rng, n)
-        rows = _evaluate_once(graphs, live, tau)
-        for job, column, job_values in zip(live, zip(*rows), values):
-            value = sum(column, Fraction(0))
+        rows = _evaluate_once(graphs, list(by_codegree.values()), tau)
+        common = lcm(*{den for _, den in rows})
+        powers = [[t**e for e in range(top + 1)] for t in tau]
+        sums = [0] * len(live)
+        for A, idx in kinds.items():
+            ends = [(graphs[i].a, graphs[i].b) for i in idx]
+            scales = [common // rows[i][1] for i in idx]
+            scaled = {c: [s * rows[i][0][c] for s, i in zip(scales, idx)] for c in by_codegree}
+            monomials: dict[tuple[int, int], list] = {}
+            for j, (xy, c) in enumerate(zip(exponents[A], codegrees)):
+                if xy not in monomials:
+                    x, y = xy
+                    monomials[xy] = [powers[a][x] * powers[b][y] for a, b in ends]
+                sums[j] += sum(map(mul, monomials[xy], scaled[c]))
+        for j, (job, c, job_values) in enumerate(zip(live, codegrees, values)):
+            value = Fraction(sums[j], common * (-2) ** c)
             job_values.append(value)
             if trace is not None and job.classes in trace:
-                trace[job.classes].append({
-                    "tau": [str(t) for t in tau],
-                    "value": str(value),
-                    "per_graph": [{"graph": g.label(), "value": str(v)} for g, v in zip(graphs, column)],
-                })
+                per_graph = []
+                for g, (parts, den) in zip(graphs, rows):
+                    x, y = exponents[g.A][j]
+                    contribution = Fraction(powers[g.a][x] * powers[g.b][y] * parts[c], den * (-2) ** c)
+                    per_graph.append({"graph": g.label(), "value": str(contribution)})
+                trace[job.classes].append({"tau": [str(t) for t in tau], "value": str(value), "per_graph": per_graph})
     for job, job_values in zip(live, values):
         if len(set(job_values)) != 1:
             raise InconsistencyError(

@@ -114,10 +114,13 @@ def _kappa_branches(kappa: KappaFactors):
 
 
 def _times_kappa(kappa: KappaFactors, a: int) -> KappaFactors:
-    """The canonical key of kappa times kappa_a."""
-    powers = dict(kappa)
-    powers[a] = powers.get(a, 0) + 1
-    return tuple(sorted(powers.items()))
+    """The canonical key of kappa times kappa_a: one scan of the sorted key bumps or inserts kappa_a."""
+    for i, (b, power) in enumerate(kappa):
+        if b == a:
+            return kappa[:i] + ((a, power + 1),) + kappa[i + 1 :]
+        if b > a:
+            return kappa[:i] + ((a, 1),) + kappa[i:]
+    return kappa + ((a, 1),)
 
 
 def pushforward_step(expr: TautExpr) -> TautExpr:

@@ -11,7 +11,7 @@ import pytest
 import sgw.localize as localize
 from sgw.errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
 from sgw.exact import Poly, complete_homogeneous
-from sgw.graphs import FixedGraph, enumerate_graphs, euler_data, odd_weights
+from sgw.graphs import FixedGraph, enumerate_graphs, euler_data, ev_exponents, odd_weights
 from sgw.localize import LocalizationJob, check_extension, graph_contribution, invariant
 from sgw.point import Invariant
 from sgw.tables import ALL_INVARIANT_ENTRIES, GOLDEN, entries_for
@@ -21,6 +21,16 @@ from .test_exact import linear
 
 def graph(n, k, a, b, members):
     return FixedGraph(n=n, a=a, b=b, A=frozenset(members), k=k)
+
+
+def contributions(g, jobs, tau):
+    """Each job's summand of ``g`` at ``tau``, divided on its own: tau_a^x tau_b^y parts[c] / (den * (-2)^c)."""
+    parts, den = graph_contribution(g, jobs, tau)
+    values = []
+    for job in jobs:
+        at_a, at_b = ev_exponents(g, job.classes)
+        values.append(F(tau[g.a] ** at_a * tau[g.b] ** at_b * parts[job.c], den * (-2) ** job.c))
+    return values
 
 
 def test_job_derived_quantities():
@@ -44,32 +54,41 @@ def test_job_validation():
 
 def test_graph_contribution_one_point():
     job = LocalizationJob(n=1, k=1, classes=(1,))
-    assert graph_contribution(graph(1, 1, 0, 1, []), [job], (F(0), F(1))) == [1]
+    assert graph_contribution(graph(1, 1, 0, 1, []), [job], (F(0), F(1))) == ({0: 1}, 1)
+    assert contributions(graph(1, 1, 0, 1, []), [job], (F(0), F(1))) == [1]
 
 
 def test_graph_contribution_three_point_codegree_zero():
     job = LocalizationJob(n=1, k=3, classes=(1, 1, 1))
     tau = (F(3), F(11))
     t0, t1 = tau
-    value = graph_contribution(graph(1, 3, 0, 1, [1]), [job], tau)
+    value = contributions(graph(1, 3, 0, 1, [1]), [job], tau)
     assert value == [-t0 * t1**2 / (t1 - t0) ** 3]
+    assert graph_contribution(graph(1, 3, 0, 1, [1]), [job], tau)[1] == (t1 - t0) ** 3
 
 
 def test_graph_contribution_m04_codegree_two():
     job = LocalizationJob(n=1, k=3, classes=(1, 1, 0))
-    assert graph_contribution(graph(1, 3, 0, 1, []), [job], (F(2), F(9))) == [0]
+    assert graph_contribution(graph(1, 3, 0, 1, []), [job], (F(2), F(9)))[0] == {job.c: 0}
+    assert contributions(graph(1, 3, 0, 1, []), [job], (F(2), F(9))) == [0]
 
 
 def test_graph_contribution_one_value_per_job():
-    # Jobs of different codegrees share one h_0..h_cmax pass; each value is
-    # the one the job gets alone, in job order, repeats included.
+    # Jobs of different codegrees share one h_0..h_cmax pass: one part per
+    # distinct codegree, each the one the job gets alone, and one
+    # denominator; each value is the one the job gets alone, in job order,
+    # repeats included.
     g = graph(1, 3, 0, 1, [1])
     tau = (F(3), F(11))
     jobs = [LocalizationJob(n=1, k=3, classes=c) for c in [(1, 1, 1), (0, 0, 0), (1, 0, 1), (1, 1, 1)]]
-    together = graph_contribution(g, jobs, tau)
-    assert together == [graph_contribution(g, [job], tau)[0] for job in jobs]
+    parts, den = graph_contribution(g, jobs, tau)
+    assert sorted(parts) == sorted({job.c for job in jobs}) == [0, 1, 3]
+    for job in jobs:
+        assert graph_contribution(g, [job], tau) == ({job.c: parts[job.c]}, den)
+    together = contributions(g, jobs, tau)
+    assert together == [contributions(g, [job], tau)[0] for job in jobs]
     assert together[0] == -F(3) * F(11) ** 2 / F(8) ** 3
-    assert graph_contribution(g, [], tau) == []
+    assert graph_contribution(g, [], tau) == ({}, 8**3)
 
 
 def test_graph_contribution_rejects_foreign_job():
@@ -217,16 +236,31 @@ def test_divisor_relations_hold_beyond_the_tables():
     assert not broken
 
 
-def test_top_one_point_value_empirical():
+def test_one_point_columns_empirical():
     # An empirical check, fitted to this code's own output: it is neither
     # derived nor printed in the paper, and it is never a reason to edit
-    # tables.py.  <H^n>_1 = (C(2n, n) - C(2n-2, n-1)) / 2^(n-1) kappa^-(2n-1).
-    broken = [
-        (n, str(one_point_table(n)[n,]))
-        for n in range(1, 11)
-        if one_point_table(n)[n,] != Invariant.of(F(comb(2 * n, n) - comb(2 * n - 2, n - 1), 2 ** (n - 1)), 1 - 2 * n)
-    ]
+    # tables.py.  For 0 <= a <= n <= 14, <H^a>_1 = v(n, a) kappa^(a-3n+1) with
+    #   v(n, n) = (C(2n, n) - C(2n-2, n-1)) / 2^(n-1),
+    #   v(n, a) / v(n, a+1) = (3a-2)(3n-a-2) / ((6a+2)(n-a)).
+    # Every golden one-point entry, exactly as printed, is one of these cells.
+    def closed_form(n):
+        v = {n: F(comb(2 * n, n) - comb(2 * n - 2, n - 1), 2 ** (n - 1))}
+        for a in range(n - 1, -1, -1):
+            v[a] = v[a + 1] * F((3 * a - 2) * (3 * n - a - 2), (6 * a + 2) * (n - a))
+        return {(a,): Invariant.of(v[a], a - 3 * n + 1) for a in range(n + 1)}
+
+    cells, broken = 0, []
+    for n in range(1, 15):
+        expected = closed_form(n)
+        got = one_point_table(n)
+        cells += len(expected)
+        broken += [(n, classes, str(got[classes])) for classes in expected if got[classes] != expected[classes]]
+    assert cells == 119
     assert not broken
+    golden = [entry for entry in entries_for(1) if entry.status == GOLDEN]
+    assert len(golden) == 18
+    for entry in golden:
+        assert entry.printed == closed_form(entry.n)[entry.classes], entry.label
 
 
 def test_integer_core_divides_once():
@@ -252,10 +286,30 @@ def test_integer_core_divides_once():
     assert symbolic > 0
     jobs = [LocalizationJob(n=2, k=3, classes=c) for c in [(1, 1, 0), (2, 1, 1), (0, 0, 0)]]
     for g in enumerate_graphs(2, 3):
-        assert all(type(v) is F for v in graph_contribution(g, jobs, (3, -7, 11))), g
+        parts, den = graph_contribution(g, jobs, (3, -7, 11))
+        assert type(den) is int and all(type(v) is int for v in parts.values()), g
     for strategy in ("evaluate", "symbolic"):
         assert type(invariant(2, 3, (1, 1, 0), strategy=strategy).coeff) is F
         assert type(invariant(2, 3, (2, 2, 2), strategy=strategy).coeff) is F
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (3, 6) for k in (1, 2, 3)])
+def test_table_matches_per_graph_fraction_sum(n, k):
+    # An independent summation of the same samples: every graph's summand is
+    # divided on its own by den_g * (-2)^c and the Fractions are added, where
+    # table adds integers over one common denominator and divides once.
+    rng = random.Random(100 * n + k)
+    tuples = [tuple(rng.randint(0, n) for _ in range(k)) for _ in range(12)]
+    swept = localize.table(n, k, tuples)
+    jobs = [LocalizationJob(n=n, k=k, classes=c) for c in dict.fromkeys(tuples)]
+    jobs = [job for job in jobs if not job.graded_zero]
+    tau_rng = random.Random(localize.DEFAULT_SEED)
+    for _ in range(3):
+        tau = localize.sample_tau(tau_rng, n)
+        columns = zip(*(contributions(g, jobs, tau) for g in enumerate_graphs(n, k)))
+        for job, column in zip(jobs, columns):
+            assert swept[job.classes] == Invariant.of(sum(column, F(0)), job.kappa_exp), (job.classes, tau)
+    assert sum(not swept[job.classes].is_zero for job in jobs) >= 4
 
 
 @pytest.mark.parametrize("seed", [localize.DEFAULT_SEED, 4])
@@ -337,7 +391,7 @@ def test_disagreeing_samples_raise(monkeypatch):
 
     def fake_contribution(g, jobs, tau):
         calls["count"] += 1
-        return [F(calls["count"])] * len(jobs)
+        return {job.c: calls["count"] for job in jobs}, 1
 
     monkeypatch.setattr(localize, "graph_contribution", fake_contribution)
     with pytest.raises(InconsistencyError):
@@ -351,8 +405,11 @@ def test_table_checks_each_tuple_on_its_own(monkeypatch):
     # still reject it although the first tuple agrees with itself.
     samples = {"count": 0}
 
+    # (0,) has codegree 1 and (1,) codegree 0.  The characters are
+    # (t, -t), so (1,) gets t times its part on A = {1} and -t times it on
+    # A = {}: only the first of the two carries the moving part.
     def fake_contribution(g, jobs, tau):
-        return [F(1), F(samples["count"])]
+        return {1: F(1), 0: F(samples["count"]) if g.A else F(0)}, 1
 
     def counting_tau(rng, n):
         samples["count"] += 1
@@ -387,7 +444,7 @@ def test_trace_records_samples():
     for entry in trace:
         tau = [F(t) for t in entry["tau"]]
         assert entry["per_graph"] == [
-            {"graph": g.label(), "value": str(graph_contribution(g, [job], tau)[0])}
+            {"graph": g.label(), "value": str(contributions(g, [job], tau)[0])}
             for g in enumerate_graphs(1, 2)
         ]
 
