@@ -26,7 +26,7 @@ from .point import Invariant
 _ENV_SEED = "SGW_SEED"
 
 # Measured on a shared 2-core Xeon as whole processes: point --k 24 takes
-# 0.4-0.5 s and grows about 1.4x per k; invariant --n 20 --k 3 takes 0.4 s
+# 0.4-0.5 s and grows about 1.4x per k; invariant --n 20 --k 3 takes 0.3-0.4 s
 # and quantum --n 10 0.3 s, and quantum grows about n^4.  taut --k shares
 # the point ceiling.  A larger value is refused up front instead of running
 # for hours or running out of memory.

@@ -12,8 +12,9 @@ point and the second when the b-end carries none.  Marked points
 clustered at one end sit on a contracted component, which contributes
 weight 0 (three special points) or weights {0, -lam/2} (four special
 points, moduli a projective line with hyperplane class lam).
-``odd_weights`` computes the lam-free weights from the characters in the
-caller's ring; the pure lam weight is ``EulerData.lam_weight``.
+``pair_weights`` computes the lam-free weights of every graph on one pair
+from the characters in the caller's ring, and ``odd_weights`` slices out
+one graph's; the pure lam weight is ``EulerData.lam_weight``.
 
 Every locus has the same closed-form Euler denominator
 u^k * prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j); ``EulerData``
@@ -87,20 +88,27 @@ def enumerate_graphs(n: int, k: int) -> list[FixedGraph]:
     return graphs
 
 
+def pair_weights(n: int, a: int, b: int, tau: Sequence) -> list:
+    """Twice the lam-free odd normal weights of every graph on the pair (a, b), in the ring of ``tau``.
+
+    The list is -u, then 2 tau_m - tau_a - tau_b for m != a, b, then u: a
+    graph with marks at both ends has them all, and one with every mark at
+    one end lacks only the flag weight of its bare end.
+    """
+    tau_a, tau_b = tau[a], tau[b]
+    u = tau_b - tau_a
+    return [-u] + [2 * tau[m] - tau_a - tau_b for m in range(n + 1) if m != a and m != b] + [u]
+
+
 def odd_weights(g: FixedGraph, tau: Sequence) -> list:
     """Twice the lam-free odd normal weights of ``g``, in the ring of the characters ``tau``.
 
-    The weight 0 of a contracted component is left out: it leaves every h_c unchanged.
+    A slice of ``pair_weights``: -u goes when no mark is over q_a, u when
+    none is over q_b.  The weight 0 of a contracted component is left out:
+    it leaves every h_c unchanged.
     """
-    tau_a, tau_b = tau[g.a], tau[g.b]
-    u = tau_b - tau_a
-    weights = []
-    if g.A:
-        weights.append(-u)
-    if len(g.A) < g.k:
-        weights.append(u)
-    weights += [2 * tau[m] - tau_a - tau_b for m in range(g.n + 1) if m != g.a and m != g.b]
-    return weights
+    weights = pair_weights(g.n, g.a, g.b, tau)
+    return weights[(0 if g.A else 1) : len(weights) - (len(g.A) == g.k)]
 
 
 @lru_cache(maxsize=None)

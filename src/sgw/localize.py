@@ -11,11 +11,12 @@ four-pointed moduli curve take the lam-coefficient.  The inverse Euler
 class is the numerator stored in ``EulerData`` over the closed form
 u^k * prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j), u = tau_b - tau_a,
 shared by every locus.  Both strategies build this integrand the same
-way: ``graphs.odd_weights`` gives twice the lam-free odd weights in the
-strategy's ring (integers or ``Poly``), ``_h_values`` runs the h
-recurrence over them, which gives 2^c h_c, and ``_integrand_parts``
-alone adds the pure lam weight by the nilpotent rule
-h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W).  Everything up to here is
+way, once per pair (a, b) for its 2^k graphs, which share all but the
+flag weights -u, u: ``_h_values`` runs the h recurrence over twice the
+lam-free odd weights ``graphs.pair_weights``, in the strategy's ring
+(integers or ``Poly``), which gives 2^c h_c; ``_own_h`` takes out a
+flag weight a graph lacks, and ``_integrand_parts`` alone adds the pure
+lam weight by h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W).  All is
 an integer (or integer ``Poly``), and so is each strategy's sum: both add
 the graphs over one common denominator and divide once per value, by that
 denominator times (-2)^c, which turns 2^c h_c into (-1)^c h_c.
@@ -23,14 +24,15 @@ denominator times (-2)^c, which turns 2^c h_c into (-1)^c h_c.
 The sum is a constant rational function of the torus characters, so the
 default strategy evaluates it at several seeded generic integer tuples
 and insists the values agree.  ``table`` does so for many class tuples of
-one (n, k) at once: per sample, each graph's Euler data, odd weights and
-h_0 .. h_cmax are evaluated once (``graph_contribution``), and only the
-ev pullback and the codegree differ between tuples.  Each tuple's sample
-is an integer sum over L = lcm of the graph denominators, which ``table``
-divides once, by L * (-2)^c; ``invariant`` is its one-tuple case.  The
-symbolic strategy (three or fewer characters) builds the sum as one
-numerator over the shared denominator prod_{i<j} (tau_i - tau_j)^k and
-checks that the quotient is a constant.
+one (n, k) at once: per sample, each pair's denominator and h are
+evaluated once (``_pair``), each graph's parts once
+(``graph_contribution``), and only the ev pullback and the codegree
+differ between tuples.  Each tuple's sample is an integer sum over
+L = lcm of the graph denominators, which ``table`` divides once, by
+L * (-2)^c; ``invariant`` is its one-tuple case.  The symbolic strategy
+(three or fewer characters) builds the sum as one numerator over the
+shared denominator prod_{i<j} (tau_i - tau_j)^k, with one cofactor per
+pair, and checks that the quotient is a constant.
 """
 
 from __future__ import annotations
@@ -38,14 +40,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, groupby
 from math import lcm
 from operator import mul
 from typing import Collection, Iterable, Sequence
 
 from .errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
 from .exact import Poly
-from .graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents, ev_pullback, odd_weights
+from .graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents, ev_pullback, pair_weights
 from .point import Invariant
 
 DEFAULT_SEED = 1729
@@ -70,19 +73,19 @@ class LocalizationJob:
                 raise DomainError(f"class exponent {a} outside [0, {self.n}]")
 
     # dimension n + d(n + 1) + k - 3 and odd rank d(n + 1) + k - 2 at degree d = 1
-    @property
+    @cached_property
     def d_kd(self) -> int:
         return self.n + (self.n + 1) + self.k - 3
 
-    @property
+    @cached_property
     def r_kd(self) -> int:
         return (self.n + 1) + self.k - 2
 
-    @property
+    @cached_property
     def total_class_degree(self) -> int:
         return sum(self.classes)
 
-    @property
+    @cached_property
     def c(self) -> int:
         return self.d_kd - self.total_class_degree
 
@@ -105,23 +108,34 @@ def _h_values(c: int, weights: Sequence) -> list:
     return h
 
 
-def _integrand_parts(g: FixedGraph, data: EulerData, codegrees: Collection[int], weights: Sequence, u) -> dict:
+def _own_h(g: FixedGraph, h: list, u) -> list:
+    """h_0 .. h_cmax of the odd weights of ``g`` from ``h`` of its pair's ``pair_weights``.
+
+    If all marks are at one end, ``g`` lacks the flag weight w of the bare
+    end (-u at q_a, u at q_b): h_c(W) = h_c(W + w) - w h_{c-1}(W + w).
+    """
+    if g.A and len(g.A) < g.k:
+        return h
+    w = u if g.A else -u
+    return h[:1] + [h_c - w * h_prev for h_prev, h_c in zip(h, h[1:])]
+
+
+def _integrand_parts(g: FixedGraph, data: EulerData, codegrees: Collection[int], h: list, u) -> dict:
     """Part of one graph's integrand numerator that its locus integrates, per codegree c.
 
-    ``weights`` are twice the lam-free odd weights of ``g`` and
+    ``h`` is h_0 .. h_cmax of twice the lam-free odd weights of ``g`` and
     ``data.lam_weight * lam`` is twice the pure lam weight, so h_c of them
     all is 2^c times h_c of the odd weights; since lam^2 = 0, the pure
-    weight only adds lam_weight * lam * h_{c-1}(weights).  The part is that
-    h_c times (num_one + num_u * u + num_lam * lam): an m04 locus takes its
+    weight only adds lam_weight * lam * h_{c-1}.  The part is that h_c
+    times (num_one + num_u * u + num_lam * lam): an m04 locus takes its
     lam coefficient, a point locus its lam-free part, and lam must not
-    survive on a point locus.  ``weights`` and ``u`` are integers for the
+    survive on a point locus.  ``h`` and ``u`` are integers for the
     evaluate strategy and Polys for the symbolic one (``u**0`` is the
     ring's one), and so is each part: 2^c times the integrand part without
     its sign (-1)^c.  The caller divides by (-2)^c along with the Euler
     denominator.
     """
     lam_free = data.num_one * u**0 + data.num_u * u
-    h = _h_values(max(codegrees, default=0), weights)
     parts = {}
     for c in codegrees:
         coeff = data.num_lam * h[c]
@@ -133,29 +147,36 @@ def _integrand_parts(g: FixedGraph, data: EulerData, codegrees: Collection[int],
     return parts
 
 
-def graph_contribution(
-    g: FixedGraph, jobs: Sequence[LocalizationJob], tau: Sequence[int]
-) -> tuple[dict[int, int], int]:
-    """One graph's integer parts at the given characters, per codegree of ``jobs``, and its Euler denominator.
-
-    The Euler data, the odd weights and h_0 .. h_cmax are evaluated once
-    in integers, and nothing is divided: a job of codegree c whose ev
-    pullback is tau_a^x tau_b^y gets the summand
-    tau_a^x tau_b^y parts[c] / (den * (-2)^c), which ``table`` adds up over
-    one common denominator.
-    """
+def _pair(g: FixedGraph, jobs: Sequence[LocalizationJob], tau: Sequence[int]) -> tuple[set[int], int, list]:
+    """The codegrees of ``jobs``, the Euler denominator and h_0 .. h_cmax of ``pair_weights`` on the pair of ``g``."""
     if any(job.n != g.n or job.k != g.k for job in jobs):
         raise DomainError("graph and job disagree on (n, k)")
-    data = euler_data(g)
+    codegrees = {job.c for job in jobs}
     tau_a, tau_b = tau[g.a], tau[g.b]
-    u = tau_b - tau_a
-    den = u ** g.k
+    den = (tau_b - tau_a) ** g.k
     for j, tau_j in enumerate(tau):
         if j != g.a and j != g.b:
             den *= (tau_a - tau_j) * (tau_b - tau_j)
     if den == 0:
         raise ResampleSignal(f"denominator of {g.label()} vanishes at {tau}")
-    return _integrand_parts(g, data, {job.c for job in jobs}, odd_weights(g, tau), u), den
+    return codegrees, den, _h_values(max(codegrees, default=0), pair_weights(g.n, g.a, g.b, tau))
+
+
+def graph_contribution(
+    g: FixedGraph, jobs: Sequence[LocalizationJob], tau: Sequence[int], pair: tuple | None = None
+) -> tuple[dict[int, int], int]:
+    """One graph's integer parts at the given characters, per codegree of ``jobs``, and its Euler denominator.
+
+    ``pair`` is the ``_pair`` that ``g`` shares with the graphs on its pair
+    (a, b) at ``tau``, computed here if not given; the graph's own h takes
+    O(cmax) from it.  Nothing is divided: a job of codegree c whose ev
+    pullback is tau_a^x tau_b^y gets the summand
+    tau_a^x tau_b^y parts[c] / (den * (-2)^c), which ``table`` adds up
+    over one common denominator.
+    """
+    codegrees, den, h = _pair(g, jobs, tau) if pair is None else pair
+    u = tau[g.b] - tau[g.a]
+    return _integrand_parts(g, euler_data(g), codegrees, _own_h(g, h, u), u), den
 
 
 def _symbolic_sum(graphs: Sequence[FixedGraph], job: LocalizationJob) -> tuple[Poly, Poly]:
@@ -164,7 +185,8 @@ def _symbolic_sum(graphs: Sequence[FixedGraph], job: LocalizationJob) -> tuple[P
     Every graph denominator u^k prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j)
     divides prod_{i<j} (tau_i - tau_j)^k, so the sum is accumulated as one
     numerator over that fixed product; this avoids the degree blow-up of
-    pairwise cross-multiplication.
+    pairwise cross-multiplication.  The graphs on a pair (a, b) share its
+    h and cofactor, so it adds cofactor * sum_g ev_pullback(g) * part_g.
     """
     num_tau = job.n + 1
     taus = [Poly.tau(num_tau, i) for i in range(num_tau)]
@@ -175,19 +197,23 @@ def _symbolic_sum(graphs: Sequence[FixedGraph], job: LocalizationJob) -> tuple[P
         shared = shared * diffs[pair] ** job.k
 
     total = Poly.zero(num_tau)
-    for g in graphs:
-        data = euler_data(g)
+    for (a, b), on_pair in groupby(graphs, key=lambda g: (g.a, g.b)):
         # Over the pairs i < j the graph denominator is (tau_a - tau_b)^k times
         # each pair {j, a} and {j, b}, j != a, b, once.  Its sign is (-1)^k from
         # u = -(tau_a - tau_b), times -1 for each such j below a and each below
         # b: a + (b - 1) of them.
-        cofactor = Poly.const(num_tau, (-1) ** (job.k + g.a + g.b - 1))
+        cofactor = Poly.const(num_tau, (-1) ** (job.k + a + b - 1))
         for pair in pairs:
-            touching = (g.a in pair) + (g.b in pair)
+            touching = (a in pair) + (b in pair)
             mult = job.k if touching == 2 else touching
             cofactor = cofactor * diffs[pair] ** (job.k - mult)
-        part = _integrand_parts(g, data, [job.c], odd_weights(g, taus), -diffs[g.a, g.b])[job.c]
-        total = total + ev_pullback(g, job.classes) * cofactor * part
+        u = -diffs[a, b]
+        h = _h_values(job.c, pair_weights(job.n, a, b, taus))
+        summed = Poly.zero(num_tau)
+        for g in on_pair:
+            part = _integrand_parts(g, euler_data(g), [job.c], _own_h(g, h, u), u)[job.c]
+            summed = summed + ev_pullback(g, job.classes) * part
+        total = total + cofactor * summed
     return total, shared
 
 
@@ -205,8 +231,16 @@ def _check_samples(samples: int) -> None:
 def _evaluate_once(
     graphs: Sequence[FixedGraph], jobs: Sequence[LocalizationJob], tau
 ) -> list[tuple[dict[int, int], int]]:
-    """Each graph's integer parts per codegree and Euler denominator at one character tuple, in graph order."""
-    return [graph_contribution(g, jobs, tau) for g in graphs]
+    """Each graph's integer parts per codegree and Euler denominator at one character tuple, in graph order.
+
+    The graphs on a pair (a, b) are adjacent and share one ``_pair``.
+    """
+    rows = []
+    for _, on_pair in groupby(graphs, key=lambda g: (g.a, g.b)):
+        on_pair = list(on_pair)
+        pair = _pair(on_pair[0], jobs, tau)
+        rows += [graph_contribution(g, jobs, tau, pair) for g in on_pair]
+    return rows
 
 
 def table(

@@ -209,9 +209,9 @@ def test_quantum_sweeps_each_graph_once_per_sample(runner, monkeypatch):
     calls = []
     contribution = sgw.localize.graph_contribution
 
-    def counting(g, jobs, tau):
+    def counting(g, jobs, tau, pair=None):
         calls.append(g)
-        return contribution(g, jobs, tau)
+        return contribution(g, jobs, tau, pair)
 
     monkeypatch.setattr(sgw.localize, "graph_contribution", counting)
     sgw.quantum._three_point.cache_clear()

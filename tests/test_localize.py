@@ -11,7 +11,7 @@ import pytest
 import sgw.localize as localize
 from sgw.errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
 from sgw.exact import Poly, complete_homogeneous
-from sgw.graphs import FixedGraph, enumerate_graphs, euler_data, ev_exponents, odd_weights
+from sgw.graphs import FixedGraph, enumerate_graphs, euler_data, ev_exponents, odd_weights, pair_weights
 from sgw.localize import LocalizationJob, check_extension, graph_contribution, invariant
 from sgw.point import Invariant
 from sgw.tables import ALL_INVARIANT_ENTRIES, GOLDEN, entries_for
@@ -119,6 +119,50 @@ def test_h_values_is_the_reference_recurrence():
         assert complete_homogeneous(c, weights + [linear(num_tau, lam=eps)], num_tau) == rule
 
 
+@pytest.mark.parametrize("ring", ["int", "Poly"])
+def test_pair_h_gives_each_graph_its_own_h(ring):
+    # The graphs on one pair share h of the pair's full weight list; each
+    # graph's own h, with its missing flag weight taken out, must be the h
+    # of its own odd weights, at every c up to 2n + 1, the largest codegree
+    # (up to 3 over Polys, which grow fast).
+    rng = random.Random(2024)
+    checked = 0
+    for n in range(1, 7):
+        if ring == "int":
+            tau, c = rng.sample(range(-999, 1000), n + 1), 2 * n + 1
+        else:
+            tau, c = [Poly.tau(n + 1, i) for i in range(n + 1)], 3
+        for k in (1, 2, 3):
+            for g in enumerate_graphs(n, k):
+                h = localize._h_values(c, pair_weights(n, g.a, g.b, tau))
+                own = localize._own_h(g, h, tau[g.b] - tau[g.a])
+                assert own == localize._h_values(c, odd_weights(g, tau)), g
+                checked += 1
+    assert checked == sum(comb(n + 1, 2) for n in range(1, 7)) * (2 + 4 + 8)
+
+
+def test_h_recurrence_runs_once_per_pair(monkeypatch):
+    # table runs the h recurrence once per pair (a, b) and sample, and the
+    # symbolic sum once per pair; the 2^k graphs on a pair only take out a
+    # flag weight.
+    lengths = []
+    h_values = localize._h_values
+
+    def counting(c, weights):
+        lengths.append(len(weights))
+        return h_values(c, weights)
+
+    monkeypatch.setattr(localize, "_h_values", counting)
+    for n, k in product((1, 2, 3, 5), (1, 2, 3)):
+        lengths.clear()
+        localize.table(n, k, list(product(range(n + 1), repeat=k)), samples=3)
+        assert lengths == [n + 1] * (3 * comb(n + 1, 2)), (n, k)
+        if n <= 2:
+            lengths.clear()
+            invariant(n, k, (0,) * k, strategy="symbolic")
+            assert lengths == [n + 1] * comb(n + 1, 2), (n, k)
+
+
 def test_integrand_parts_apply_the_lam_weight():
     # Against the reference: h_c of every odd weight (half of the doubled
     # ones), the pure lam one included, times the whole numerator; m04 loci
@@ -129,7 +173,8 @@ def test_integrand_parts_apply_the_lam_weight():
         data = euler_data(g)
         taus = [rng.randint(-50, 50) for _ in range(3)]
         u = taus[g.b] - taus[g.a]
-        parts = localize._integrand_parts(g, data, range(5), odd_weights(g, taus), u)
+        h = localize._h_values(4, odd_weights(g, taus))
+        parts = localize._integrand_parts(g, data, range(5), h, u)
         lam_free, lam_coeff = data.num_one + data.num_u * u, data.num_lam
         halves = [w.scale(F(1, 2)) for w in odd_weights(g, [Poly.tau(3, i) for i in range(3)])]
         for c in range(5):
@@ -263,6 +308,33 @@ def test_one_point_columns_empirical():
         assert entry.printed == closed_form(entry.n)[entry.classes], entry.label
 
 
+def test_two_point_corner_cells_empirical():
+    # An empirical check, fitted to this code's own output: it is neither
+    # derived nor printed in the paper, and it is never a reason to edit
+    # tables.py.  For 1 <= n <= 20, <H^n, H^n>_2 = kappa^-(n+1) and
+    # <H^(n-1), H^n>_2 = v kappa^-(n+2), with v = (n+1)/2 for n >= 2 and
+    # v = -1/2 for n = 1; the exponents are the grading -r - d + deg.
+    # Every golden two-point entry of this shape, exactly as printed, is one
+    # of these cells.
+    def closed_form(n):
+        v = F(n + 1, 2) if n >= 2 else F(-1, 2)
+        corner = Invariant.of(v, -(n + 2))
+        return {(n, n): Invariant.of(1, -(n + 1)), (n - 1, n): corner, (n, n - 1): corner}
+
+    cells, broken = 0, []
+    for n in range(1, 21):
+        expected = closed_form(n)
+        got = localize.table(n, 2, list(expected))
+        cells += len(expected)
+        broken += [(n, classes, str(got[classes])) for classes in expected if got[classes] != expected[classes]]
+    assert cells == 60
+    assert not broken
+    golden = [e for e in entries_for(2) if e.status == GOLDEN and e.classes in closed_form(e.n)]
+    assert len(golden) == 10
+    for entry in golden:
+        assert entry.printed == closed_form(entry.n)[entry.classes], entry.label
+
+
 def test_integer_core_divides_once():
     # Integers go in and integers come out until the one division per value:
     # the integrand parts at int characters, every coefficient of the
@@ -272,7 +344,9 @@ def test_integer_core_divides_once():
         for g in enumerate_graphs(n, k):
             taus = rng.sample(range(-50, 51), n + 1)
             u = taus[g.b] - taus[g.a]
-            parts = localize._integrand_parts(g, euler_data(g), range(5), odd_weights(g, taus), u)
+            h = localize._h_values(4, odd_weights(g, taus))
+            parts = localize._integrand_parts(g, euler_data(g), range(5), h, u)
+            assert all(type(v) is int for v in h), g
             assert all(type(v) is int for v in parts.values()), g
     symbolic = 0
     for entry in ALL_INVARIANT_ENTRIES:
@@ -389,7 +463,7 @@ def test_unknown_strategy_rejected():
 def test_disagreeing_samples_raise(monkeypatch):
     calls = {"count": 0}
 
-    def fake_contribution(g, jobs, tau):
+    def fake_contribution(g, jobs, tau, pair=None):
         calls["count"] += 1
         return {job.c: calls["count"] for job in jobs}, 1
 
@@ -408,7 +482,7 @@ def test_table_checks_each_tuple_on_its_own(monkeypatch):
     # (0,) has codegree 1 and (1,) codegree 0.  The characters are
     # (t, -t), so (1,) gets t times its part on A = {1} and -t times it on
     # A = {}: only the first of the two carries the moving part.
-    def fake_contribution(g, jobs, tau):
+    def fake_contribution(g, jobs, tau, pair=None):
         return {1: F(1), 0: F(samples["count"]) if g.A else F(0)}, 1
 
     def counting_tau(rng, n):
