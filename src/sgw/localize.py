@@ -13,13 +13,13 @@ u^k * prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j), u = tau_b - tau_a,
 shared by every locus.  Both strategies build this integrand the same
 way, once per pair (a, b) for its 2^k graphs, which share all but the
 flag weights -u, u: ``_h_values`` runs the h recurrence over twice the
-lam-free odd weights ``graphs.pair_weights``, in the strategy's ring
-(integers or ``Poly``), which gives 2^c h_c; ``_own_h`` takes out a
-flag weight a graph lacks, and ``_integrand_parts`` alone adds the pure
-lam weight by h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W).  All is
-an integer (or integer ``Poly``), and so is each strategy's sum: both add
-the graphs over one common denominator and divide once per value, by that
-denominator times (-2)^c, which turns 2^c h_c into (-1)^c h_c.
+lam-free odd weights ``graphs.pair_weights``, which gives 2^c h_c;
+``_own_h`` takes out a flag weight a graph lacks, and
+``_integrand_parts`` alone adds the pure lam weight by
+h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W).  All is an integer, and
+so is each strategy's sum: both add the graphs over one common
+denominator and divide once per value, by that denominator times (-2)^c,
+which turns 2^c h_c into (-1)^c h_c.
 
 The sum is a constant rational function of the torus characters, so the
 default strategy evaluates it at several seeded generic integer tuples
@@ -30,9 +30,10 @@ evaluated once (``_pair``), each graph's parts once
 differ between tuples.  Each tuple's sample is an integer sum over
 L = lcm of the graph denominators, which ``table`` divides once, by
 L * (-2)^c; ``invariant`` is its one-tuple case.  The symbolic strategy
-(three or fewer characters) builds the sum as one numerator over the
-shared denominator prod_{i<j} (tau_i - tau_j)^k, with one cofactor per
-pair, and checks that the quotient is a constant.
+(n <= 2) proves the sum constant: its numerator N over
+D = prod_{i<j} (tau_i - tau_j)^k is a fixed multiple of D at every point
+of a grid on which no nonzero polynomial of their degree vanishes.  The
+grid's integer data is built once per (n, k) (``_symbolic_sum``).
 """
 
 from __future__ import annotations
@@ -40,15 +41,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations, groupby
-from math import lcm
+from functools import cached_property, lru_cache
+from itertools import combinations, groupby, product
+from math import lcm, prod
 from operator import mul
 from typing import Collection, Iterable, Sequence
 
 from .errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
-from .exact import Poly
-from .graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents, ev_pullback, pair_weights
+from .graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents, pair_weights
 from .point import Invariant
 
 DEFAULT_SEED = 1729
@@ -129,21 +129,20 @@ def _integrand_parts(g: FixedGraph, data: EulerData, codegrees: Collection[int],
     weight only adds lam_weight * lam * h_{c-1}.  The part is that h_c
     times (num_one + num_u * u + num_lam * lam): an m04 locus takes its
     lam coefficient, a point locus its lam-free part, and lam must not
-    survive on a point locus.  ``h`` and ``u`` are integers for the
-    evaluate strategy and Polys for the symbolic one (``u**0`` is the
-    ring's one), and so is each part: 2^c times the integrand part without
-    its sign (-1)^c.  The caller divides by (-2)^c along with the Euler
-    denominator.
+    survive on a point locus.  Each part is an integer: 2^c times the
+    integrand part without its sign (-1)^c.  The caller divides by (-2)^c
+    along with the Euler denominator.
     """
-    lam_free = data.num_one * u**0 + data.num_u * u
+    lam_free = data.num_one + data.num_u * u
+    m04 = g.m04
     parts = {}
     for c in codegrees:
         coeff = data.num_lam * h[c]
         if c and data.lam_weight:
             coeff = coeff + data.lam_weight * h[c - 1] * lam_free
-        if not g.m04 and coeff:
+        if not m04 and coeff:
             raise InconsistencyError(f"lam survived on the point-type locus {g.label()}")
-        parts[c] = coeff if g.m04 else h[c] * lam_free
+        parts[c] = coeff if m04 else h[c] * lam_free
     return parts
 
 
@@ -179,42 +178,51 @@ def graph_contribution(
     return _integrand_parts(g, euler_data(g), codegrees, _own_h(g, h, u), u), den
 
 
-def _symbolic_sum(graphs: Sequence[FixedGraph], job: LocalizationJob) -> tuple[Poly, Poly]:
-    """Exact sum times (-2)^c as integer Polys (numerator, shared denominator).
+def _grid_point(graphs: Sequence[FixedGraph], tau: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple]:
+    """``tau``, D = prod_{i<j} (tau_i - tau_j)^k and, per codegree c <= cmax, each graph's cofactor * parts[c].
 
-    Every graph denominator u^k prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j)
-    divides prod_{i<j} (tau_i - tau_j)^k, so the sum is accumulated as one
-    numerator over that fixed product; this avoids the degree blow-up of
-    pairwise cross-multiplication.  The graphs on a pair (a, b) share its
-    h and cofactor, so it adds cofactor * sum_g ev_pullback(g) * part_g.
+    Each graph denominator times its cofactor, a product of differences, is
+    D, so coincident characters are no pole.  The graphs on a pair (a, b)
+    share its h and cofactor, and the parts are linear in h.
     """
-    num_tau = job.n + 1
-    taus = [Poly.tau(num_tau, i) for i in range(num_tau)]
-    pairs = list(combinations(range(num_tau), 2))
-    shared = Poly.one(num_tau)
-    diffs = {(i, j): taus[i] - taus[j] for i, j in pairs}
-    for pair in pairs:
-        shared = shared * diffs[pair] ** job.k
-
-    total = Poly.zero(num_tau)
+    n, k = graphs[0].n, graphs[0].k
+    codegrees = range(LocalizationJob(n=n, k=k, classes=(0,) * k).c + 1)
+    diffs = {(i, j): tau[i] - tau[j] for i, j in combinations(range(n + 1), 2)}
+    rows = []
     for (a, b), on_pair in groupby(graphs, key=lambda g: (g.a, g.b)):
         # Over the pairs i < j the graph denominator is (tau_a - tau_b)^k times
         # each pair {j, a} and {j, b}, j != a, b, once.  Its sign is (-1)^k from
         # u = -(tau_a - tau_b), times -1 for each such j below a and each below
         # b: a + (b - 1) of them.
-        cofactor = Poly.const(num_tau, (-1) ** (job.k + a + b - 1))
-        for pair in pairs:
+        cofactor = (-1) ** (k + a + b - 1)
+        for pair, diff in diffs.items():
             touching = (a in pair) + (b in pair)
-            mult = job.k if touching == 2 else touching
-            cofactor = cofactor * diffs[pair] ** (job.k - mult)
-        u = -diffs[a, b]
-        h = _h_values(job.c, pair_weights(job.n, a, b, taus))
-        summed = Poly.zero(num_tau)
-        for g in on_pair:
-            part = _integrand_parts(g, euler_data(g), [job.c], _own_h(g, h, u), u)[job.c]
-            summed = summed + ev_pullback(g, job.classes) * part
-        total = total + cofactor * summed
-    return total, shared
+            cofactor *= diff ** (0 if touching == 2 else k - touching)
+        u = tau[b] - tau[a]
+        h = [cofactor * h_c for h_c in _h_values(codegrees[-1], pair_weights(n, a, b, tau))]
+        rows += [_integrand_parts(g, euler_data(g), codegrees, _own_h(g, h, u), u).values() for g in on_pair]
+    return tau, prod(diff**k for diff in diffs.values()), tuple(zip(*rows))
+
+
+@lru_cache(maxsize=None)
+def _symbolic_sum(n: int, k: int) -> tuple[tuple[FixedGraph, ...], tuple]:
+    """The graphs of (n, k) and their ``_grid_point`` at tau = (1, x) for x in S = {x >= 0 : |x| <= delta}.
+
+    A tuple of codegree c sums to N / (D * (-2)^c) with N from ``_numerator``.
+    N and D are homogeneous of degree delta = k n (n + 1) / 2 (the grading
+    formula), so N - r D, r rational, is zero once it vanishes at every
+    (1, x), x in S: no nonzero polynomial of degree <= delta vanishes on S.
+    """
+    graphs = tuple(enumerate_graphs(n, k))
+    delta = k * n * (n + 1) // 2
+    points = [x for x in product(range(delta + 1), repeat=n) if sum(x) <= delta]
+    return graphs, tuple(_grid_point(graphs, (1,) + x) for x in points)
+
+
+def _numerator(graphs: Sequence[FixedGraph], point: tuple, exponents: Sequence[tuple[int, int]], c: int) -> int:
+    """N = sum_g tau_a^x tau_b^y (cofactor * parts[c]) at one ``_grid_point``."""
+    tau, _, columns = point
+    return sum(tau[g.a] ** x * tau[g.b] ** y * v for g, (x, y), v in zip(graphs, exponents, columns[c]))
 
 
 def sample_tau(rng: random.Random, n: int) -> tuple[int, ...]:
@@ -335,8 +343,9 @@ def invariant(
     """Degree-one k-point invariant of P^n with hyperplane-power insertions.
 
     ``strategy`` is "evaluate" (seeded generic evaluations, all required to
-    agree: the one-tuple case of ``table``) or "symbolic" (one numerator
-    over the shared denominator, n <= 2); either needs ``samples`` >= 2.
+    agree: the one-tuple case of ``table``) or "symbolic" (n <= 2: N = r D
+    checked on the grid of ``_symbolic_sum``, which proves it); either
+    needs ``samples`` >= 2.
     ``trace``, if given, receives one record per sample: its characters,
     its value and the per-graph contributions.
     """
@@ -352,11 +361,16 @@ def invariant(
     job = LocalizationJob(n=n, k=k, classes=classes)
     if job.graded_zero:
         return Invariant.zero()
-    total, shared = _symbolic_sum(enumerate_graphs(n, k), job)
-    lead = total.leading_coeff() if total else 0
-    if total.scale(shared.leading_coeff()) != shared.scale(lead):
-        raise InconsistencyError(f"symbolic sum is not constant: ({total}) / ({shared})")
-    return Invariant.of(Fraction(lead, shared.leading_coeff() * (-2) ** job.c), job.kappa_exp)
+    graphs, grid = _symbolic_sum(n, k)
+    exponents = [ev_exponents(g, classes) for g in graphs]
+    values = [(point[0], _numerator(graphs, point, exponents, job.c), point[1]) for point in grid]
+    ref_tau, ref_num, ref_den = next(value for value in values if value[2])
+    for tau, num, den in values:
+        if num * ref_den != ref_num * den:
+            raise InconsistencyError(
+                f"symbolic sum is not constant: {num}/{den} at tau = {tau}, {ref_num}/{ref_den} at tau = {ref_tau}"
+            )
+    return Invariant.of(Fraction(ref_num, ref_den * (-2) ** job.c), job.kappa_exp)
 
 
 def check_extension(n: int, k: int, classes: Sequence[int], seed: int = DEFAULT_SEED) -> bool:

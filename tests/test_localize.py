@@ -143,8 +143,8 @@ def test_pair_h_gives_each_graph_its_own_h(ring):
 
 def test_h_recurrence_runs_once_per_pair(monkeypatch):
     # table runs the h recurrence once per pair (a, b) and sample, and the
-    # symbolic sum once per pair; the 2^k graphs on a pair only take out a
-    # flag weight.
+    # symbolic grid once per pair and grid point on a cold cache and never
+    # on a warm one; the 2^k graphs on a pair only take out a flag weight.
     lengths = []
     h_values = localize._h_values
 
@@ -160,7 +160,11 @@ def test_h_recurrence_runs_once_per_pair(monkeypatch):
         if n <= 2:
             lengths.clear()
             invariant(n, k, (0,) * k, strategy="symbolic")
-            assert lengths == [n + 1] * comb(n + 1, 2), (n, k)
+            points = comb(k * n * (n + 1) // 2 + n, n)
+            assert lengths == [n + 1] * (comb(n + 1, 2) * points), (n, k)
+            lengths.clear()
+            invariant(n, k, (0,) * k, strategy="symbolic")
+            assert lengths == [], (n, k)
 
 
 def test_integrand_parts_apply_the_lam_weight():
@@ -337,8 +341,8 @@ def test_two_point_corner_cells_empirical():
 
 def test_integer_core_divides_once():
     # Integers go in and integers come out until the one division per value:
-    # the integrand parts at int characters, every coefficient of the
-    # symbolic numerator and denominator, and nothing is ever a float.
+    # the integrand parts at int characters, every number of the symbolic
+    # grid, and nothing is ever a float.
     rng = random.Random(5)
     for n, k in product((1, 2, 3), (1, 2, 3)):
         for g in enumerate_graphs(n, k):
@@ -354,9 +358,10 @@ def test_integer_core_divides_once():
         if job.n > 2 or job.graded_zero:
             continue
         symbolic += 1
-        total, shared = localize._symbolic_sum(enumerate_graphs(job.n, job.k), job)
-        coeffs = list(total.terms.values()) + list(shared.terms.values())
-        assert all(type(c) is int for c in coeffs), entry.label
+        _, grid = localize._symbolic_sum(job.n, job.k)
+        for tau, den, columns in grid:
+            numbers = [*tau, den] + [v for column in columns for v in column]
+            assert all(type(v) is int for v in numbers), entry.label
     assert symbolic > 0
     jobs = [LocalizationJob(n=2, k=3, classes=c) for c in [(1, 1, 0), (2, 1, 1), (0, 0, 0)]]
     for g in enumerate_graphs(2, 3):
@@ -423,14 +428,61 @@ def test_permutation_invariance():
 
 
 def test_symbolic_matches_evaluate():
-    for n, k, classes in [(1, 3, (1, 1, 1)), (1, 3, (1, 0, 0)), (2, 2, (2, 1)), (2, 3, (1, 1, 0))]:
-        assert invariant(n, k, classes, strategy="symbolic") == invariant(n, k, classes)
+    tuples = [(n, k, classes) for n in (1, 2) for k in (1, 2, 3) for classes in product(range(n + 1), repeat=k)]
+    assert len(tuples) == 53
+    for n, k, classes in tuples:
+        assert invariant(n, k, classes, strategy="symbolic") == invariant(n, k, classes), (n, k, classes)
 
 
 def test_symbolic_non_constant_sum_raises(monkeypatch):
-    monkeypatch.setattr(localize, "_h_values", lambda c, weights: [Poly.tau(weights[0].num_tau, 0)] * (c + 1))
+    # Every h_c is the flag weight u of the pair: the wrong degree for c != 1.
+    monkeypatch.setattr(localize, "_h_values", lambda c, weights: [weights[-1]] * (c + 1))
     with pytest.raises(InconsistencyError, match="not constant"):
         invariant(1, 2, (1, 1), strategy="symbolic")
+
+
+def test_symbolic_grid_catches_one_wrong_graph(monkeypatch):
+    # Doubling the parts of one graph, (a, b) = (0, 2) with one mark over
+    # q_a, breaks every tuple of (2, 3) but the graded-zero (2, 2, 2).
+    parts_of = localize._integrand_parts
+    wrong = graph(2, 3, 0, 2, [1])
+
+    def doubled(g, *args):
+        parts = parts_of(g, *args)
+        return {c: 2 * v for c, v in parts.items()} if g == wrong else parts
+
+    monkeypatch.setattr(localize, "_integrand_parts", doubled)
+    raised = []
+    for classes in product(range(3), repeat=3):
+        try:
+            invariant(2, 3, classes, strategy="symbolic")
+        except InconsistencyError:
+            raised.append(classes)
+    assert len(raised) == 26 and (2, 2, 2) not in raised
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2) for k in (1, 2, 3)])
+def test_symbolic_grid_is_homogeneous(n, k):
+    # The certificate's premise: for every tuple, N and D are homogeneous of
+    # degree delta = k n (n + 1) / 2, so their values at (1, x) decide them.
+    rng = random.Random(10 * n + k)
+    graphs = tuple(enumerate_graphs(n, k))
+    delta = k * n * (n + 1) // 2
+    nonzero = 0
+    for _ in range(3):
+        tau = tuple(rng.randint(-30, 30) for _ in range(n + 1))
+        point = localize._grid_point(graphs, tau)
+        doubled = localize._grid_point(graphs, tuple(2 * t for t in tau))
+        assert doubled[1] == 2**delta * point[1], tau
+        for classes in product(range(n + 1), repeat=k):
+            job = LocalizationJob(n=n, k=k, classes=classes)
+            if job.graded_zero:
+                continue
+            exponents = [ev_exponents(g, classes) for g in graphs]
+            num = localize._numerator(graphs, point, exponents, job.c)
+            assert localize._numerator(graphs, doubled, exponents, job.c) == 2**delta * num, (classes, tau)
+            nonzero += num != 0
+    assert nonzero > 0
 
 
 # The argument checks come before the shortcut for tuples of negative
