@@ -1,9 +1,10 @@
 """Exact computation of super Gromov-Witten numbers.
 
-Subpackages: exact rational/polynomial arithmetic (`exact`), genus-zero
-psi/kappa integrals (`taut`), point-target invariants (`point`),
-fixed-point graph data (`graphs`), degree-one localization sums
-(`localize`), and the first-order quantum product (`quantum`).
+Subpackages: genus-zero psi/kappa integrals (`taut`), point-target
+invariants (`point`), fixed-point graph data (`graphs`), degree-one
+localization sums (`localize`), and the first-order quantum product
+(`quantum`).  Exact polynomial arithmetic (`exact`) is the tests'
+reference ring and is not imported here.
 """
 
 from .errors import (
@@ -13,7 +14,6 @@ from .errors import (
     ResampleSignal,
     UnsupportedError,
 )
-from .exact import Poly, complete_homogeneous
 from .graphs import (
     EulerData,
     FixedGraph,
@@ -35,13 +35,11 @@ __all__ = [
     "InconsistencyError",
     "Invariant",
     "LocalizationJob",
-    "Poly",
     "QElement",
     "ResampleSignal",
     "TautExpr",
     "UnsupportedError",
     "check_extension",
-    "complete_homogeneous",
     "enumerate_graphs",
     "euler_data",
     "ev_pullback",

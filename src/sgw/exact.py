@@ -13,11 +13,10 @@ tau_0 < tau_1 < ... < tau_n < lam.  Serialisation (`Poly.__str__`) lists
 terms in descending order under this order, which makes the text form
 canonical and suitable for golden tests.
 
-Nothing here divides.  The localization layer keeps every inverse Euler
-class as a numerator over one closed-form product of (tau_i - tau_j),
-and the symbolic strategy sums them as one integer numerator over the
-shared denominator; ``localize`` forms the one quotient.  The odd weights
-are built from ``Poly.tau`` characters by ``graphs.odd_weights``;
+Nothing here divides.  ``sgw`` does not import this module: the
+localization sums run on integer characters, and tests use ``Poly`` as
+the reference ring for them.  The odd weights are built from
+``Poly.tau`` characters by ``graphs.odd_weights``;
 ``complete_homogeneous`` is the reference h_c of such weights.
 """
 
@@ -150,15 +149,6 @@ class Poly:
         poly.num_tau = num_tau
         poly.terms = terms
         return poly
-
-    # -- structure ----------------------------------------------------
-    def leading_monomial(self) -> tuple[int, ...]:
-        if not self.terms:
-            raise DomainError("zero polynomial has no leading monomial")
-        return max(self.terms, key=_monomial_key)
-
-    def leading_coeff(self):
-        return self.terms[self.leading_monomial()]
 
     # -- evaluation ---------------------------------------------------
     def eval(self, tau_values: Sequence, lambda_value=0):

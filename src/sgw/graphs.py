@@ -26,10 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError, UnsupportedError
-from .exact import Poly
+
+if TYPE_CHECKING:
+    from .exact import Poly
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,9 @@ def ev_exponents(g: FixedGraph, classes: Sequence[int]) -> tuple[int, int]:
 
 
 def ev_pullback(g: FixedGraph, classes: Sequence[int]) -> Poly:
-    """Evaluation pullback of hyperplane powers: tau_a over A, tau_b elsewhere."""
+    """Evaluation pullback of hyperplane powers as a ``Poly``: tau_a over A, tau_b elsewhere."""
+    from .exact import Poly  # imported here: no runtime path needs exact.py
+
     at_a, at_b = ev_exponents(g, classes)
     exp = [0] * (g.n + 2)
     exp[g.a] = at_a

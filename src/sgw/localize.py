@@ -9,31 +9,24 @@ kappa-monomial with exponent -(rank) - (dimension) + (total insertion
 degree).  Point-type loci take the lam-free part, loci isomorphic to the
 four-pointed moduli curve take the lam-coefficient.  The inverse Euler
 class is the numerator stored in ``EulerData`` over the closed form
-u^k * prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j), u = tau_b - tau_a,
-shared by every locus.  Both strategies build this integrand the same
-way, once per pair (a, b) for its 2^k graphs, which share all but the
-flag weights -u, u: ``_h_values`` runs the h recurrence over twice the
-lam-free odd weights ``graphs.pair_weights``, which gives 2^c h_c;
-``_own_h`` takes out a flag weight a graph lacks, and
-``_integrand_parts`` alone adds the pure lam weight by
-h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W).  All is an integer, and
-so is each strategy's sum: both add the graphs over one common
-denominator and divide once per value, by that denominator times (-2)^c,
-which turns 2^c h_c into (-1)^c h_c.
+u^k * prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j), u = tau_b - tau_a.
 
-The sum is a constant rational function of the torus characters, so the
-default strategy evaluates it at several seeded generic integer tuples
-and insists the values agree.  ``table`` does so for many class tuples of
-one (n, k) at once: per sample, each pair's denominator and h are
-evaluated once (``_pair``), each graph's parts once
-(``graph_contribution``), and only the ev pullback and the codegree
-differ between tuples.  Each tuple's sample is an integer sum over
-L = lcm of the graph denominators, which ``table`` divides once, by
-L * (-2)^c; ``invariant`` is its one-tuple case.  The symbolic strategy
-(n <= 2) proves the sum constant: its numerator N over
-D = prod_{i<j} (tau_i - tau_j)^k is a fixed multiple of D at every point
-of a grid on which no nonzero polynomial of their degree vanishes.  The
-grid's integer data is built once per (n, k) (``_symbolic_sum``).
+One builder evaluates the sum at integer characters tau:
+``_evaluate_once`` runs the h recurrence once per pair (a, b) over twice
+the lam-free odd weights ``graphs.pair_weights`` (``_pair``), which gives
+2^c h_c; each of the pair's 2^k graphs takes out a flag weight it lacks
+(``_own_h``) and adds the pure lam weight by
+h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W) (``_integrand_parts``).
+It returns each graph's integer parts per codegree over L = lcm of the
+graph denominators, so a tuple's value at tau is one integer sum over
+L * (-2)^c, the sign turning 2^c h_c into (-1)^c h_c.
+
+The sum is a constant function of the characters, and ``_agree`` insists
+that every point gives the same value.  The two strategies differ only
+in their points.  "evaluate" (``table``, and ``invariant`` as its
+one-tuple case) draws seeded generic samples.  "symbolic" (n <= 2) uses
+a grid built once per (n, k) (``_symbolic_sum``) on which agreement
+proves the sum constant.
 """
 
 from __future__ import annotations
@@ -42,8 +35,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, groupby, product
-from math import lcm, prod
+from itertools import groupby, product
+from math import lcm
 from operator import mul
 from typing import Collection, Iterable, Sequence
 
@@ -146,11 +139,8 @@ def _integrand_parts(g: FixedGraph, data: EulerData, codegrees: Collection[int],
     return parts
 
 
-def _pair(g: FixedGraph, jobs: Sequence[LocalizationJob], tau: Sequence[int]) -> tuple[set[int], int, list]:
-    """The codegrees of ``jobs``, the Euler denominator and h_0 .. h_cmax of ``pair_weights`` on the pair of ``g``."""
-    if any(job.n != g.n or job.k != g.k for job in jobs):
-        raise DomainError("graph and job disagree on (n, k)")
-    codegrees = {job.c for job in jobs}
+def _pair(g: FixedGraph, cmax: int, tau: Sequence[int]) -> tuple[int, list]:
+    """The Euler denominator and h_0 .. h_cmax of ``pair_weights`` on the pair of ``g``."""
     tau_a, tau_b = tau[g.a], tau[g.b]
     den = (tau_b - tau_a) ** g.k
     for j, tau_j in enumerate(tau):
@@ -158,69 +148,84 @@ def _pair(g: FixedGraph, jobs: Sequence[LocalizationJob], tau: Sequence[int]) ->
             den *= (tau_a - tau_j) * (tau_b - tau_j)
     if den == 0:
         raise ResampleSignal(f"denominator of {g.label()} vanishes at {tau}")
-    return codegrees, den, _h_values(max(codegrees, default=0), pair_weights(g.n, g.a, g.b, tau))
+    return den, _h_values(cmax, pair_weights(g.n, g.a, g.b, tau))
 
 
 def graph_contribution(
-    g: FixedGraph, jobs: Sequence[LocalizationJob], tau: Sequence[int], pair: tuple | None = None
+    g: FixedGraph, codegrees: Collection[int], tau: Sequence[int], pair: tuple | None = None
 ) -> tuple[dict[int, int], int]:
-    """One graph's integer parts at the given characters, per codegree of ``jobs``, and its Euler denominator.
+    """One graph's integer parts at the given characters, per codegree, and its Euler denominator.
 
     ``pair`` is the ``_pair`` that ``g`` shares with the graphs on its pair
     (a, b) at ``tau``, computed here if not given; the graph's own h takes
-    O(cmax) from it.  Nothing is divided: a job of codegree c whose ev
+    O(cmax) from it.  Nothing is divided: a tuple of codegree c whose ev
     pullback is tau_a^x tau_b^y gets the summand
-    tau_a^x tau_b^y parts[c] / (den * (-2)^c), which ``table`` adds up
-    over one common denominator.
+    tau_a^x tau_b^y parts[c] / (den * (-2)^c).
     """
-    codegrees, den, h = _pair(g, jobs, tau) if pair is None else pair
+    den, h = _pair(g, max(codegrees, default=0), tau) if pair is None else pair
     u = tau[g.b] - tau[g.a]
     return _integrand_parts(g, euler_data(g), codegrees, _own_h(g, h, u), u), den
 
 
-def _grid_point(graphs: Sequence[FixedGraph], tau: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple]:
-    """``tau``, D = prod_{i<j} (tau_i - tau_j)^k and, per codegree c <= cmax, each graph's cofactor * parts[c].
+def _evaluate_once(
+    graphs: Sequence[FixedGraph], codegrees: Collection[int], tau
+) -> tuple[tuple, int, dict[int, list[int]]]:
+    """``tau``, L = lcm of the graph denominators and, per codegree c, each graph's (L // den_g) * parts_g[c].
 
-    Each graph denominator times its cofactor, a product of differences, is
-    D, so coincident characters are no pole.  The graphs on a pair (a, b)
-    share its h and cofactor, and the parts are linear in h.
+    The graphs on a pair (a, b) are adjacent and share one ``_pair``.
     """
-    n, k = graphs[0].n, graphs[0].k
-    codegrees = range(LocalizationJob(n=n, k=k, classes=(0,) * k).c + 1)
-    diffs = {(i, j): tau[i] - tau[j] for i, j in combinations(range(n + 1), 2)}
-    rows = []
-    for (a, b), on_pair in groupby(graphs, key=lambda g: (g.a, g.b)):
-        # Over the pairs i < j the graph denominator is (tau_a - tau_b)^k times
-        # each pair {j, a} and {j, b}, j != a, b, once.  Its sign is (-1)^k from
-        # u = -(tau_a - tau_b), times -1 for each such j below a and each below
-        # b: a + (b - 1) of them.
-        cofactor = (-1) ** (k + a + b - 1)
-        for pair, diff in diffs.items():
-            touching = (a in pair) + (b in pair)
-            cofactor *= diff ** (0 if touching == 2 else k - touching)
-        u = tau[b] - tau[a]
-        h = [cofactor * h_c for h_c in _h_values(codegrees[-1], pair_weights(n, a, b, tau))]
-        rows += [_integrand_parts(g, euler_data(g), codegrees, _own_h(g, h, u), u).values() for g in on_pair]
-    return tau, prod(diff**k for diff in diffs.values()), tuple(zip(*rows))
+    cmax = max(codegrees)
+    rows, dens = [], []
+    for _, on_pair in groupby(graphs, key=lambda g: (g.a, g.b)):
+        on_pair = list(on_pair)
+        pair = _pair(on_pair[0], cmax, tau)
+        for g in on_pair:
+            parts, den = graph_contribution(g, codegrees, tau, pair)
+            rows.append(parts)
+            dens.append(den)
+    common = lcm(*dens)
+    scales = [common // den for den in dens]
+    return tau, common, {c: [s * parts[c] for s, parts in zip(scales, rows)] for c in codegrees}
+
+
+def _agree(job: LocalizationJob, values: Sequence[tuple[int, int]]) -> Invariant:
+    """The invariant of ``job`` from its (N, L) at several points, each worth N / (L * (-2)^c): all must agree."""
+    num, den = values[0]
+    sign = (-2) ** job.c
+    for other_num, other_den in values:
+        if other_num * den != num * other_den:
+            raise InconsistencyError(
+                f"evaluations of {job.classes} are not constant: "
+                f"{Fraction(num, den * sign)} and {Fraction(other_num, other_den * sign)}"
+            )
+    return Invariant.of(Fraction(num, den * sign), job.kappa_exp)
 
 
 @lru_cache(maxsize=None)
 def _symbolic_sum(n: int, k: int) -> tuple[tuple[FixedGraph, ...], tuple]:
-    """The graphs of (n, k) and their ``_grid_point`` at tau = (1, x) for x in S = {x >= 0 : |x| <= delta}.
+    """The graphs of (n, k) and ``_evaluate_once`` of every codegree on a grid where agreement is a proof.
 
-    A tuple of codegree c sums to N / (D * (-2)^c) with N from ``_numerator``.
-    N and D are homogeneous of degree delta = k n (n + 1) / 2 (the grading
-    formula), so N - r D, r rational, is zero once it vanishes at every
-    (1, x), x in S: no nonzero polynomial of degree <= delta vanishes on S.
+    The points are tau = (1, tau_1 .. tau_n), tau_j = 1 + j + n x_j, for x
+    in S = {x >= 0 : |x| <= delta}, delta = k n (n + 1) / 2; their
+    characters are distinct, so no denominator vanishes.  A tuple's sum
+    is N / D with D = prod_{i<j} (tau_i - tau_j)^k and N homogeneous of
+    degree delta (the grading formula).  If it equals r at every point,
+    P = N - r D vanishes there.  Q(x) = P(1, tau(x)) has degree <= delta
+    and vanishes on S, so it is zero: by induction on n it vanishes where
+    x_n = 0, so x_n divides it, and by induction on delta the quotient,
+    which vanishes on the points of S with x_n >= 1, is zero.  So P = 0,
+    as P is homogeneous.
     """
     graphs = tuple(enumerate_graphs(n, k))
+    codegrees = range(LocalizationJob(n=n, k=k, classes=(0,) * k).c + 1)
     delta = k * n * (n + 1) // 2
     points = [x for x in product(range(delta + 1), repeat=n) if sum(x) <= delta]
-    return graphs, tuple(_grid_point(graphs, (1,) + x) for x in points)
+    taus = [(1,) + tuple(1 + j + n * x_j for j, x_j in enumerate(x, start=1)) for x in points]
+    return graphs, tuple(_evaluate_once(graphs, codegrees, tau) for tau in taus)
 
 
 def _numerator(graphs: Sequence[FixedGraph], point: tuple, exponents: Sequence[tuple[int, int]], c: int) -> int:
-    """N = sum_g tau_a^x tau_b^y (cofactor * parts[c]) at one ``_grid_point``."""
+    """N = sum_g tau_a^x tau_b^y (L // den_g) parts_g[c] at one ``_evaluate_once`` point."""
     tau, _, columns = point
     return sum(tau[g.a] ** x * tau[g.b] ** y * v for g, (x, y), v in zip(graphs, exponents, columns[c]))
 
@@ -236,21 +241,6 @@ def _check_samples(samples: int) -> None:
         raise DomainError(f"localization needs at least 2 samples, got {samples}")
 
 
-def _evaluate_once(
-    graphs: Sequence[FixedGraph], jobs: Sequence[LocalizationJob], tau
-) -> list[tuple[dict[int, int], int]]:
-    """Each graph's integer parts per codegree and Euler denominator at one character tuple, in graph order.
-
-    The graphs on a pair (a, b) are adjacent and share one ``_pair``.
-    """
-    rows = []
-    for _, on_pair in groupby(graphs, key=lambda g: (g.a, g.b)):
-        on_pair = list(on_pair)
-        pair = _pair(on_pair[0], jobs, tau)
-        rows += [graph_contribution(g, jobs, tau, pair) for g in on_pair]
-    return rows
-
-
 def table(
     n: int,
     k: int,
@@ -262,16 +252,13 @@ def table(
     """Degree-one k-point invariants of P^n for many class tuples in one sweep.
 
     Every tuple sees the same seeded character tuples it would see alone,
-    so each sample evaluates the per-graph data once for all tuples; the
-    values of each tuple must agree exactly across its samples.  Per
-    sample, a tuple of codegree c adds the integers
-    (L // den_g) tau_a^x tau_b^y parts_g[c] over the graphs g, with
-    L = lcm(den_g), and divides once, by L * (-2)^c.  Tuples with negative
-    codegree are zero and take no part in the sweep.  ``trace``, if given,
-    maps class tuples to lists that receive one record per sample: its
-    characters, its value and the per-graph contributions, each divided
-    on its own (only traced tuples pay for that).  The result maps each
-    distinct tuple, in first-seen order, to its invariant.
+    so each sample calls ``_evaluate_once`` once for all tuples, and
+    ``_agree`` checks each tuple's samples on their own.  Tuples with
+    negative codegree are zero and take no part in the sweep.  ``trace``,
+    if given, maps class tuples to lists that receive one record per
+    sample: its characters, its value and the per-graph contributions,
+    each divided on its own (only traced tuples pay for that).  The result
+    maps each distinct tuple, in first-seen order, to its invariant.
     """
     _check_samples(samples)
     jobs: dict[tuple[int, ...], LocalizationJob] = {}
@@ -286,26 +273,22 @@ def table(
     codegrees = [job.c for job in live]
     # A graph's parts depend on a job only through its codegree, and its ev
     # exponents only through A, so graphs of one A are summed together.
-    by_codegree = {c: job for c, job in zip(codegrees, live)}
     kinds: dict[frozenset[int], list[int]] = {}
     for i, g in enumerate(graphs):
         kinds.setdefault(g.A, []).append(i)
     exponents = {A: [ev_exponents(graphs[idx[0]], job.classes) for job in live] for A, idx in kinds.items()}
     top = max(job.total_class_degree for job in live)
     rng = random.Random(seed)
-    values: list[list[Fraction]] = [[] for _ in live]
+    values: list[list[tuple[int, int]]] = [[] for _ in live]
     for _ in range(samples):
         # Denominators are products of tau_i - tau_j and the characters are
         # distinct, so no sample hits a pole.
-        tau = sample_tau(rng, n)
-        rows = _evaluate_once(graphs, list(by_codegree.values()), tau)
-        common = lcm(*{den for _, den in rows})
+        tau, common, columns = _evaluate_once(graphs, set(codegrees), sample_tau(rng, n))
         powers = [[t**e for e in range(top + 1)] for t in tau]
         sums = [0] * len(live)
         for A, idx in kinds.items():
             ends = [(graphs[i].a, graphs[i].b) for i in idx]
-            scales = [common // rows[i][1] for i in idx]
-            scaled = {c: [s * rows[i][0][c] for s, i in zip(scales, idx)] for c in by_codegree}
+            scaled = {c: [column[i] for i in idx] for c, column in columns.items()}
             monomials: dict[tuple[int, int], list] = {}
             for j, (xy, c) in enumerate(zip(exponents[A], codegrees)):
                 if xy not in monomials:
@@ -313,21 +296,17 @@ def table(
                     monomials[xy] = [powers[a][x] * powers[b][y] for a, b in ends]
                 sums[j] += sum(map(mul, monomials[xy], scaled[c]))
         for j, (job, c, job_values) in enumerate(zip(live, codegrees, values)):
-            value = Fraction(sums[j], common * (-2) ** c)
-            job_values.append(value)
+            job_values.append((sums[j], common))
             if trace is not None and job.classes in trace:
                 per_graph = []
-                for g, (parts, den) in zip(graphs, rows):
+                for g, v in zip(graphs, columns[c]):
                     x, y = exponents[g.A][j]
-                    contribution = Fraction(powers[g.a][x] * powers[g.b][y] * parts[c], den * (-2) ** c)
+                    contribution = Fraction(powers[g.a][x] * powers[g.b][y] * v, common * (-2) ** c)
                     per_graph.append({"graph": g.label(), "value": str(contribution)})
+                value = Fraction(sums[j], common * (-2) ** c)
                 trace[job.classes].append({"tau": [str(t) for t in tau], "value": str(value), "per_graph": per_graph})
     for job, job_values in zip(live, values):
-        if len(set(job_values)) != 1:
-            raise InconsistencyError(
-                f"evaluations of {job.classes} disagree across samples: {[str(v) for v in job_values]}"
-            )
-        result[job.classes] = Invariant.of(job_values[0], job.kappa_exp)
+        result[job.classes] = _agree(job, job_values)
     return result
 
 
@@ -342,10 +321,10 @@ def invariant(
 ) -> Invariant:
     """Degree-one k-point invariant of P^n with hyperplane-power insertions.
 
-    ``strategy`` is "evaluate" (seeded generic evaluations, all required to
-    agree: the one-tuple case of ``table``) or "symbolic" (n <= 2: N = r D
-    checked on the grid of ``_symbolic_sum``, which proves it); either
-    needs ``samples`` >= 2.
+    ``strategy`` is "evaluate" (seeded generic samples: the one-tuple case
+    of ``table``) or "symbolic" (n <= 2: every point of the grid of
+    ``_symbolic_sum``, which proves the value); either needs ``samples``
+    >= 2 and requires all its values to agree.
     ``trace``, if given, receives one record per sample: its characters,
     its value and the per-graph contributions.
     """
@@ -363,14 +342,7 @@ def invariant(
         return Invariant.zero()
     graphs, grid = _symbolic_sum(n, k)
     exponents = [ev_exponents(g, classes) for g in graphs]
-    values = [(point[0], _numerator(graphs, point, exponents, job.c), point[1]) for point in grid]
-    ref_tau, ref_num, ref_den = next(value for value in values if value[2])
-    for tau, num, den in values:
-        if num * ref_den != ref_num * den:
-            raise InconsistencyError(
-                f"symbolic sum is not constant: {num}/{den} at tau = {tau}, {ref_num}/{ref_den} at tau = {ref_tau}"
-            )
-    return Invariant.of(Fraction(ref_num, ref_den * (-2) ** job.c), job.kappa_exp)
+    return _agree(job, [(_numerator(graphs, point, exponents, job.c), point[1]) for point in grid])
 
 
 def check_extension(n: int, k: int, classes: Sequence[int], seed: int = DEFAULT_SEED) -> bool:

@@ -1,10 +1,14 @@
 """Polynomial and symmetric-function arithmetic."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import sgw
 from sgw.errors import DimensionError
 from sgw.exact import Poly, complete_homogeneous
 
@@ -154,3 +158,12 @@ def test_truncation_drops_exactly_high_lambda():
         reference = mul_without_truncation(a, b)
         truncated = {m: c for m, c in reference.items() if m[-1] < 2}
         assert (a * b).terms == truncated
+
+
+def test_sgw_does_not_import_exact():
+    # No runtime path uses Poly, so a process that imports sgw and its CLI
+    # never loads exact.py.
+    src = Path(sgw.__file__).resolve().parent.parent
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import sgw, sgw.cli; print('sgw.exact' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.stdout == "False\n", result.stderr

@@ -3,8 +3,8 @@
 import random
 from fractions import Fraction as F
 from functools import lru_cache
-from itertools import permutations, product
-from math import comb
+from itertools import combinations, permutations, product
+from math import comb, prod
 
 import pytest
 
@@ -25,7 +25,7 @@ def graph(n, k, a, b, members):
 
 def contributions(g, jobs, tau):
     """Each job's summand of ``g`` at ``tau``, divided on its own: tau_a^x tau_b^y parts[c] / (den * (-2)^c)."""
-    parts, den = graph_contribution(g, jobs, tau)
+    parts, den = graph_contribution(g, {job.c for job in jobs}, tau)
     values = []
     for job in jobs:
         at_a, at_b = ev_exponents(g, job.classes)
@@ -54,7 +54,7 @@ def test_job_validation():
 
 def test_graph_contribution_one_point():
     job = LocalizationJob(n=1, k=1, classes=(1,))
-    assert graph_contribution(graph(1, 1, 0, 1, []), [job], (F(0), F(1))) == ({0: 1}, 1)
+    assert graph_contribution(graph(1, 1, 0, 1, []), {job.c}, (F(0), F(1))) == ({0: 1}, 1)
     assert contributions(graph(1, 1, 0, 1, []), [job], (F(0), F(1))) == [1]
 
 
@@ -64,12 +64,12 @@ def test_graph_contribution_three_point_codegree_zero():
     t0, t1 = tau
     value = contributions(graph(1, 3, 0, 1, [1]), [job], tau)
     assert value == [-t0 * t1**2 / (t1 - t0) ** 3]
-    assert graph_contribution(graph(1, 3, 0, 1, [1]), [job], tau)[1] == (t1 - t0) ** 3
+    assert graph_contribution(graph(1, 3, 0, 1, [1]), {job.c}, tau)[1] == (t1 - t0) ** 3
 
 
 def test_graph_contribution_m04_codegree_two():
     job = LocalizationJob(n=1, k=3, classes=(1, 1, 0))
-    assert graph_contribution(graph(1, 3, 0, 1, []), [job], (F(2), F(9)))[0] == {job.c: 0}
+    assert graph_contribution(graph(1, 3, 0, 1, []), {job.c}, (F(2), F(9)))[0] == {job.c: 0}
     assert contributions(graph(1, 3, 0, 1, []), [job], (F(2), F(9))) == [0]
 
 
@@ -81,20 +81,14 @@ def test_graph_contribution_one_value_per_job():
     g = graph(1, 3, 0, 1, [1])
     tau = (F(3), F(11))
     jobs = [LocalizationJob(n=1, k=3, classes=c) for c in [(1, 1, 1), (0, 0, 0), (1, 0, 1), (1, 1, 1)]]
-    parts, den = graph_contribution(g, jobs, tau)
-    assert sorted(parts) == sorted({job.c for job in jobs}) == [0, 1, 3]
+    parts, den = graph_contribution(g, {job.c for job in jobs}, tau)
+    assert sorted(parts) == [0, 1, 3]
     for job in jobs:
-        assert graph_contribution(g, [job], tau) == ({job.c: parts[job.c]}, den)
+        assert graph_contribution(g, {job.c}, tau) == ({job.c: parts[job.c]}, den)
     together = contributions(g, jobs, tau)
     assert together == [contributions(g, [job], tau)[0] for job in jobs]
     assert together[0] == -F(3) * F(11) ** 2 / F(8) ** 3
-    assert graph_contribution(g, [], tau) == ({}, 8**3)
-
-
-def test_graph_contribution_rejects_foreign_job():
-    jobs = [LocalizationJob(n=1, k=3, classes=(1, 1, 1)), LocalizationJob(n=2, k=3, classes=(1, 1, 1))]
-    with pytest.raises(DomainError):
-        graph_contribution(graph(1, 3, 0, 1, [1]), jobs, (F(3), F(11)))
+    assert graph_contribution(g, set(), tau) == ({}, 8**3)
 
 
 def test_h_values_is_the_reference_recurrence():
@@ -194,7 +188,7 @@ def test_integrand_parts_apply_the_lam_weight():
 def test_graph_contribution_resample_signal():
     job = LocalizationJob(n=1, k=1, classes=(1,))
     with pytest.raises(ResampleSignal):
-        graph_contribution(graph(1, 1, 0, 1, []), [job], (F(5), F(5)))
+        graph_contribution(graph(1, 1, 0, 1, []), {job.c}, (F(5), F(5)))
 
 
 WORKED_EXAMPLES = [
@@ -359,13 +353,13 @@ def test_integer_core_divides_once():
             continue
         symbolic += 1
         _, grid = localize._symbolic_sum(job.n, job.k)
-        for tau, den, columns in grid:
-            numbers = [*tau, den] + [v for column in columns for v in column]
+        for tau, common, columns in grid:
+            numbers = [*tau, common] + [v for column in columns.values() for v in column]
             assert all(type(v) is int for v in numbers), entry.label
     assert symbolic > 0
     jobs = [LocalizationJob(n=2, k=3, classes=c) for c in [(1, 1, 0), (2, 1, 1), (0, 0, 0)]]
     for g in enumerate_graphs(2, 3):
-        parts, den = graph_contribution(g, jobs, (3, -7, 11))
+        parts, den = graph_contribution(g, {job.c for job in jobs}, (3, -7, 11))
         assert type(den) is int and all(type(v) is int for v in parts.values()), g
     for strategy in ("evaluate", "symbolic"):
         assert type(invariant(2, 3, (1, 1, 0), strategy=strategy).coeff) is F
@@ -463,26 +457,45 @@ def test_symbolic_grid_catches_one_wrong_graph(monkeypatch):
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2) for k in (1, 2, 3)])
 def test_symbolic_grid_is_homogeneous(n, k):
-    # The certificate's premise: for every tuple, N and D are homogeneous of
-    # degree delta = k n (n + 1) / 2, so their values at (1, x) decide them.
+    # The certificate's premises, at seeded int tau: every graph denominator
+    # divides D = prod_{i<j} (tau_i - tau_j)^k, so a tuple's sum is N / D;
+    # and each summand tau_a^x tau_b^y parts[c] / den_g of codegree c, with
+    # x + y = d_kd - c, takes the same value at 2 tau, so N has degree delta.
     rng = random.Random(10 * n + k)
-    graphs = tuple(enumerate_graphs(n, k))
-    delta = k * n * (n + 1) // 2
+    codegrees = range(LocalizationJob(n=n, k=k, classes=(0,) * k).c + 1)
     nonzero = 0
     for _ in range(3):
-        tau = tuple(rng.randint(-30, 30) for _ in range(n + 1))
-        point = localize._grid_point(graphs, tau)
-        doubled = localize._grid_point(graphs, tuple(2 * t for t in tau))
-        assert doubled[1] == 2**delta * point[1], tau
-        for classes in product(range(n + 1), repeat=k):
-            job = LocalizationJob(n=n, k=k, classes=classes)
-            if job.graded_zero:
-                continue
-            exponents = [ev_exponents(g, classes) for g in graphs]
-            num = localize._numerator(graphs, point, exponents, job.c)
-            assert localize._numerator(graphs, doubled, exponents, job.c) == 2**delta * num, (classes, tau)
-            nonzero += num != 0
+        tau = tuple(rng.sample(range(-30, 31), n + 1))
+        doubled = tuple(2 * t for t in tau)
+        D = prod((tau[i] - tau[j]) ** k for i, j in combinations(range(n + 1), 2))
+        for g in enumerate_graphs(n, k):
+            parts, den = graph_contribution(g, codegrees, tau)
+            parts_2, den_2 = graph_contribution(g, codegrees, doubled)
+            assert D % den == 0, (g, tau)
+            for c in codegrees:
+                degree = codegrees[-1] - c
+                for x in range(degree + 1):
+                    value = F(tau[g.a] ** x * tau[g.b] ** (degree - x) * parts[c], den)
+                    assert F(doubled[g.a] ** x * doubled[g.b] ** (degree - x) * parts_2[c], den_2) == value, (g, c, x)
+                    nonzero += value != 0
     assert nonzero > 0
+
+
+def test_symbolic_grid_points():
+    # The grid is tau = (1, tau_1 .. tau_n), tau_j = 1 + j + n x_j, over the
+    # C(delta + n, n) points x of the simplex |x| <= delta: distinct
+    # characters at every point, and one value of x_j per value of tau_j.
+    for n, k in product((1, 2), (1, 2, 3)):
+        delta = k * n * (n + 1) // 2
+        simplex = {x for x in product(range(delta + 1), repeat=n) if sum(x) <= delta}
+        _, grid = localize._symbolic_sum(n, k)
+        assert len(grid) == len(simplex) == comb(delta + n, n), (n, k)
+        xs = set()
+        for tau, _, _ in grid:
+            assert tau[0] == 1 and len(set(tau)) == n + 1, tau
+            assert all((t - 1 - j) % n == 0 for j, t in enumerate(tau[1:], start=1)), tau
+            xs.add(tuple((t - 1 - j) // n for j, t in enumerate(tau[1:], start=1)))
+        assert xs == simplex, (n, k)
 
 
 # The argument checks come before the shortcut for tuples of negative
@@ -515,9 +528,9 @@ def test_unknown_strategy_rejected():
 def test_disagreeing_samples_raise(monkeypatch):
     calls = {"count": 0}
 
-    def fake_contribution(g, jobs, tau, pair=None):
+    def fake_contribution(g, codegrees, tau, pair=None):
         calls["count"] += 1
-        return {job.c: calls["count"] for job in jobs}, 1
+        return {c: calls["count"] for c in codegrees}, 1
 
     monkeypatch.setattr(localize, "graph_contribution", fake_contribution)
     with pytest.raises(InconsistencyError):
@@ -534,7 +547,7 @@ def test_table_checks_each_tuple_on_its_own(monkeypatch):
     # (0,) has codegree 1 and (1,) codegree 0.  The characters are
     # (t, -t), so (1,) gets t times its part on A = {1} and -t times it on
     # A = {}: only the first of the two carries the moving part.
-    def fake_contribution(g, jobs, tau, pair=None):
+    def fake_contribution(g, codegrees, tau, pair=None):
         return {1: F(1), 0: F(samples["count"]) if g.A else F(0)}, 1
 
     def counting_tau(rng, n):
