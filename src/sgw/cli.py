@@ -26,8 +26,8 @@ from .point import Invariant
 _ENV_SEED = "SGW_SEED"
 
 # Measured on a shared 2-core Xeon as whole processes: point --k 24 takes
-# 0.4-0.5 s and grows about 1.4x per k; invariant --n 20 --k 3 takes 0.3-0.4 s
-# and quantum --n 10 0.3 s, and quantum grows about n^4.  taut --k shares
+# 0.4-0.5 s and grows about 1.4x per k; invariant --n 20 --k 3 takes 0.3-0.5 s
+# and quantum --n 10 0.4-0.5 s, and quantum grows about n^4.  taut --k shares
 # the point ceiling.  A larger value is refused up front instead of running
 # for hours or running out of memory.
 MAX_POINT_K = point.MAX_K
@@ -140,20 +140,21 @@ def cmd_invariant(n: int, k: int, classes: str, strategy: str, samples: int, see
     _at_most(samples, MAX_SAMPLES, "--samples")
     class_tuple = _parse_int_list(classes, "--classes")
     seed = _default_seed() if seed is None else seed
-    sample_log: list = []
+    # Only JSON reads the trace; it holds no record for a graded-zero tuple.
+    sample_log: list | None = [] if fmt == "json" else None
     result = localize.invariant(
         n, k, class_tuple, strategy=strategy, samples=samples, seed=seed, trace=sample_log
     )
+    if sample_log is None:
+        click.echo(str(result))
+        return
     diagnostics: dict = {"strategy": strategy, "seed": seed}
     if strategy == "evaluate":
         diagnostics["samples"] = samples
         diagnostics["tau_samples"] = [entry["tau"] for entry in sample_log]
-    if trace and not localize.LocalizationJob(n=n, k=k, classes=class_tuple).graded_zero:
-        diagnostics["per_graph"] = sample_log[0]["per_graph"] if sample_log else []
-    if fmt == "json":
-        _emit_json(_record("invariant", {"n": n, "k": k, "d": 1, "classes": list(class_tuple)}, result, diagnostics))
-    else:
-        click.echo(str(result))
+    if trace and sample_log:
+        diagnostics["per_graph"] = sample_log[0]["per_graph"]
+    _emit_json(_record("invariant", {"n": n, "k": k, "d": 1, "classes": list(class_tuple)}, result, diagnostics))
 
 
 @main.command("taut")

@@ -21,12 +21,12 @@ It returns each graph's integer parts per codegree over L = lcm of the
 graph denominators, so a tuple's value at tau is one integer sum over
 L * (-2)^c, the sign turning 2^c h_c into (-1)^c h_c.
 
-The sum is a constant function of the characters, and ``_agree`` insists
-that every point gives the same value.  The two strategies differ only
-in their points.  "evaluate" (``table``, and ``invariant`` as its
-one-tuple case) draws seeded generic samples.  "symbolic" (n <= 2) uses
-a grid built once per (n, k) (``_symbolic_sum``) on which agreement
-proves the sum constant.
+One sum, two point sets.  ``_sweep`` adds up each tuple at every point,
+and ``_agree`` insists that all points give the same value, as the sum
+is a constant function of the characters.  "evaluate" (``table``, and
+``invariant`` as its one-tuple case) feeds it seeded generic samples;
+"symbolic" (n <= 2) the grid built once per (n, k) by ``_symbolic_sum``,
+on which agreement proves the sum constant.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import groupby, product
 from math import lcm
-from operator import mul
 from typing import Collection, Iterable, Sequence
 
 from .errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
@@ -224,12 +223,6 @@ def _symbolic_sum(n: int, k: int) -> tuple[tuple[FixedGraph, ...], tuple]:
     return graphs, tuple(_evaluate_once(graphs, codegrees, tau) for tau in taus)
 
 
-def _numerator(graphs: Sequence[FixedGraph], point: tuple, exponents: Sequence[tuple[int, int]], c: int) -> int:
-    """N = sum_g tau_a^x tau_b^y (L // den_g) parts_g[c] at one ``_evaluate_once`` point."""
-    tau, _, columns = point
-    return sum(tau[g.a] ** x * tau[g.b] ** y * v for g, (x, y), v in zip(graphs, exponents, columns[c]))
-
-
 def sample_tau(rng: random.Random, n: int) -> tuple[int, ...]:
     """n + 1 distinct integer characters in [-R, R], R = max(SAMPLE_RANGE, n)."""
     bound = max(SAMPLE_RANGE, n)
@@ -239,6 +232,49 @@ def sample_tau(rng: random.Random, n: int) -> tuple[int, ...]:
 def _check_samples(samples: int) -> None:
     if samples < 2:
         raise DomainError(f"localization needs at least 2 samples, got {samples}")
+
+
+def _sweep(graphs: Sequence[FixedGraph], jobs: list[LocalizationJob], points: Iterable, trace: dict | None) -> dict:
+    """The invariant of each job from its sum at every ``_evaluate_once`` point (tau, L, columns).
+
+    A graph's summand depends on a job only through the ev exponents (x, y)
+    on its marked set A, and x + y fixes the codegree, so each point sums
+    the graphs of A once per key (A, x, y) and each job adds up its keys.
+    ``trace``, if given, maps class tuples to lists that receive one record
+    per point: its characters, its value and the per-graph contributions,
+    each divided on its own.
+    """
+    groups: dict[frozenset[int], list[tuple[int, int, int]]] = {}
+    for i, g in enumerate(graphs):
+        groups.setdefault(g.A, []).append((g.a, g.b, i))
+    keys: dict[tuple, int] = {}  # (A, x, y) -> its place in the partial sums
+    picks = []  # per job, the place of its key on each A
+    for job in jobs:
+        xys = [ev_exponents(graphs[members[0][2]], job.classes) for members in groups.values()]
+        picks.append([keys.setdefault((A, *xy), len(keys)) for A, xy in zip(groups, xys)])
+    d_kd = jobs[0].d_kd
+    values: list[list[tuple[int, int]]] = [[] for _ in jobs]
+    for tau, common, columns in points:
+        partial = []
+        for A, x, y in keys:
+            column = columns[d_kd - x - y]
+            total = 0
+            for a, b, i in groups[A]:
+                total += tau[a] ** x * tau[b] ** y * column[i]
+            partial.append(total)
+        for job, pick, job_values in zip(jobs, picks, values):
+            num = sum(map(partial.__getitem__, pick))
+            job_values.append((num, common))
+            if trace is not None and job.classes in trace:
+                den = common * (-2) ** job.c
+                per_graph = []
+                for g, v in zip(graphs, columns[job.c]):
+                    x, y = ev_exponents(g, job.classes)
+                    value = str(Fraction(tau[g.a] ** x * tau[g.b] ** y * v, den))
+                    per_graph.append({"graph": g.label(), "value": value})
+                record = {"tau": [str(t) for t in tau], "value": str(Fraction(num, den)), "per_graph": per_graph}
+                trace[job.classes].append(record)
+    return {job.classes: _agree(job, job_values) for job, job_values in zip(jobs, values)}
 
 
 def table(
@@ -251,62 +287,25 @@ def table(
 ) -> dict[tuple[int, ...], Invariant]:
     """Degree-one k-point invariants of P^n for many class tuples in one sweep.
 
-    Every tuple sees the same seeded character tuples it would see alone,
-    so each sample calls ``_evaluate_once`` once for all tuples, and
-    ``_agree`` checks each tuple's samples on their own.  Tuples with
-    negative codegree are zero and take no part in the sweep.  ``trace``,
-    if given, maps class tuples to lists that receive one record per
-    sample: its characters, its value and the per-graph contributions,
-    each divided on its own (only traced tuples pay for that).  The result
-    maps each distinct tuple, in first-seen order, to its invariant.
+    Every tuple sees the same seeded character tuples it would see alone:
+    each sample runs ``_evaluate_once`` once for all tuples and ``_sweep``
+    sums and checks each tuple on its own.  Tuples with negative codegree
+    are zero and take no part.  ``trace`` is as in ``_sweep``, with one
+    record per sample.  The result maps each distinct tuple, in first-seen
+    order, to its invariant.
     """
     _check_samples(samples)
-    jobs: dict[tuple[int, ...], LocalizationJob] = {}
-    for classes in map(tuple, class_tuples):
-        if classes not in jobs:
-            jobs[classes] = LocalizationJob(n=n, k=k, classes=classes)
+    jobs = {classes: LocalizationJob(n=n, k=k, classes=classes) for classes in map(tuple, class_tuples)}
     result = {classes: Invariant.zero() for classes in jobs}
     live = [job for job in jobs.values() if not job.graded_zero]
-    if not live:
-        return result
-    graphs = enumerate_graphs(n, k)
-    codegrees = [job.c for job in live]
-    # A graph's parts depend on a job only through its codegree, and its ev
-    # exponents only through A, so graphs of one A are summed together.
-    kinds: dict[frozenset[int], list[int]] = {}
-    for i, g in enumerate(graphs):
-        kinds.setdefault(g.A, []).append(i)
-    exponents = {A: [ev_exponents(graphs[idx[0]], job.classes) for job in live] for A, idx in kinds.items()}
-    top = max(job.total_class_degree for job in live)
-    rng = random.Random(seed)
-    values: list[list[tuple[int, int]]] = [[] for _ in live]
-    for _ in range(samples):
+    if live:
+        graphs = enumerate_graphs(n, k)
+        codegrees = {job.c for job in live}
+        rng = random.Random(seed)
         # Denominators are products of tau_i - tau_j and the characters are
         # distinct, so no sample hits a pole.
-        tau, common, columns = _evaluate_once(graphs, set(codegrees), sample_tau(rng, n))
-        powers = [[t**e for e in range(top + 1)] for t in tau]
-        sums = [0] * len(live)
-        for A, idx in kinds.items():
-            ends = [(graphs[i].a, graphs[i].b) for i in idx]
-            scaled = {c: [column[i] for i in idx] for c, column in columns.items()}
-            monomials: dict[tuple[int, int], list] = {}
-            for j, (xy, c) in enumerate(zip(exponents[A], codegrees)):
-                if xy not in monomials:
-                    x, y = xy
-                    monomials[xy] = [powers[a][x] * powers[b][y] for a, b in ends]
-                sums[j] += sum(map(mul, monomials[xy], scaled[c]))
-        for j, (job, c, job_values) in enumerate(zip(live, codegrees, values)):
-            job_values.append((sums[j], common))
-            if trace is not None and job.classes in trace:
-                per_graph = []
-                for g, v in zip(graphs, columns[c]):
-                    x, y = exponents[g.A][j]
-                    contribution = Fraction(powers[g.a][x] * powers[g.b][y] * v, common * (-2) ** c)
-                    per_graph.append({"graph": g.label(), "value": str(contribution)})
-                value = Fraction(sums[j], common * (-2) ** c)
-                trace[job.classes].append({"tau": [str(t) for t in tau], "value": str(value), "per_graph": per_graph})
-    for job, job_values in zip(live, values):
-        result[job.classes] = _agree(job, job_values)
+        points = (_evaluate_once(graphs, codegrees, sample_tau(rng, n)) for _ in range(samples))
+        result.update(_sweep(graphs, live, points, trace))
     return result
 
 
@@ -321,17 +320,17 @@ def invariant(
 ) -> Invariant:
     """Degree-one k-point invariant of P^n with hyperplane-power insertions.
 
-    ``strategy`` is "evaluate" (seeded generic samples: the one-tuple case
-    of ``table``) or "symbolic" (n <= 2: every point of the grid of
-    ``_symbolic_sum``, which proves the value); either needs ``samples``
-    >= 2 and requires all its values to agree.
-    ``trace``, if given, receives one record per sample: its characters,
+    One ``_sweep``, two point sets: ``strategy`` "evaluate" takes seeded
+    generic samples (the one-tuple case of ``table``), "symbolic" (n <= 2)
+    every point of the grid of ``_symbolic_sum``, which proves the value.
+    Either needs ``samples`` >= 2 and requires all its values to agree.
+    ``trace``, if given, receives one record per point: its characters,
     its value and the per-graph contributions.
     """
     classes = tuple(classes)
     _check_samples(samples)
+    traces = None if trace is None else {classes: trace}
     if strategy == "evaluate":
-        traces = None if trace is None else {classes: trace}
         return table(n, k, [classes], samples=samples, seed=seed, trace=traces)[classes]
     if strategy != "symbolic":
         raise DomainError(f"unknown strategy {strategy!r}")
@@ -341,8 +340,7 @@ def invariant(
     if job.graded_zero:
         return Invariant.zero()
     graphs, grid = _symbolic_sum(n, k)
-    exponents = [ev_exponents(g, classes) for g in graphs]
-    return _agree(job, [(_numerator(graphs, point, exponents, job.c), point[1]) for point in grid])
+    return _sweep(graphs, [job], grid, traces)[classes]
 
 
 def check_extension(n: int, k: int, classes: Sequence[int], seed: int = DEFAULT_SEED) -> bool:

@@ -2,6 +2,7 @@
 
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,16 @@ def test_invariant_trace(runner):
     per_graph = record["diagnostics"]["per_graph"]
     assert len(per_graph) == 2
     assert per_graph[0]["graph"] == "G(k=1,d=1,a=0,b=1,A={})"
+
+
+def test_invariant_symbolic_trace(runner):
+    base = ["invariant", "--strategy", "symbolic", "--trace", "--format", "json", "--n", "2"]
+    record = json.loads(runner.invoke(main, base + ["--k", "2", "--classes", "2,1"]).output)
+    per_graph = record["diagnostics"]["per_graph"]
+    assert len(per_graph) == 12
+    assert sum(Fraction(entry["value"]) for entry in per_graph) == Fraction(record["coefficient"])
+    zero = json.loads(runner.invoke(main, base + ["--k", "3", "--classes", "2,2,2"]).output)
+    assert zero["zero"] and "per_graph" not in zero["diagnostics"]
 
 
 # Whole records pinned byte for byte, so that the per-graph value strings and

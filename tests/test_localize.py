@@ -311,26 +311,30 @@ def test_two_point_corner_cells_empirical():
     # derived nor printed in the paper, and it is never a reason to edit
     # tables.py.  For 1 <= n <= 20, <H^n, H^n>_2 = kappa^-(n+1) and
     # <H^(n-1), H^n>_2 = v kappa^-(n+2), with v = (n+1)/2 for n >= 2 and
-    # v = -1/2 for n = 1; the exponents are the grading -r - d + deg.
-    # Every golden two-point entry of this shape, exactly as printed, is one
-    # of these cells.
+    # v = -1/2 for n = 1; the exponents are the grading -r - d + deg.  For
+    # 2 <= n <= 20, <1, H^2>_2 = <H^2, 1>_2 = -2(n-1)/n <H>_1 kappa^-1.
+    # Every golden two-point entry of these shapes, exactly as printed, is
+    # one of these cells.
     def closed_form(n):
         v = F(n + 1, 2) if n >= 2 else F(-1, 2)
         corner = Invariant.of(v, -(n + 2))
         return {(n, n): Invariant.of(1, -(n + 1)), (n - 1, n): corner, (n, n - 1): corner}
 
-    cells, broken = 0, []
+    cells, broken, predicted = 0, [], {}
     for n in range(1, 21):
-        expected = closed_form(n)
+        expected = predicted[n] = closed_form(n)
+        if n >= 2:
+            base = one_point_table(n)[1,]
+            expected[0, 2] = expected[2, 0] = Invariant.of(F(-2 * (n - 1), n) * base.coeff, base.kappa_exp - 1)
         got = localize.table(n, 2, list(expected))
         cells += len(expected)
         broken += [(n, classes, str(got[classes])) for classes in expected if got[classes] != expected[classes]]
-    assert cells == 60
+    assert cells == 98
     assert not broken
-    golden = [e for e in entries_for(2) if e.status == GOLDEN and e.classes in closed_form(e.n)]
-    assert len(golden) == 10
+    golden = [e for e in entries_for(2) if e.status == GOLDEN and e.classes in predicted[e.n]]
+    assert len(golden) == 14
     for entry in golden:
-        assert entry.printed == closed_form(entry.n)[entry.classes], entry.label
+        assert entry.printed == predicted[entry.n][entry.classes], entry.label
 
 
 def test_integer_core_divides_once():
@@ -586,6 +590,24 @@ def test_trace_records_samples():
             {"graph": g.label(), "value": str(contributions(g, [job], tau)[0])}
             for g in enumerate_graphs(1, 2)
         ]
+
+
+def test_symbolic_trace_records_grid_points():
+    # One record per grid point, C(delta + n, n) of them, each at that
+    # point's characters and with every graph's summand divided on its own.
+    for n, k, classes in [(1, 1, (1,)), (1, 3, (1, 1, 0)), (2, 2, (2, 1)), (2, 3, (2, 1, 1))]:
+        trace = []
+        value = invariant(n, k, classes, strategy="symbolic", trace=trace)
+        _, grid = localize._symbolic_sum(n, k)
+        assert len(trace) == len(grid) == comb(k * n * (n + 1) // 2 + n, n)
+        job = LocalizationJob(n=n, k=k, classes=classes)
+        graphs = enumerate_graphs(n, k)
+        for entry, (tau, _, _) in zip(trace, grid):
+            assert entry["tau"] == [str(t) for t in tau]
+            assert Invariant.of(F(entry["value"]), job.kappa_exp) == value
+            per_graph = [contributions(g, [job], tau)[0] for g in graphs]
+            assert entry["per_graph"] == [{"graph": g.label(), "value": str(v)} for g, v in zip(graphs, per_graph)]
+            assert sum(per_graph) == F(entry["value"])
 
 
 def test_table_trace_matches_invariant_trace():
