@@ -26,10 +26,11 @@ from .point import Invariant
 _ENV_SEED = "SGW_SEED"
 
 # Measured on a shared 2-core Xeon as whole processes: point --k 24 takes
-# 0.4-0.5 s and grows about 1.4x per k; invariant --n 20 --k 3 takes 0.3-0.5 s
-# and quantum --n 10 0.4-0.5 s, and quantum grows about n^4.  taut --k shares
-# the point ceiling.  A larger value is refused up front instead of running
-# for hours or running out of memory.
+# 0.2-0.6 s (median 0.3 s) and grows about 1.5x per k; taut --k 24 takes
+# 0.12-0.37 s, nearly all of it start-up, and shares the point ceiling;
+# invariant --n 20 --k 3 takes 0.3-0.5 s and quantum --n 10 0.4-0.5 s, and
+# quantum grows about n^4.  A larger value is refused up front instead of
+# running for hours or running out of memory.
 MAX_POINT_K = point.MAX_K
 MAX_N = 20
 MAX_QUANTUM_N = 10
@@ -140,19 +141,21 @@ def cmd_invariant(n: int, k: int, classes: str, strategy: str, samples: int, see
     _at_most(samples, MAX_SAMPLES, "--samples")
     class_tuple = _parse_int_list(classes, "--classes")
     seed = _default_seed() if seed is None else seed
-    # Only JSON reads the trace; it holds no record for a graded-zero tuple.
-    sample_log: list | None = [] if fmt == "json" else None
+    # Only JSON with --trace reads the per-graph log; it holds no record for a graded-zero tuple.
+    sample_log: list | None = [] if trace and fmt == "json" else None
     result = localize.invariant(
         n, k, class_tuple, strategy=strategy, samples=samples, seed=seed, trace=sample_log
     )
-    if sample_log is None:
+    if fmt != "json":
         click.echo(str(result))
         return
     diagnostics: dict = {"strategy": strategy, "seed": seed}
     if strategy == "evaluate":
         diagnostics["samples"] = samples
-        diagnostics["tau_samples"] = [entry["tau"] for entry in sample_log]
-    if trace and sample_log:
+        live = not localize.LocalizationJob(n=n, k=k, classes=class_tuple).graded_zero
+        taus = localize.sample_taus(n, samples, seed) if live else []
+        diagnostics["tau_samples"] = [[str(t) for t in tau] for tau in taus]
+    if sample_log:
         diagnostics["per_graph"] = sample_log[0]["per_graph"]
     _emit_json(_record("invariant", {"n": n, "k": k, "d": 1, "classes": list(class_tuple)}, result, diagnostics))
 

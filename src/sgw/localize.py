@@ -229,6 +229,12 @@ def sample_tau(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple(rng.sample(range(-bound, bound + 1), n + 1))
 
 
+def sample_taus(n: int, samples: int, seed: int) -> list[tuple[int, ...]]:
+    """The seeded character tuples that ``table`` evaluates at."""
+    rng = random.Random(seed)
+    return [sample_tau(rng, n) for _ in range(samples)]
+
+
 def _check_samples(samples: int) -> None:
     if samples < 2:
         raise DomainError(f"localization needs at least 2 samples, got {samples}")
@@ -301,10 +307,9 @@ def table(
     if live:
         graphs = enumerate_graphs(n, k)
         codegrees = {job.c for job in live}
-        rng = random.Random(seed)
         # Denominators are products of tau_i - tau_j and the characters are
         # distinct, so no sample hits a pole.
-        points = (_evaluate_once(graphs, codegrees, sample_tau(rng, n)) for _ in range(samples))
+        points = (_evaluate_once(graphs, codegrees, tau) for tau in sample_taus(n, samples, seed))
         result.update(_sweep(graphs, live, points, trace))
     return result
 

@@ -16,10 +16,11 @@ psi_4 .. psi_l times a kappa-only expression, and the sum of those
 kappa-only expressions over all suffixes (i_(l+1), .., i_k) depends only
 on the prefix sum P = i_4 + .. + i_l.  ``point_sum`` keeps one map from
 kappa key to coefficient per (level l, prefix sum P): at each level it
-multiplies the expression of P by psi_l^i, pushes it forward once, and
-adds the result to the map of P - i one level down, for every i <= P
-that the pruning keeps (P - i <= l - 4).  At k = 12 that is 165
-pushforward steps in place of 4862 integrals of nine steps each.
+pushes the map of P times psi_l^i forward with ``taut._push``, the
+kernel that ``taut.integrate_monomial`` walks one monomial with, and adds
+the result into the map of P - i one level down, for every i <= P that
+the pruning keeps (P - i <= l - 4).  At k = 12 that is 165 kernel calls
+in place of 4862 integrals of nine steps each.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import DomainError
-from .taut import KappaFactors, TautExpr, pushforward_step
+from .taut import KappaFactors, _push
 
-# Largest k that ``sgw_point`` accepts: k = 24 takes 0.4-0.5 s as a whole
-# process on a 2-core Xeon, 0.34 s of it in ``point_sum``, and each further k
-# about 1.4x longer.
+# Largest k that ``sgw_point`` accepts: k = 24 takes 0.2-0.6 s (median 0.3 s)
+# and under 20 MB as a whole process on a shared 2-core Xeon, 0.14 s of it in
+# ``point_sum`` with cold kernel caches, and each further k about 1.5x longer.
 MAX_K = 24
 
 
@@ -112,11 +113,7 @@ def point_sum(k: int) -> Fraction:
             # pruning keeps prefix sums of at most l - 4 one level down
             low = max(0, prefix_sum - (l - 4))
             for i in range(low, prefix_sum + 1):
-                psi = ((0, i),) if i else ()
-                pushed = pushforward_step(TautExpr(l, {(psi, kappa): c for kappa, c in kappas.items()}))
-                acc = down.setdefault(prefix_sum - i, {})
-                for (_, kappa), c in pushed._terms.items():
-                    acc[kappa] = acc.get(kappa, 0) + c
+                _push(kappas, l, i, down.setdefault(prefix_sum - i, {}))
         states = down
     # on the 3-pointed space only the empty kappa key has degree zero
     return Fraction(states.get(0, {}).get((), 0))

@@ -8,14 +8,24 @@ f^*(x) * psi_l^s forward gives x * kappa_{s-1}, and kappa_0 on the
 l-pointed space is the scalar l - 2.  A term with no psi_l factor pushes
 to zero.  Each step lowers the degree by one, so only the monomials of
 degree l - 3 reach the degree-zero part on the three-pointed space; the
-rest are dropped before the first step.  Coefficients stay in the ring
-they come in (integers from ``monomial``'s default), and ``integrate``
-turns the result into a ``Fraction`` at its boundary.
+rest are dropped before the first step.
+
+Every factor but psi_l and the kappa classes is pulled back, so it passes
+through the step unchanged (projection formula).  One kernel, ``_push``,
+pushes a kappa-only expression times psi_l^s0 down one level; the kappa
+expansion and the kappa bump it uses are cached per kappa key.  It has
+three callers: ``integrate_monomial`` walks a kappa-only state from k
+points down to 4, taking one psi exponent per level; ``point.point_sum``
+does the same for many monomials at once; ``pushforward_step``, behind
+``integrate``, groups a ``TautExpr`` by psi key and pushes each group.
+Coefficients stay in the ring they come in (integers from ``monomial``'s
+default), and the integrals become a ``Fraction`` at their return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
@@ -98,10 +108,15 @@ def _degree(key: Key) -> int:
     return sum(p for _, p in psi) + sum(a * p for a, p in kappa)
 
 
-def _kappa_branches(kappa: KappaFactors):
+# Every kappa key that a monomial with k <= 24 reaches fits in the caches
+# (792 and 2087 entries, about 2 MB); the bound stops arbitrary
+# ``pushforward_step`` input from growing them for the life of the process.
+@lru_cache(maxsize=4096)
+def _kappa_branches(kappa: KappaFactors) -> tuple[tuple[KappaFactors, int, int], ...]:
     """Expand every kappa_a^p as sum_t C(p,t) f^*(kappa_a^(p-t)) psi_l^(a*t).
 
-    Yields (remaining kappa factors, extra psi_l power, binomial weight).
+    Returns (remaining kappa factors, extra psi_l power, binomial weight)
+    triples, as a tuple so that no caller can change a cached entry.
     """
     branches: list[tuple[KappaFactors, int, int]] = [((), 0, 1)]
     for a, p in kappa:
@@ -110,9 +125,10 @@ def _kappa_branches(kappa: KappaFactors):
             for rest, s_extra, weight in branches
             for t in range(p + 1)
         ]
-    return branches
+    return tuple(branches)
 
 
+@lru_cache(maxsize=4096)
 def _times_kappa(kappa: KappaFactors, a: int) -> KappaFactors:
     """The canonical key of kappa times kappa_a: one scan of the sorted key bumps or inserts kappa_a."""
     for i, (b, power) in enumerate(kappa):
@@ -123,26 +139,44 @@ def _times_kappa(kappa: KappaFactors, a: int) -> KappaFactors:
     return kappa + ((a, 1),)
 
 
+def _push(
+    kappas: dict[KappaFactors, int], l: int, s0: int, down: dict[KappaFactors, int] | None = None
+) -> dict[KappaFactors, int]:
+    """Push sum_K c_K K psi_l^s0 from l points down to l - 1, for kappa-only keys K.
+
+    The module's only copy of the pushforward rule; factors pulled back
+    from l - 1 points are kept aside by the callers.  Adds into ``down``
+    if given, and returns it.
+    """
+    if down is None:
+        down = {}
+    for kappa, coeff in kappas.items():
+        for rest, s_extra, weight in _kappa_branches(kappa):
+            s = s0 + s_extra
+            if s == 0:
+                continue
+            if s == 1:  # kappa_0 downstairs is the scalar (l - 1) - 2
+                key, term = rest, coeff * weight * (l - 3)
+            else:
+                key, term = _times_kappa(rest, s - 1), coeff * weight
+            down[key] = down.get(key, 0) + term
+    return down
+
+
 def pushforward_step(expr: TautExpr) -> TautExpr:
-    """Push an expression on the l-pointed space down to l - 1 points."""
+    """Push an expression on the l-pointed space down to l - 1 points: one ``_push`` per psi key."""
     l = expr.l
     if l == 3:
         raise DomainError("already on the 3-pointed space")
-    down: dict[Key, int | Fraction] = {}
+    by_psi: dict[PsiFactors, dict[KappaFactors, int | Fraction]] = {}
     for (psi, kappa), coeff in expr._terms.items():
+        by_psi.setdefault(psi, {})[kappa] = coeff
+    by_down: dict[PsiFactors, dict[KappaFactors, int | Fraction]] = {}
+    for psi, kappas in by_psi.items():
         # depths are ascending, so a psi_l factor (depth 0) comes first
-        p0 = psi[0][1] if psi and psi[0][0] == 0 else 0
-        psi_down = tuple((m - 1, p) for m, p in psi if m)
-        for kappa_rest, s_extra, weight in _kappa_branches(kappa):
-            s = p0 + s_extra
-            if s == 0:
-                continue
-            if s == 1:  # kappa_0 downstairs is the scalar (l-1) - 2
-                key, term = (psi_down, kappa_rest), coeff * weight * (l - 3)
-            else:
-                key, term = (psi_down, _times_kappa(kappa_rest, s - 1)), coeff * weight
-            down[key] = down.get(key, 0) + term
-    return TautExpr(l - 1, down)
+        s0 = psi[0][1] if psi and psi[0][0] == 0 else 0
+        _push(kappas, l, s0, by_down.setdefault(tuple((m - 1, p) for m, p in psi if m), {}))
+    return TautExpr(l - 1, {(psi, kappa): c for psi, kappas in by_down.items() for kappa, c in kappas.items()})
 
 
 def integrate(expr: TautExpr) -> Fraction:
@@ -154,5 +188,11 @@ def integrate(expr: TautExpr) -> Fraction:
 
 
 def integrate_monomial(k: int, exponents: Sequence[int]) -> Fraction:
-    """Integral of the depth-graded psi monomial with the given exponents."""
-    return integrate(TautExpr.from_exponents(k, exponents))
+    """Integral of the depth-graded psi monomial with the given exponents; level l pushes psi_l^(e_l)."""
+    TautExpr.from_exponents(k, exponents)  # the checks alone
+    if sum(exponents) != k - 3:
+        return Fraction(0)
+    kappas: dict[KappaFactors, int] = {(): 1}
+    for l, e in zip(range(k, 3, -1), reversed(exponents)):
+        kappas = _push(kappas, l, e)
+    return Fraction(kappas.get((), 0))

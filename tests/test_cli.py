@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sgw.cli
+import sgw.graphs
 import sgw.localize
 import sgw.point
 import sgw.quantum
@@ -165,6 +166,28 @@ def test_invariant_inconsistency_exit_code(runner, monkeypatch):
     assert result.exit_code == 3
 
 
+def test_json_without_trace_forms_no_per_graph_values(runner, monkeypatch):
+    # tau_samples are the seeded characters themselves: without --trace no
+    # graph is labelled and no per-graph value is formed.
+    labelled = []
+    label = sgw.graphs.FixedGraph.label
+
+    def counting(g):
+        labelled.append(g)
+        return label(g)
+
+    monkeypatch.setattr(sgw.graphs.FixedGraph, "label", counting)
+    base = ["invariant", "--format", "json", "--seed", "1729", "--n", "1", "--k", "3", "--classes", "1,1,1"]
+    plain = runner.invoke(main, base)
+    assert plain.exit_code == 0
+    assert labelled == []
+    expected = json.loads(GOLDEN_TRACE)
+    del expected["diagnostics"]["per_graph"]
+    assert plain.stdout == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
+    assert runner.invoke(main, base + ["--trace"]).stdout == GOLDEN_TRACE
+    assert len(labelled) == 3 * 8  # every graph at each of the three samples
+
+
 def test_taut(runner):
     result = runner.invoke(main, ["taut", "--k", "6", "--exps", "1,1,1"])
     assert result.exit_code == 0
@@ -183,16 +206,12 @@ def test_taut_domain_error_is_one_line(runner):
 
 def test_taut_skips_monomials_of_the_wrong_degree(runner, monkeypatch):
     # Exponents summing to 231 on the 24-pointed space, of dimension 21,
-    # integrate to zero: no term of the monomial may reach a pushforward,
+    # integrate to zero: the monomial may not reach the pushforward kernel,
     # where its kappa expansion would run away.
-    step = sgw.taut.pushforward_step
+    def forbidden(*args):
+        raise RuntimeError(f"pushed forward a monomial of the wrong degree: {args}")
 
-    def empty_only(expr):
-        if expr._terms:
-            raise RuntimeError(f"pushed forward a term of the wrong degree: {expr}")
-        return step(expr)
-
-    monkeypatch.setattr(sgw.taut, "pushforward_step", empty_only)
+    monkeypatch.setattr(sgw.taut, "_push", forbidden)
     result = runner.invoke(main, ["taut", "--k", "24", "--exps", ",".join(str(e) for e in range(1, 22))])
     assert result.exit_code == 0
     assert result.output.strip() == "0"
@@ -238,7 +257,8 @@ def _forbid_heavy_paths(monkeypatch):
     monkeypatch.setattr(sgw.localize, "enumerate_graphs", heavy)
     monkeypatch.setattr(sgw.quantum, "structure_table", heavy)
     monkeypatch.setattr(sgw.point, "compositions", heavy)
-    monkeypatch.setattr(sgw.point, "pushforward_step", heavy)
+    monkeypatch.setattr(sgw.point, "_push", heavy)
+    monkeypatch.setattr(sgw.taut, "_push", heavy)
     monkeypatch.setattr(sgw.taut, "pushforward_step", heavy)
 
 

@@ -78,16 +78,16 @@ def test_k_twelve_takes_one_pushforward_per_level_and_split(monkeypatch):
     # sum survives the pruning one level down: 165 steps, where
     # integrating the 4862 compositions one by one takes 9 steps each.
     calls = []
-    step = sgw.point.pushforward_step
+    push = sgw.point._push
 
-    def counting(expr):
-        calls.append(expr.l)
-        return step(expr)
+    def counting(kappas, l, s0, down=None):
+        calls.append(l)
+        return push(kappas, l, s0, down)
 
     def forbidden(*args):
         raise AssertionError("integrate_monomial is not on the point path")
 
-    monkeypatch.setattr(sgw.point, "pushforward_step", counting)
+    monkeypatch.setattr(sgw.point, "_push", counting)
     monkeypatch.setattr(sgw.point, "integrate_monomial", forbidden, raising=False)
     monkeypatch.setattr(sgw.taut, "integrate_monomial", forbidden)
     assert sgw_point(12) == Invariant.of(F(-1, 512) * 3 * 5 * 7 * 9 * 11 * 13 * 15 * 17, -19)
@@ -100,7 +100,7 @@ def test_k_above_ceiling_rejected_before_any_work(monkeypatch, k):
     def heavy(*args):
         raise AssertionError("the pushforward started")
 
-    monkeypatch.setattr(sgw.point, "pushforward_step", heavy)
+    monkeypatch.setattr(sgw.point, "_push", heavy)
     with pytest.raises(DomainError, match=f"k must be at most {MAX_K}, got {k}"):
         sgw_point(k)
 

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgw.taut
 from sgw.errors import DomainError
+from sgw.point import point_sum
 from sgw.taut import TautExpr, integrate, integrate_monomial, pushforward_step
 
 
@@ -217,3 +219,55 @@ def test_oracle_agrees_on_random_monomials():
         if rng.random() < 0.6:
             kappa[rng.randint(1, 3)] = rng.randint(1, 2)
         assert integrate(expr(l, psi=psi.items(), kappa=kappa.items())) == oracle_integrate(l, psi, kappa)
+
+
+@st.composite
+def _weak_exponents(draw):
+    """(k, exponents) with k <= 9; the total degree is k - 3 about half the time, anything up to 3 per point otherwise."""
+    k = draw(st.integers(3, 9))
+    if k > 3 and draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.integers(0, k - 3), min_size=k - 4, max_size=k - 4)))
+        bounds = [0, *cuts, k - 3]
+        return k, tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    return k, tuple(draw(st.lists(st.integers(0, 3), min_size=k - 3, max_size=k - 3)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_weak_exponents())
+def test_integrate_monomial_matches_integrate_and_oracle(case):
+    # integrate_monomial runs the kernel on kappa-only states; integrate
+    # pushes whole TautExprs; the oracle shares no code with either.
+    k, exps = case
+    value = integrate_monomial(k, exps)
+    assert type(value) is F
+    assert value == integrate(TautExpr.from_exponents(k, exps)) == oracle_monomial(k, exps)
+
+
+def test_cold_caches_give_the_warm_values():
+    warm = [point_sum(k) for k in range(3, 13)]
+    sgw.taut._kappa_branches.cache_clear()
+    sgw.taut._times_kappa.cache_clear()
+    cold = [point_sum(k) for k in range(3, 13)]
+    assert sgw.taut._kappa_branches.cache_info().misses > 0
+    assert cold == warm
+    point_sum(24)  # the bounded caches hold every key up to the ceiling: nothing is evicted
+    for cached in (sgw.taut._kappa_branches, sgw.taut._times_kappa):
+        info = cached.cache_info()
+        assert info.currsize == info.misses < info.maxsize
+
+
+def test_cached_branch_tables_are_tuples():
+    for kappa in [(), ((1, 1),), ((1, 2), (3, 1)), ((2, 3),)]:
+        table = sgw.taut._kappa_branches(kappa)
+        assert type(table) is tuple and all(type(branch) is tuple for branch in table)
+        assert table is sgw.taut._kappa_branches(kappa)
+    # kappa_1^2 kappa_3 = sum_t C(2, t) kappa_1^(2-t) psi^t times (kappa_3 + psi^3)
+    assert sgw.taut._kappa_branches(((1, 2), (3, 1))) == (
+        (((1, 2), (3, 1)), 0, 1),
+        (((1, 2),), 3, 1),
+        (((1, 1), (3, 1)), 1, 2),
+        (((1, 1),), 4, 2),
+        (((3, 1),), 2, 1),
+        ((), 5, 1),
+    )
+    assert type(sgw.taut._times_kappa(((1, 1),), 2)) is tuple
