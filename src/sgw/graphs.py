@@ -18,15 +18,16 @@ one graph's; the pure lam weight is ``EulerData.lam_weight``.
 
 Every locus has the same closed-form Euler denominator
 u^k * prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j); ``EulerData``
-stores only the numerator over it.
+stores only the numerator over it, which takes one of four values.
+Graphs and their data are named tuples: hashing and comparing a graph,
+as every ``euler_data`` lookup does, runs in C.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DomainError, UnsupportedError
 
@@ -34,19 +35,23 @@ if TYPE_CHECKING:
     from .exact import Poly
 
 
-@dataclass(frozen=True)
-class FixedGraph:
+class _GraphFields(NamedTuple):
     n: int
     a: int
     b: int
     A: frozenset[int]
     k: int
 
-    def __post_init__(self):
-        if not 0 <= self.a < self.b <= self.n:
+
+class FixedGraph(_GraphFields):
+    __slots__ = ()
+
+    def __new__(cls, n: int, a: int, b: int, A: frozenset[int], k: int):
+        if not 0 <= a < b <= n:
             raise DomainError("need 0 <= a < b <= n")
-        if not self.A <= set(range(1, self.k + 1)):
+        if not A <= set(range(1, k + 1)):
             raise DomainError("A must be a subset of the marked-point labels")
+        return super().__new__(cls, n, a, b, A, k)
 
     @property
     def m04(self) -> bool:
@@ -58,9 +63,8 @@ class FixedGraph:
         return f"G(k={self.k},d=1,a={self.a},b={self.b},A={{{members}}})"
 
 
-@dataclass(frozen=True)
-class EulerData:
-    """Per-graph equivariant data, in integers.
+class EulerData(NamedTuple):
+    """Per-graph equivariant data, in integers: one of four values, by locus type.
 
     Twice the lam-free odd normal weights come from ``odd_weights``; twice
     the pure lam weight is ``lam_weight * lam`` (``lam_weight`` is -1 on
@@ -76,18 +80,27 @@ class EulerData:
     num_lam: int
 
 
+# Virtual localization: the edge gives 1 / (-u^2 prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j)),
+# and an end with flag weight w (-u at q_a, u at q_b) and m marked points
+# gives w, 1, 1/w or (w + lam)/w^2 for m = 0, 1, 2, 3.  Against the
+# closed form the product is (-1)^|A| on a point locus, and
+# (u - lam) over q_a or (u + lam) over q_b on an m04 locus, whose
+# contracted component carries the pure weight -lam/2 (lam_weight is
+# twice its coefficient).
+_POINT_LOCUS = (EulerData(0, 1, 0, 0), EulerData(0, -1, 0, 0))  # by the parity of |A|
+_M04_OVER_A = EulerData(-1, 0, 1, -1)
+_M04_OVER_B = EulerData(-1, 0, 1, 1)
+
+
 def enumerate_graphs(n: int, k: int) -> list[FixedGraph]:
     """All degree-one fixed graphs, (a, b) ascending then A by bitmask."""
     if n < 1:
         raise DomainError("n must be >= 1")
     if k not in (1, 2, 3):
         raise UnsupportedError("localization graphs implemented for k in {1, 2, 3}")
-    graphs = []
-    for a, b in combinations(range(n + 1), 2):
-        for mask in range(2**k):
-            members = frozenset(i + 1 for i in range(k) if mask >> i & 1)
-            graphs.append(FixedGraph(n=n, a=a, b=b, A=members, k=k))
-    return graphs
+    subsets = [frozenset(i + 1 for i in range(k) if mask >> i & 1) for mask in range(2**k)]
+    # valid by construction, so built without ``FixedGraph.__new__``'s checks
+    return [tuple.__new__(FixedGraph, (n, a, b, A, k)) for a, b in combinations(range(n + 1), 2) for A in subsets]
 
 
 def pair_weights(n: int, a: int, b: int, tau: Sequence) -> list:
@@ -115,22 +128,12 @@ def odd_weights(g: FixedGraph, tau: Sequence) -> list:
 
 @lru_cache(maxsize=None)
 def euler_data(g: FixedGraph) -> EulerData:
-    """Pure lam weight and inverse fixed-locus Euler class of a degree-one graph."""
+    """Pure lam weight and inverse Euler class of a degree-one graph: one of the four values above, cached per graph."""
     if g.k not in (1, 2, 3):
         raise UnsupportedError("euler data implemented for k in {1, 2, 3}")
-    num_at_a = len(g.A)
-    # Virtual localization: the edge gives 1 / (-u^2 prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j)),
-    # and an end with flag weight w (-u at q_a, u at q_b) and m marked points
-    # gives w, 1, 1/w or (w + lam)/w^2 for m = 0, 1, 2, 3.  Against the
-    # closed form the product is (-1)^|A| on a point locus, and
-    # (u - lam) over q_a or (u + lam) over q_b on an m04 locus, whose
-    # contracted component carries the pure weight -lam/2 (lam_weight is
-    # twice its coefficient).
     if g.m04:
-        lam_weight, num_one, num_u, num_lam = -1, 0, 1, (-1 if num_at_a else 1)
-    else:
-        lam_weight, num_one, num_u, num_lam = 0, (-1) ** num_at_a, 0, 0
-    return EulerData(lam_weight=lam_weight, num_one=num_one, num_u=num_u, num_lam=num_lam)
+        return _M04_OVER_A if g.A else _M04_OVER_B
+    return _POINT_LOCUS[len(g.A) % 2]
 
 
 def ev_exponents(g: FixedGraph, classes: Sequence[int]) -> tuple[int, int]:

@@ -12,32 +12,34 @@ class is the numerator stored in ``EulerData`` over the closed form
 u^k * prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j), u = tau_b - tau_a.
 
 One builder evaluates the sum at integer characters tau:
-``_evaluate_once`` runs the h recurrence once per pair (a, b) over twice
-the lam-free odd weights ``graphs.pair_weights`` (``_pair``), which gives
-2^c h_c; each of the pair's 2^k graphs takes out a flag weight it lacks
-(``_own_h``) and adds the pure lam weight by
-h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W) (``_integrand_parts``).
-It returns each graph's integer parts per codegree over L = lcm of the
-graph denominators, so a tuple's value at tau is one integer sum over
-L * (-2)^c, the sign turning 2^c h_c into (-1)^c h_c.
+``_evaluate_once`` walks the graphs pair by pair and runs the h
+recurrence once per pair (a, b) over twice the lam-free odd weights
+``graphs.pair_weights`` (``_pair``), which gives 2^c h_c; each of the
+pair's 2^k graphs takes out a flag weight it lacks (``_own_h``) and adds
+the pure lam weight by h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W)
+(``_integrand_parts``; point loci have none).  It returns each graph's
+integer parts per codegree as they are, with L = lcm of the graph
+denominators and each graph's scale L // den_g, one division per
+distinct denominator.
 
 One sum, two point sets.  ``_sweep`` adds up each tuple at every point,
-and ``_agree`` insists that all points give the same value, as the sum
-is a constant function of the characters.  "evaluate" (``table``, and
-``invariant`` as its one-tuple case) feeds it seeded generic samples;
-"symbolic" (n <= 2) the grid built once per (n, k) by ``_symbolic_sum``,
-on which agreement proves the sum constant.
+applying the scales as it goes, so a tuple's value at tau is one integer
+sum over L * (-2)^c, the sign turning 2^c h_c into (-1)^c h_c.  ``_agree``
+insists that all points give the same value, as the sum is a constant
+function of the characters.  "evaluate" (``table``, and ``invariant`` as
+its one-tuple case) feeds it seeded generic samples; "symbolic" (n <= 2)
+the grid built once per (n, k) by ``_symbolic_sum``, on which agreement
+proves the sum constant.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import groupby, product
+from functools import lru_cache
+from itertools import product
 from math import lcm
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
 from .graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents, pair_weights
@@ -47,37 +49,41 @@ DEFAULT_SEED = 1729
 SAMPLE_RANGE = 1000
 
 
-@dataclass(frozen=True)
-class LocalizationJob:
+class _JobFields(NamedTuple):
     n: int
     k: int
     classes: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n < 1:
+
+class LocalizationJob(_JobFields):
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int, classes: tuple[int, ...]):
+        if n < 1:
             raise DomainError("n must be >= 1")
-        if self.k not in (1, 2, 3):
+        if k not in (1, 2, 3):
             raise UnsupportedError("localization implemented for k in {1, 2, 3}")
-        if len(self.classes) != self.k:
-            raise DomainError(f"expected {self.k} classes")
-        for a in self.classes:
-            if not 0 <= a <= self.n:
-                raise DomainError(f"class exponent {a} outside [0, {self.n}]")
+        if len(classes) != k:
+            raise DomainError(f"expected {k} classes")
+        for a in classes:
+            if not 0 <= a <= n:
+                raise DomainError(f"class exponent {a} outside [0, {n}]")
+        return super().__new__(cls, n, k, classes)
 
     # dimension n + d(n + 1) + k - 3 and odd rank d(n + 1) + k - 2 at degree d = 1
-    @cached_property
+    @property
     def d_kd(self) -> int:
         return self.n + (self.n + 1) + self.k - 3
 
-    @cached_property
+    @property
     def r_kd(self) -> int:
         return (self.n + 1) + self.k - 2
 
-    @cached_property
+    @property
     def total_class_degree(self) -> int:
         return sum(self.classes)
 
-    @cached_property
+    @property
     def c(self) -> int:
         return self.d_kd - self.total_class_degree
 
@@ -94,9 +100,11 @@ def _h_values(c: int, weights: Sequence) -> list:
     """h_0 .. h_c of lam-free weights in any ring with + and * (integers, Fractions or Polys)."""
     one = weights[0] ** 0
     h = [one] + [one - one] * c
+    degrees = range(1, c + 1)
     for w in weights:
-        for j in range(1, c + 1):
-            h[j] = h[j] + w * h[j - 1]
+        prev = one
+        for j in degrees:
+            prev = h[j] = h[j] + w * prev
     return h
 
 
@@ -127,6 +135,8 @@ def _integrand_parts(g: FixedGraph, data: EulerData, codegrees: Collection[int],
     """
     lam_free = data.num_one + data.num_u * u
     m04 = g.m04
+    if not (m04 or data.num_lam or data.lam_weight):  # a point locus with no lam to check
+        return {c: h[c] * lam_free for c in codegrees}
     parts = {}
     for c in codegrees:
         coeff = data.num_lam * h[c]
@@ -168,23 +178,27 @@ def graph_contribution(
 
 def _evaluate_once(
     graphs: Sequence[FixedGraph], codegrees: Collection[int], tau
-) -> tuple[tuple, int, dict[int, list[int]]]:
-    """``tau``, L = lcm of the graph denominators and, per codegree c, each graph's (L // den_g) * parts_g[c].
+) -> tuple[tuple, int, list[int], dict[int, list[int]]]:
+    """The point (tau, L, scales, columns): L = lcm of the graph denominators, each graph's L // den_g in ``scales``.
 
-    The graphs on a pair (a, b) are adjacent and share one ``_pair``.
+    ``columns`` maps each codegree c to every graph's unscaled parts_g[c].
+    The graphs come as ``enumerate_graphs`` lists them: the 2^k graphs on a
+    pair (a, b) are adjacent and share one ``_pair`` and denominator.
     """
     cmax = max(codegrees)
+    width = 2 ** graphs[0].k
     rows, dens = [], []
-    for _, on_pair in groupby(graphs, key=lambda g: (g.a, g.b)):
-        on_pair = list(on_pair)
+    for start in range(0, len(graphs), width):
+        on_pair = graphs[start : start + width]
         pair = _pair(on_pair[0], cmax, tau)
         for g in on_pair:
             parts, den = graph_contribution(g, codegrees, tau, pair)
             rows.append(parts)
             dens.append(den)
-    common = lcm(*dens)
-    scales = [common // den for den in dens]
-    return tau, common, {c: [s * parts[c] for s, parts in zip(scales, rows)] for c in codegrees}
+    distinct = set(dens)
+    common = lcm(*distinct)
+    scale_of = {den: common // den for den in distinct}
+    return tau, common, [scale_of[den] for den in dens], {c: [parts[c] for parts in rows] for c in codegrees}
 
 
 def _agree(job: LocalizationJob, values: Sequence[tuple[int, int]]) -> Invariant:
@@ -241,11 +255,12 @@ def _check_samples(samples: int) -> None:
 
 
 def _sweep(graphs: Sequence[FixedGraph], jobs: list[LocalizationJob], points: Iterable, trace: dict | None) -> dict:
-    """The invariant of each job from its sum at every ``_evaluate_once`` point (tau, L, columns).
+    """The invariant of each job from its sum at every ``_evaluate_once`` point (tau, L, scales, columns).
 
     A graph's summand depends on a job only through the ev exponents (x, y)
     on its marked set A, and x + y fixes the codegree, so each point sums
-    the graphs of A once per key (A, x, y) and each job adds up its keys.
+    tau_a^x tau_b^y parts[c] (L // den) over the graphs of A once per key
+    (A, x, y), from one table of powers of tau, and each job adds up its keys.
     ``trace``, if given, maps class tuples to lists that receive one record
     per point: its characters, its value and the per-graph contributions,
     each divided on its own.
@@ -260,13 +275,14 @@ def _sweep(graphs: Sequence[FixedGraph], jobs: list[LocalizationJob], points: It
         picks.append([keys.setdefault((A, *xy), len(keys)) for A, xy in zip(groups, xys)])
     d_kd = jobs[0].d_kd
     values: list[list[tuple[int, int]]] = [[] for _ in jobs]
-    for tau, common, columns in points:
+    for tau, common, scales, columns in points:
+        powers = [[t**e for e in range(d_kd + 1)] for t in tau]
         partial = []
         for A, x, y in keys:
             column = columns[d_kd - x - y]
             total = 0
             for a, b, i in groups[A]:
-                total += tau[a] ** x * tau[b] ** y * column[i]
+                total += powers[a][x] * powers[b][y] * column[i] * scales[i]
             partial.append(total)
         for job, pick, job_values in zip(jobs, picks, values):
             num = sum(map(partial.__getitem__, pick))
@@ -274,9 +290,9 @@ def _sweep(graphs: Sequence[FixedGraph], jobs: list[LocalizationJob], points: It
             if trace is not None and job.classes in trace:
                 den = common * (-2) ** job.c
                 per_graph = []
-                for g, v in zip(graphs, columns[job.c]):
+                for g, v, scale in zip(graphs, columns[job.c], scales):
                     x, y = ev_exponents(g, job.classes)
-                    value = str(Fraction(tau[g.a] ** x * tau[g.b] ** y * v, den))
+                    value = str(Fraction(tau[g.a] ** x * tau[g.b] ** y * v * scale, den))
                     per_graph.append({"graph": g.label(), "value": value})
                 record = {"tau": [str(t) for t in tau], "value": str(Fraction(num, den)), "per_graph": per_graph}
                 trace[job.classes].append(record)

@@ -25,9 +25,8 @@ in place of 4862 integrals of nine steps each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DomainError
 from .taut import KappaFactors, _push
@@ -38,16 +37,18 @@ from .taut import KappaFactors, _push
 MAX_K = 24
 
 
-@dataclass(frozen=True)
-class Invariant:
-    """Either zero, or an exact rational coefficient times kappa^kappa_exp."""
-
+class _InvariantFields(NamedTuple):
     coeff: Fraction
     kappa_exp: int
 
-    def __post_init__(self):
-        if self.coeff == 0 and self.kappa_exp != 0:
-            object.__setattr__(self, "kappa_exp", 0)
+
+class Invariant(_InvariantFields):
+    """Either zero, or an exact rational coefficient times kappa^kappa_exp."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeff: Fraction, kappa_exp: int):
+        return super().__new__(cls, coeff, 0 if coeff == 0 else kappa_exp)
 
     @classmethod
     def zero(cls) -> "Invariant":

@@ -17,8 +17,8 @@ Entries with a non-golden status carry the recomputed invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .point import Invariant
 
@@ -27,8 +27,7 @@ SUSPECT = "suspect"
 DISCREPANT = "discrepant"
 
 
-@dataclass(frozen=True)
-class PointEntry:
+class PointEntry(NamedTuple):
     k: int
     coeff: Fraction
     kappa_exp: int
@@ -41,15 +40,13 @@ class PointEntry:
         return Invariant.of(self.coeff, self.kappa_exp)
 
 
-@dataclass(frozen=True)
-class TautEntry:
+class TautEntry(NamedTuple):
     k: int
     exps: tuple[int, ...]
     value: Fraction
 
 
-@dataclass(frozen=True)
-class InvariantEntry:
+class InvariantEntry(NamedTuple):
     n: int
     k: int
     classes: tuple[int, ...]

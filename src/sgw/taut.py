@@ -189,7 +189,13 @@ def integrate(expr: TautExpr) -> Fraction:
 
 def integrate_monomial(k: int, exponents: Sequence[int]) -> Fraction:
     """Integral of the depth-graded psi monomial with the given exponents; level l pushes psi_l^(e_l)."""
-    TautExpr.from_exponents(k, exponents)  # the checks alone
+    # the checks and messages of ``TautExpr.from_exponents``, building no expression
+    if k < 3:
+        raise DomainError("k >= 3 required")
+    if len(exponents) != k - 3:
+        raise DomainError(f"expected {k - 3} exponents for k={k}")
+    if any(p < 1 for p in [int(e) for e in exponents if e]):
+        raise DomainError("psi factors need depth >= 0 and power >= 1")
     if sum(exponents) != k - 3:
         return Fraction(0)
     kappas: dict[KappaFactors, int] = {(): 1}

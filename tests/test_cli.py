@@ -2,6 +2,8 @@
 
 import json
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -436,3 +438,12 @@ def test_reproduce_paper_skips_name_recomputed_values(runner):
     skips = [line for line in result.output.splitlines() if line.startswith("SKIP")]
     assert any("recomputed 1575/32 * kappa^-12" in line for line in skips)
     assert any("recomputed -9009/256 * kappa^-15" in line for line in skips)
+
+
+def test_sgw_does_not_import_dataclasses():
+    # The value types are named tuples, so a process that imports sgw and
+    # its CLI never pays for the dataclasses module.
+    src = Path(sgw.cli.__file__).resolve().parent.parent
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import sgw, sgw.cli; print('dataclasses' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.stdout == "False\n", result.stderr

@@ -7,7 +7,7 @@ import pytest
 
 from sgw.errors import DomainError, UnsupportedError
 from sgw.exact import Poly
-from sgw.graphs import FixedGraph, enumerate_graphs, euler_data, ev_pullback, odd_weights
+from sgw.graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_pullback, odd_weights
 
 from .test_exact import linear
 
@@ -61,10 +61,31 @@ def test_graph_label():
 
 
 def test_graph_rejects_bad_pair():
-    with pytest.raises(DomainError):
-        graph(2, 2, 1, 1, [1])
-    with pytest.raises(DomainError):
-        graph(2, 2, 0, 3, [1])
+    for a, b in [(1, 1), (0, 3), (-1, 1), (2, 1)]:
+        with pytest.raises(DomainError, match=r"^need 0 <= a < b <= n$"):
+            graph(2, 2, a, b, [1])
+
+
+def test_graph_rejects_marks_outside_the_labels():
+    for members in ([3], [0, 1]):
+        with pytest.raises(DomainError, match="^A must be a subset of the marked-point labels$"):
+            FixedGraph(2, 0, 1, frozenset(members), 2)
+
+
+def test_graphs_built_separately_are_equal_values():
+    # enumerate_graphs builds its graphs without the checks; each equals,
+    # and hashes as, the graph built through them, so both find one
+    # euler_data entry.
+    for n in (1, 2, 3):
+        for k in (1, 2, 3):
+            enumerated = enumerate_graphs(n, k)
+            assert enumerated == enumerate_graphs(n, k)
+            for g in enumerated:
+                again = graph(n, k, g.a, g.b, sorted(g.A))
+                assert type(g) is type(again) is FixedGraph
+                assert g == again and hash(g) == hash(again), g
+                assert euler_data(again) is euler_data(g)
+            assert len(set(enumerated)) == len(enumerated)
 
 
 def test_odd_weights_agree_across_rings():
@@ -176,6 +197,43 @@ def test_lambda_appears_iff_m04():
                 assert all(mono[-1] == 0 for w in odd_weights(g, characters(n + 1)) for mono in w.terms)
                 assert (data.lam_weight != 0) == g.m04 == (k == 3 and len(g.A) in (0, 3))
                 assert (data.num_lam != 0) == g.m04
+
+
+def _virtual_localization_numerator(g, u):
+    """The numerator of the closed form at the flag value u, as (lam-free part, lam coefficient), lam^2 = 0.
+
+    Recomputed from the comment on the four ``EulerData`` values: the edge
+    gives 1 / (-u^2 prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j)), and an
+    end with flag weight w (-u at q_a, u at q_b) and m marked points gives
+    w, 1, 1/w or (w + lam) / w^2 for m = 0, 1, 2, 3.  Times the closed-form
+    denominator u^k prod_{j != a, b} (...), the product over j cancels.
+    """
+
+    def times(x, y):
+        return (x[0] * y[0], x[0] * y[1] + x[1] * y[0])
+
+    value = (F(u**g.k, -(u**2)), F(0))
+    for w, m in ((-u, len(g.A)), (u, g.k - len(g.A))):
+        end = [(F(w), F(0)), (F(1), F(0)), (F(1, w), F(0)), (F(1, w), F(1, w**2))][m]
+        value = times(value, end)
+    return value
+
+
+def test_euler_data_is_the_virtual_localization_formula():
+    # Every graph with n <= 3 and k <= 3: the stored numerator
+    # num_one + num_u * u + num_lam * lam is the formula's, at three values
+    # of u (it is of degree <= 1 in u), and lam_weight is -1 exactly on m04
+    # loci.  The data take four values, one object each.
+    values = set()
+    for n in (1, 2, 3):
+        for k in (1, 2, 3):
+            for g in enumerate_graphs(n, k):
+                data = euler_data(g)
+                values.add(id(data))
+                assert type(data) is EulerData and data.lam_weight == (-1 if g.m04 else 0), g
+                for u in (2, 3, -5):
+                    assert (data.num_one + data.num_u * u, data.num_lam) == _virtual_localization_numerator(g, u), g
+    assert len(values) == 4
 
 
 def test_ev_pullback():

@@ -4,14 +4,14 @@ import random
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb, prod
+from math import comb, lcm, prod
 
 import pytest
 
 import sgw.localize as localize
 from sgw.errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
 from sgw.exact import Poly, complete_homogeneous
-from sgw.graphs import FixedGraph, enumerate_graphs, euler_data, ev_exponents, odd_weights, pair_weights
+from sgw.graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents, odd_weights, pair_weights
 from sgw.localize import LocalizationJob, check_extension, graph_contribution, invariant
 from sgw.point import Invariant
 from sgw.tables import ALL_INVARIANT_ENTRIES, GOLDEN, entries_for
@@ -44,12 +44,18 @@ def test_job_derived_quantities():
 
 
 def test_job_validation():
-    with pytest.raises(UnsupportedError):
-        LocalizationJob(n=2, k=4, classes=(1, 1, 1, 1))
-    with pytest.raises(DomainError):
-        LocalizationJob(n=2, k=2, classes=(3, 0))
-    with pytest.raises(DomainError):
-        LocalizationJob(n=2, k=2, classes=(1,))
+    # Each check keeps its exception type and its message.
+    cases = [
+        (0, 1, (0,), DomainError, "n must be >= 1"),
+        (2, 4, (1, 1, 1, 1), UnsupportedError, "localization implemented for k in {1, 2, 3}"),
+        (2, 2, (1,), DomainError, "expected 2 classes"),
+        (2, 2, (3, 0), DomainError, "class exponent 3 outside [0, 2]"),
+        (2, 2, (1, -1), DomainError, "class exponent -1 outside [0, 2]"),
+    ]
+    for n, k, classes, error, message in cases:
+        with pytest.raises(error) as info:
+            LocalizationJob(n=n, k=k, classes=classes)
+        assert type(info.value) is error and str(info.value) == message
 
 
 def test_graph_contribution_one_point():
@@ -183,6 +189,20 @@ def test_integrand_parts_apply_the_lam_weight():
             else:
                 expected = h * lam_free
             assert parts[c] == 2**c * expected, (g, c)
+
+
+def test_integrand_parts_reject_lam_on_a_point_locus():
+    # A point locus takes its lam-free part; lam data that leave a lam
+    # coefficient there are inconsistent, whichever of the two is nonzero.
+    g = graph(2, 2, 0, 1, [1])
+    h, u = [1, 5, 7], 3
+    assert localize._integrand_parts(g, EulerData(0, -1, 0, 0), range(3), h, u) == {0: -1, 1: -5, 2: -7}
+    message = r"^lam survived on the point-type locus G\(k=2,d=1,a=0,b=1,A=\{1\}\)$"
+    for data in (EulerData(0, -1, 0, 1), EulerData(-1, -1, 0, 0), EulerData(-1, 0, 1, 1)):
+        with pytest.raises(InconsistencyError, match=message):
+            localize._integrand_parts(g, data, range(3), h, u)
+    # an m04 locus takes the lam coefficient, zero when there is no lam
+    assert localize._integrand_parts(graph(2, 3, 0, 1, []), EulerData(0, 1, 0, 0), range(3), h, u) == {0: 0, 1: 0, 2: 0}
 
 
 def test_graph_contribution_resample_signal():
@@ -357,8 +377,8 @@ def test_integer_core_divides_once():
             continue
         symbolic += 1
         _, grid = localize._symbolic_sum(job.n, job.k)
-        for tau, common, columns in grid:
-            numbers = [*tau, common] + [v for column in columns.values() for v in column]
+        for tau, common, scales, columns in grid:
+            numbers = [*tau, common, *scales] + [v for column in columns.values() for v in column]
             assert all(type(v) is int for v in numbers), entry.label
     assert symbolic > 0
     jobs = [LocalizationJob(n=2, k=3, classes=c) for c in [(1, 1, 0), (2, 1, 1), (0, 0, 0)]]
@@ -489,16 +509,28 @@ def test_symbolic_grid_points():
     # The grid is tau = (1, tau_1 .. tau_n), tau_j = 1 + j + n x_j, over the
     # C(delta + n, n) points x of the simplex |x| <= delta: distinct
     # characters at every point, and one value of x_j per value of tau_j.
+    # Each point records L, every graph's scale L // den_g and, per
+    # codegree, every graph's unscaled graph_contribution part.
     for n, k in product((1, 2), (1, 2, 3)):
         delta = k * n * (n + 1) // 2
         simplex = {x for x in product(range(delta + 1), repeat=n) if sum(x) <= delta}
-        _, grid = localize._symbolic_sum(n, k)
+        graphs, grid = localize._symbolic_sum(n, k)
+        codegrees = range(LocalizationJob(n=n, k=k, classes=(0,) * k).c + 1)
+        assert graphs == tuple(enumerate_graphs(n, k))
         assert len(grid) == len(simplex) == comb(delta + n, n), (n, k)
         xs = set()
-        for tau, _, _ in grid:
+        for tau, common, scales, columns in grid:
             assert tau[0] == 1 and len(set(tau)) == n + 1, tau
             assert all((t - 1 - j) % n == 0 for j, t in enumerate(tau[1:], start=1)), tau
             xs.add(tuple((t - 1 - j) // n for j, t in enumerate(tau[1:], start=1)))
+            assert len(scales) == len(graphs) and set(columns) == set(codegrees), tau
+            dens = []
+            for i, g in enumerate(graphs):
+                parts, den = graph_contribution(g, codegrees, tau)
+                assert scales[i] * den == common, (g, tau)
+                assert [columns[c][i] for c in codegrees] == [parts[c] for c in codegrees], (g, tau)
+                dens.append(den)
+            assert common == lcm(*dens), tau
         assert xs == simplex, (n, k)
 
 
@@ -602,10 +634,13 @@ def test_symbolic_trace_records_grid_points():
         assert len(trace) == len(grid) == comb(k * n * (n + 1) // 2 + n, n)
         job = LocalizationJob(n=n, k=k, classes=classes)
         graphs = enumerate_graphs(n, k)
-        for entry, (tau, _, _) in zip(trace, grid):
+        for entry, (tau, common, scales, columns) in zip(trace, grid):
             assert entry["tau"] == [str(t) for t in tau]
             assert Invariant.of(F(entry["value"]), job.kappa_exp) == value
             per_graph = [contributions(g, [job], tau)[0] for g in graphs]
+            for g, v, scale, summand in zip(graphs, columns[job.c], scales, per_graph):
+                x, y = ev_exponents(g, classes)
+                assert F(tau[g.a] ** x * tau[g.b] ** y * v * scale, common * (-2) ** job.c) == summand, g
             assert entry["per_graph"] == [{"graph": g.label(), "value": str(v)} for g, v in zip(graphs, per_graph)]
             assert sum(per_graph) == F(entry["value"])
 

@@ -127,6 +127,12 @@ def test_k_below_three_rejected():
 
 def test_invariant_canonical_zero():
     assert Invariant.of(0, -5) == Invariant.zero()
+    # however a zero is built, its exponent is 0, so all zeros are one value
+    for exponent in (-5, 0, 3):
+        assert Invariant.of(0, exponent).kappa_exp == 0
+        assert Invariant(F(0), exponent) == Invariant.zero() == (F(0), 0)
+        assert hash(Invariant(F(0), exponent)) == hash(Invariant.zero())
+    assert (Invariant.of(F(3, 4), -5).coeff, Invariant.of(F(3, 4), -5).kappa_exp) == (F(3, 4), -5)
     assert str(Invariant.zero()) == "0"
     assert Invariant.zero().to_json() == {"zero": True}
     assert Invariant.of(F(-1, 2), -3).to_json() == {

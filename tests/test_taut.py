@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import sgw.taut
 from sgw.errors import DomainError
 from sgw.point import point_sum
+from sgw.tables import TAUT_ENTRIES
 from sgw.taut import TautExpr, integrate, integrate_monomial, pushforward_step
 
 
@@ -155,6 +156,43 @@ def test_from_exponents_checks():
         TautExpr.from_exponents(2, ())
     with pytest.raises(DomainError, match="expected 2 exponents for k=5"):
         TautExpr.from_exponents(5, (1,))
+
+
+def test_integrate_monomial_builds_no_expression(monkeypatch):
+    # integrate_monomial checks its own input: with both TautExpr
+    # constructors broken it still gives the published integrals.
+    def broken(*args, **kwargs):
+        raise AssertionError("integrate_monomial built a TautExpr")
+
+    monkeypatch.setattr(TautExpr, "from_exponents", broken)
+    monkeypatch.setattr(TautExpr, "monomial", broken)
+    assert len(TAUT_ENTRIES) == 7
+    for entry in TAUT_ENTRIES:
+        assert integrate_monomial(entry.k, entry.exps) == entry.value, entry
+
+
+@pytest.mark.parametrize(
+    "k,exps,error,message",
+    [
+        (2, (), DomainError, "k >= 3 required"),
+        (-1, (1,), DomainError, "k >= 3 required"),
+        (5, (1,), DomainError, "expected 2 exponents for k=5"),
+        (4, (), DomainError, "expected 1 exponents for k=4"),
+        (6, (1, -1, 3), DomainError, "psi factors need depth >= 0 and power >= 1"),
+        (5, (-2, 4), DomainError, "psi factors need depth >= 0 and power >= 1"),
+        (5, (-1, "x"), ValueError, "invalid literal for int() with base 10: 'x'"),
+        (5, (1, [2]), TypeError, None),
+    ],
+)
+def test_integrate_monomial_checks_as_from_exponents(k, exps, error, message):
+    # integrate_monomial checks its input as TautExpr.from_exponents does:
+    # the same exception type and the same message.
+    for check in (TautExpr.from_exponents, integrate_monomial):
+        with pytest.raises(error) as info:
+            check(k, exps)
+        assert type(info.value) is error
+        if message is not None:
+            assert str(info.value) == message
 
 
 def test_kappa_zero_never_stored():
