@@ -133,7 +133,7 @@ def cmd_point(k: int, fmt: str):
 @click.option("--strategy", type=click.Choice(["evaluate", "symbolic"]), default="evaluate")
 @click.option("--samples", type=int, default=3, show_default=True, help=f"Character tuples to evaluate at, 2..{MAX_SAMPLES}.")
 @click.option("--seed", type=int, default=None, help=f"Random seed (default: ${_ENV_SEED} or {localize.DEFAULT_SEED}).")
-@click.option("--trace", is_flag=True, help="Include per-graph contributions in the diagnostics.")
+@click.option("--trace", is_flag=True, help="JSON only: per-graph summands at the first sample or grid point.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def cmd_invariant(n: int, k: int, classes: str, strategy: str, samples: int, seed: int | None, trace: bool, fmt: str):
     """Degree-one k-point invariant of P^n via localization."""
@@ -141,11 +141,7 @@ def cmd_invariant(n: int, k: int, classes: str, strategy: str, samples: int, see
     _at_most(samples, MAX_SAMPLES, "--samples")
     class_tuple = _parse_int_list(classes, "--classes")
     seed = _default_seed() if seed is None else seed
-    # Only JSON with --trace reads the per-graph log; it holds no record for a graded-zero tuple.
-    sample_log: list | None = [] if trace and fmt == "json" else None
-    result = localize.invariant(
-        n, k, class_tuple, strategy=strategy, samples=samples, seed=seed, trace=sample_log
-    )
+    result = localize.invariant(n, k, class_tuple, strategy=strategy, samples=samples, seed=seed)
     if fmt != "json":
         click.echo(str(result))
         return
@@ -155,8 +151,9 @@ def cmd_invariant(n: int, k: int, classes: str, strategy: str, samples: int, see
         live = not localize.LocalizationJob(n=n, k=k, classes=class_tuple).graded_zero
         taus = localize.sample_taus(n, samples, seed) if live else []
         diagnostics["tau_samples"] = [[str(t) for t in tau] for tau in taus]
-    if sample_log:
-        diagnostics["per_graph"] = sample_log[0]["per_graph"]
+    summands = localize.per_graph(n, k, class_tuple, strategy=strategy, seed=seed) if trace else []
+    if summands:  # a graded-zero tuple has none
+        diagnostics["per_graph"] = [{"graph": g.label(), "value": str(value)} for g, value in summands]
     _emit_json(_record("invariant", {"n": n, "k": k, "d": 1, "classes": list(class_tuple)}, result, diagnostics))
 
 

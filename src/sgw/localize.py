@@ -22,14 +22,15 @@ integer parts per codegree as they are, with L = lcm of the graph
 denominators and each graph's scale L // den_g, one division per
 distinct denominator.
 
-One sum, two point sets.  ``_sweep`` adds up each tuple at every point,
-applying the scales as it goes, so a tuple's value at tau is one integer
-sum over L * (-2)^c, the sign turning 2^c h_c into (-1)^c h_c.  ``_agree``
-insists that all points give the same value, as the sum is a constant
-function of the characters.  "evaluate" (``table``, and ``invariant`` as
-its one-tuple case) feeds it seeded generic samples; "symbolic" (n <= 2)
-the grid built once per (n, k) by ``_symbolic_sum``, on which agreement
-proves the sum constant.
+One sum, two point sets.  ``table`` (``invariant`` is its one-tuple case)
+runs ``_sweep``, which adds up each tuple at every point, applying the
+scales as it goes, so a tuple's value at tau is one integer sum over
+L * (-2)^c, the sign turning 2^c h_c into (-1)^c h_c.  ``_agree`` insists
+that all points agree, as the sum is a constant function of the
+characters.  ``_points`` alone chooses them: seeded generic samples for
+"evaluate", or for "symbolic" (n <= 2) the grid built once per (n, k) by
+``_symbolic_sum``, on which agreement proves the sum constant.
+``per_graph`` divides each summand on its own at the first point.
 """
 
 from __future__ import annotations
@@ -249,21 +250,35 @@ def sample_taus(n: int, samples: int, seed: int) -> list[tuple[int, ...]]:
     return [sample_tau(rng, n) for _ in range(samples)]
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 2:
-        raise DomainError(f"localization needs at least 2 samples, got {samples}")
+def _points(n: int, k: int, codegrees: Collection[int], strategy: str, samples: int, seed: int) -> tuple:
+    """The graphs of (n, k) and the ``_evaluate_once`` points that ``strategy`` sums them at.
+
+    "evaluate" draws ``samples`` seeded characters: they are distinct and
+    the denominators are products of tau_i - tau_j, so no sample hits a pole.
+    """
+    if strategy == "symbolic":
+        return _symbolic_sum(n, k)
+    graphs = enumerate_graphs(n, k)
+    return graphs, (_evaluate_once(graphs, codegrees, tau) for tau in sample_taus(n, samples, seed))
 
 
-def _sweep(graphs: Sequence[FixedGraph], jobs: list[LocalizationJob], points: Iterable, trace: dict | None) -> dict:
+def _jobs(n: int, k: int, class_tuples: Iterable[Sequence[int]], strategy: str) -> dict[tuple, LocalizationJob]:
+    """The job of each distinct class tuple, in first-seen order, once ``strategy`` is known to apply to n."""
+    if strategy not in ("evaluate", "symbolic"):
+        raise DomainError(f"unknown strategy {strategy!r}")
+    if strategy == "symbolic" and n > 2:
+        raise DomainError("symbolic strategy supported for n <= 2")
+    return {classes: LocalizationJob(n=n, k=k, classes=classes) for classes in map(tuple, class_tuples)}
+
+
+def _sweep(graphs: Sequence[FixedGraph], jobs: list[LocalizationJob], points: Iterable) -> dict:
     """The invariant of each job from its sum at every ``_evaluate_once`` point (tau, L, scales, columns).
 
     A graph's summand depends on a job only through the ev exponents (x, y)
     on its marked set A, and x + y fixes the codegree, so each point sums
     tau_a^x tau_b^y parts[c] (L // den) over the graphs of A once per key
-    (A, x, y), from one table of powers of tau, and each job adds up its keys.
-    ``trace``, if given, maps class tuples to lists that receive one record
-    per point: its characters, its value and the per-graph contributions,
-    each divided on its own.
+    (A, x, y), from one table of powers of tau, and each job adds up its
+    keys into one integer over L * (-2)^c.
     """
     groups: dict[frozenset[int], list[tuple[int, int, int]]] = {}
     for i, g in enumerate(graphs):
@@ -284,18 +299,8 @@ def _sweep(graphs: Sequence[FixedGraph], jobs: list[LocalizationJob], points: It
             for a, b, i in groups[A]:
                 total += powers[a][x] * powers[b][y] * column[i] * scales[i]
             partial.append(total)
-        for job, pick, job_values in zip(jobs, picks, values):
-            num = sum(map(partial.__getitem__, pick))
-            job_values.append((num, common))
-            if trace is not None and job.classes in trace:
-                den = common * (-2) ** job.c
-                per_graph = []
-                for g, v, scale in zip(graphs, columns[job.c], scales):
-                    x, y = ev_exponents(g, job.classes)
-                    value = str(Fraction(tau[g.a] ** x * tau[g.b] ** y * v * scale, den))
-                    per_graph.append({"graph": g.label(), "value": value})
-                record = {"tau": [str(t) for t in tau], "value": str(Fraction(num, den)), "per_graph": per_graph}
-                trace[job.classes].append(record)
+        for pick, job_values in zip(picks, values):
+            job_values.append((sum(map(partial.__getitem__, pick)), common))
     return {job.classes: _agree(job, job_values) for job, job_values in zip(jobs, values)}
 
 
@@ -303,65 +308,58 @@ def table(
     n: int,
     k: int,
     class_tuples: Iterable[Sequence[int]],
+    *,
+    strategy: str = "evaluate",
     samples: int = 3,
     seed: int = DEFAULT_SEED,
-    trace: dict[tuple[int, ...], list] | None = None,
 ) -> dict[tuple[int, ...], Invariant]:
-    """Degree-one k-point invariants of P^n for many class tuples in one sweep.
+    """Degree-one k-point invariants of P^n for many class tuples in one ``_sweep``.
 
-    Every tuple sees the same seeded character tuples it would see alone:
-    each sample runs ``_evaluate_once`` once for all tuples and ``_sweep``
-    sums and checks each tuple on its own.  Tuples with negative codegree
-    are zero and take no part.  ``trace`` is as in ``_sweep``, with one
-    record per sample.  The result maps each distinct tuple, in first-seen
-    order, to its invariant.
+    ``strategy`` "evaluate" sums at ``samples`` seeded generic characters,
+    "symbolic" (n <= 2) on the grid of ``_symbolic_sum``, which proves the
+    values; either needs ``samples`` >= 2.  Every tuple sees the points it
+    would see alone, and all its values must agree; tuples with negative
+    codegree are zero and take no part.  Each distinct tuple, in first-seen
+    order, maps to its invariant.
     """
-    _check_samples(samples)
-    jobs = {classes: LocalizationJob(n=n, k=k, classes=classes) for classes in map(tuple, class_tuples)}
+    if samples < 2:
+        raise DomainError(f"localization needs at least 2 samples, got {samples}")
+    jobs = _jobs(n, k, class_tuples, strategy)
     result = {classes: Invariant.zero() for classes in jobs}
     live = [job for job in jobs.values() if not job.graded_zero]
     if live:
-        graphs = enumerate_graphs(n, k)
-        codegrees = {job.c for job in live}
-        # Denominators are products of tau_i - tau_j and the characters are
-        # distinct, so no sample hits a pole.
-        points = (_evaluate_once(graphs, codegrees, tau) for tau in sample_taus(n, samples, seed))
-        result.update(_sweep(graphs, live, points, trace))
+        graphs, points = _points(n, k, {job.c for job in live}, strategy, samples, seed)
+        result.update(_sweep(graphs, live, points))
     return result
 
 
 def invariant(
-    n: int,
-    k: int,
-    classes: Sequence[int],
-    strategy: str = "evaluate",
-    samples: int = 3,
-    seed: int = DEFAULT_SEED,
-    trace: list | None = None,
+    n: int, k: int, classes: Sequence[int], strategy: str = "evaluate", samples: int = 3, seed: int = DEFAULT_SEED
 ) -> Invariant:
-    """Degree-one k-point invariant of P^n with hyperplane-power insertions.
-
-    One ``_sweep``, two point sets: ``strategy`` "evaluate" takes seeded
-    generic samples (the one-tuple case of ``table``), "symbolic" (n <= 2)
-    every point of the grid of ``_symbolic_sum``, which proves the value.
-    Either needs ``samples`` >= 2 and requires all its values to agree.
-    ``trace``, if given, receives one record per point: its characters,
-    its value and the per-graph contributions.
-    """
+    """Degree-one k-point invariant of P^n with hyperplane-power insertions: the one-tuple ``table``."""
     classes = tuple(classes)
-    _check_samples(samples)
-    traces = None if trace is None else {classes: trace}
-    if strategy == "evaluate":
-        return table(n, k, [classes], samples=samples, seed=seed, trace=traces)[classes]
-    if strategy != "symbolic":
-        raise DomainError(f"unknown strategy {strategy!r}")
-    if n > 2:
-        raise DomainError("symbolic strategy supported for n <= 2")
-    job = LocalizationJob(n=n, k=k, classes=classes)
+    return table(n, k, [classes], strategy=strategy, samples=samples, seed=seed)[classes]
+
+
+def per_graph(
+    n: int, k: int, classes: Sequence[int], strategy: str = "evaluate", seed: int = DEFAULT_SEED
+) -> list[tuple[FixedGraph, Fraction]]:
+    """Each graph's summand of ``classes`` at the first point of ``strategy``, divided on its own.
+
+    That point is the first seeded sample, or the grid point (1, 2, .., n + 1).
+    The summands add up to the invariant; a graded-zero tuple has none.
+    """
+    job = _jobs(n, k, [classes], strategy)[tuple(classes)]
     if job.graded_zero:
-        return Invariant.zero()
-    graphs, grid = _symbolic_sum(n, k)
-    return _sweep(graphs, [job], grid, traces)[classes]
+        return []
+    graphs, points = _points(n, k, {job.c}, strategy, 1, seed)
+    tau, common, scales, columns = next(iter(points))
+    den = common * (-2) ** job.c
+    xys = (ev_exponents(g, job.classes) for g in graphs)
+    return [
+        (g, Fraction(tau[g.a] ** x * tau[g.b] ** y * part * scale, den))
+        for g, (x, y), part, scale in zip(graphs, xys, columns[job.c], scales)
+    ]
 
 
 def check_extension(n: int, k: int, classes: Sequence[int], seed: int = DEFAULT_SEED) -> bool:

@@ -36,17 +36,29 @@ KappaFactors = tuple[tuple[int, int], ...]  # (index >= 1, power >= 1), indices 
 Key = tuple[PsiFactors, KappaFactors]
 
 
+def _check_exponents(k: int, exponents: Sequence[int]) -> None:
+    """Refuse (e_4, .., e_k) unless k >= 3, there are k - 3 of them and the nonzero ones are >= 1."""
+    if k < 3:
+        raise DomainError("k >= 3 required")
+    if len(exponents) != k - 3:
+        raise DomainError(f"expected {k - 3} exponents for k={k}")
+    if any(p < 1 for p in [int(e) for e in exponents if e]):
+        raise DomainError("psi factors need depth >= 0 and power >= 1")
+
+
 class TautExpr:
     """Linear combination of monomials over a common l.
 
     ``_terms`` maps a canonical (psi, kappa) key to its nonzero coefficient.
-    Only ``monomial`` and ``from_exponents`` check their input; the
-    pushforward builds canonical keys itself.
+    Every constructor refuses l < 3; ``monomial`` and ``from_exponents``
+    also check the factors, whose keys the pushforward builds canonically.
     """
 
     __slots__ = ("l", "_terms")
 
     def __init__(self, l: int, terms: dict[Key, int | Fraction] | None = None):
+        if l < 3:
+            raise DomainError("monomials live on a moduli space with l >= 3 points")
         self.l = l
         self._terms = {key: coeff for key, coeff in (terms or {}).items() if coeff}
 
@@ -59,8 +71,7 @@ class TautExpr:
             if p:
                 merged[int(a)] = merged.get(int(a), 0) + int(p)
         kappa_t = tuple(sorted(merged.items()))
-        if l < 3:
-            raise DomainError("monomials live on a moduli space with l >= 3 points")
+        result = cls(l, {(psi_t, kappa_t): coeff})  # refuses l < 3 before the factor checks
         if len({m for m, _ in psi_t}) != len(psi_t):
             raise DomainError("pull depths must be pairwise distinct")
         for m, p in psi_t:
@@ -71,7 +82,7 @@ class TautExpr:
         for a, p in kappa_t:
             if a < 1 or p < 1:
                 raise DomainError("kappa factors need index >= 1 and power >= 1")
-        return cls(l, {(psi_t, kappa_t): coeff})
+        return result
 
     @classmethod
     def from_exponents(cls, k: int, exponents: Sequence[int]) -> "TautExpr":
@@ -79,10 +90,7 @@ class TautExpr:
 
         ``exponents`` lists (e_4, .., e_k); psi_j carries pull depth k - j.
         """
-        if k < 3:
-            raise DomainError("k >= 3 required")
-        if len(exponents) != k - 3:
-            raise DomainError(f"expected {k - 3} exponents for k={k}")
+        _check_exponents(k, exponents)
         return cls.monomial(k, psi=zip(range(k - 4, -1, -1), exponents))
 
     def scale(self, value) -> "TautExpr":
@@ -189,13 +197,7 @@ def integrate(expr: TautExpr) -> Fraction:
 
 def integrate_monomial(k: int, exponents: Sequence[int]) -> Fraction:
     """Integral of the depth-graded psi monomial with the given exponents; level l pushes psi_l^(e_l)."""
-    # the checks and messages of ``TautExpr.from_exponents``, building no expression
-    if k < 3:
-        raise DomainError("k >= 3 required")
-    if len(exponents) != k - 3:
-        raise DomainError(f"expected {k - 3} exponents for k={k}")
-    if any(p < 1 for p in [int(e) for e in exponents if e]):
-        raise DomainError("psi factors need depth >= 0 and power >= 1")
+    _check_exponents(k, exponents)  # as ``TautExpr.from_exponents``, building no expression
     if sum(exponents) != k - 3:
         return Fraction(0)
     kappas: dict[KappaFactors, int] = {(): 1}

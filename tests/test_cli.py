@@ -136,6 +136,20 @@ GOLDEN_TRACE = (
     '"inputs":{"classes":[1,1,1],"d":1,"k":3,"n":1},"kappa_exponent":-3}'
     "\n"
 )
+GOLDEN_SYMBOLIC_TRACE = (
+    '{"coefficient":"1","command":"invariant","diagnostics":{"per_graph":['
+    '{"graph":"G(k=3,d=1,a=0,b=1,A={})","value":"8"},'
+    '{"graph":"G(k=3,d=1,a=0,b=1,A={1})","value":"-4"},'
+    '{"graph":"G(k=3,d=1,a=0,b=1,A={2})","value":"-4"},'
+    '{"graph":"G(k=3,d=1,a=0,b=1,A={1,2})","value":"2"},'
+    '{"graph":"G(k=3,d=1,a=0,b=1,A={3})","value":"-4"},'
+    '{"graph":"G(k=3,d=1,a=0,b=1,A={1,3})","value":"2"},'
+    '{"graph":"G(k=3,d=1,a=0,b=1,A={2,3})","value":"2"},'
+    '{"graph":"G(k=3,d=1,a=0,b=1,A={1,2,3})","value":"-1"}],'
+    '"seed":1729,"strategy":"symbolic"},'
+    '"inputs":{"classes":[1,1,1],"d":1,"k":3,"n":1},"kappa_exponent":-3}'
+    "\n"
+)
 GOLDEN_SYMBOLIC = (
     '{"coefficient":"3/2","command":"invariant","diagnostics":{"seed":1729,"strategy":"symbolic"},'
     '"inputs":{"classes":[2,1],"d":1,"k":2,"n":2},"kappa_exponent":-4}'
@@ -151,6 +165,11 @@ def test_invariant_records_are_byte_identical(runner):
     symbolic = runner.invoke(main, base + ["--n", "2", "--k", "2", "--classes", "2,1", "--strategy", "symbolic"])
     assert symbolic.exit_code == 0
     assert symbolic.stdout == GOLDEN_SYMBOLIC
+    symbolic_trace = runner.invoke(
+        main, base + ["--n", "1", "--k", "3", "--classes", "1,1,1", "--strategy", "symbolic", "--trace"]
+    )
+    assert symbolic_trace.exit_code == 0
+    assert symbolic_trace.stdout == GOLDEN_SYMBOLIC_TRACE
 
 
 def test_invariant_domain_error(runner):
@@ -187,7 +206,7 @@ def test_json_without_trace_forms_no_per_graph_values(runner, monkeypatch):
     del expected["diagnostics"]["per_graph"]
     assert plain.stdout == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
     assert runner.invoke(main, base + ["--trace"]).stdout == GOLDEN_TRACE
-    assert len(labelled) == 3 * 8  # every graph at each of the three samples
+    assert len(labelled) == 8  # every graph once, at the first sample only
 
 
 def test_taut(runner):

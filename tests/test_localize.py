@@ -609,48 +609,80 @@ def test_sample_tau_distinct_beyond_default_range():
     assert len(set(tau)) == 2501
 
 
-def test_trace_records_samples():
-    trace = []
-    invariant(1, 2, (1, 1), trace=trace)
-    assert len(trace) == 3
-    assert all(set(entry) == {"tau", "value", "per_graph"} for entry in trace)
-    assert {entry["value"] for entry in trace} == {"1"}
-    job = LocalizationJob(n=1, k=2, classes=(1, 1))
-    for entry in trace:
-        tau = [F(t) for t in entry["tau"]]
-        assert entry["per_graph"] == [
-            {"graph": g.label(), "value": str(contributions(g, [job], tau)[0])}
-            for g in enumerate_graphs(1, 2)
-        ]
-
-
-def test_symbolic_trace_records_grid_points():
-    # One record per grid point, C(delta + n, n) of them, each at that
-    # point's characters and with every graph's summand divided on its own.
-    for n, k, classes in [(1, 1, (1,)), (1, 3, (1, 1, 0)), (2, 2, (2, 1)), (2, 3, (2, 1, 1))]:
-        trace = []
-        value = invariant(n, k, classes, strategy="symbolic", trace=trace)
-        _, grid = localize._symbolic_sum(n, k)
-        assert len(trace) == len(grid) == comb(k * n * (n + 1) // 2 + n, n)
+def test_per_graph_at_first_sample():
+    # The summands at the first seeded sample, each divided on its own:
+    # every one is the reference summand and together they are the invariant.
+    for n, k, classes, seed in [(1, 2, (1, 1), 1729), (2, 3, (2, 1, 0), 9), (3, 2, (2, 1), 5)]:
         job = LocalizationJob(n=n, k=k, classes=classes)
-        graphs = enumerate_graphs(n, k)
-        for entry, (tau, common, scales, columns) in zip(trace, grid):
-            assert entry["tau"] == [str(t) for t in tau]
-            assert Invariant.of(F(entry["value"]), job.kappa_exp) == value
-            per_graph = [contributions(g, [job], tau)[0] for g in graphs]
-            for g, v, scale, summand in zip(graphs, columns[job.c], scales, per_graph):
-                x, y = ev_exponents(g, classes)
-                assert F(tau[g.a] ** x * tau[g.b] ** y * v * scale, common * (-2) ** job.c) == summand, g
-            assert entry["per_graph"] == [{"graph": g.label(), "value": str(v)} for g, v in zip(graphs, per_graph)]
-            assert sum(per_graph) == F(entry["value"])
+        tau = localize.sample_taus(n, 3, seed)[0]
+        summands = localize.per_graph(n, k, classes, seed=seed)
+        assert [g for g, _ in summands] == enumerate_graphs(n, k)
+        assert [value for _, value in summands] == [contributions(g, [job], tau)[0] for g in enumerate_graphs(n, k)]
+        assert Invariant.of(sum(value for _, value in summands), job.kappa_exp) == invariant(n, k, classes, seed=seed)
 
 
-def test_table_trace_matches_invariant_trace():
-    alone = []
-    invariant(2, 3, (2, 1, 0), seed=9, trace=alone)
-    traces = {(2, 1, 0): []}
-    localize.table(2, 3, [(1, 1, 1), (2, 1, 0), (2, 2, 2)], seed=9, trace=traces)
-    assert traces == {(2, 1, 0): alone}
+def test_symbolic_per_graph_at_first_grid_point():
+    # The first grid point is tau = (1, 2, .., n + 1); the grid-wide scale
+    # and column identities are in test_symbolic_grid_points.
+    for n, k, classes in [(1, 1, (1,)), (1, 3, (1, 1, 0)), (2, 2, (2, 1)), (2, 3, (2, 1, 1))]:
+        job = LocalizationJob(n=n, k=k, classes=classes)
+        tau = tuple(range(1, n + 2))
+        assert localize._symbolic_sum(n, k)[1][0][0] == tau
+        summands = localize.per_graph(n, k, classes, strategy="symbolic")
+        assert [g for g, _ in summands] == enumerate_graphs(n, k)
+        assert [value for _, value in summands] == [contributions(g, [job], tau)[0] for g in enumerate_graphs(n, k)]
+        value = invariant(n, k, classes, strategy="symbolic")
+        assert Invariant.of(sum(value for _, value in summands), job.kappa_exp) == value
+
+
+def test_per_graph_refuses_as_table():
+    assert localize.per_graph(2, 3, (2, 2, 2)) == localize.per_graph(2, 3, (2, 2, 2), strategy="symbolic") == []
+    cases = [
+        ((1, 1, (1,)), {"strategy": "bogus"}, DomainError, "unknown strategy 'bogus'"),
+        ((3, 1, (1,)), {"strategy": "symbolic"}, DomainError, "symbolic strategy supported for n <= 2"),
+        ((1, 4, (1, 1, 1, 1)), {}, UnsupportedError, "localization implemented for k in {1, 2, 3}"),
+        ((2, 2, (3, 0)), {"strategy": "symbolic"}, DomainError, "class exponent 3 outside [0, 2]"),
+    ]
+    for (n, k, classes), options, error, message in cases:
+        for call in (
+            lambda: localize.per_graph(n, k, classes, **options),
+            lambda: localize.table(n, k, [classes], **options),
+        ):
+            with pytest.raises(error) as info:
+                call()
+            assert type(info.value) is error and str(info.value) == message
+
+
+def test_table_refuses_as_invariant():
+    # Samples first, then the strategy, then the job, for one tuple or many.
+    cases = [
+        ((1, 1, (1,)), {"samples": 1}, "localization needs at least 2 samples, got 1"),
+        ((1, 1, (1,)), {"strategy": "bogus"}, "unknown strategy 'bogus'"),
+        ((3, 1, (1,)), {"strategy": "symbolic"}, "symbolic strategy supported for n <= 2"),
+        ((3, 4, (1,)), {"strategy": "bogus", "samples": 1}, "localization needs at least 2 samples, got 1"),
+        ((3, 4, (1,)), {"strategy": "symbolic"}, "symbolic strategy supported for n <= 2"),
+        ((1, 4, (1,)), {"strategy": "bogus"}, "unknown strategy 'bogus'"),
+    ]
+    for (n, k, classes), options, message in cases:
+        for call in (
+            lambda: invariant(n, k, classes, **options),
+            lambda: localize.table(n, k, [classes], **options),
+            lambda: localize.table(n, k, [classes, classes[::-1]], **options),
+        ):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert type(info.value) is DomainError and str(info.value) == message
+
+
+def test_symbolic_table_matches_invariant():
+    groups = {}
+    for entry in ALL_INVARIANT_ENTRIES:
+        if entry.n <= 2:
+            groups.setdefault((entry.n, entry.k), []).append(entry.classes)
+    assert len(groups) == 6
+    for (n, k), tuples in groups.items():
+        swept = localize.table(n, k, tuples, strategy="symbolic")
+        assert swept == {classes: invariant(n, k, classes, strategy="symbolic") for classes in tuples}, (n, k)
 
 
 def test_check_extension():

@@ -150,6 +150,18 @@ def test_monomial_checks(l, psi, kappa, message):
     assert str(info.value) == message
 
 
+def test_every_constructor_refuses_fewer_than_three_points():
+    message = "^monomials live on a moduli space with l >= 3 points$"
+    with pytest.raises(DomainError, match=message):
+        pushforward_step(TautExpr(2, {((), ((1, 1),)): 1}))
+    with pytest.raises(DomainError, match=message):
+        integrate(TautExpr(2, {((), ()): 5}))
+    with pytest.raises(DomainError, match=message):
+        TautExpr(2)
+    with pytest.raises(DomainError, match=message):
+        TautExpr.monomial(2, psi=[(0, 1)], kappa=[(0, 1)])
+
+
 def test_from_exponents_checks():
     assert TautExpr.from_exponents(6, (1, 0, 2)) == expr(6, psi=[(2, 1), (0, 2)])
     with pytest.raises(DomainError, match="k >= 3 required"):
