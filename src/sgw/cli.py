@@ -4,15 +4,15 @@ Exit codes: 0 on success, 2 on usage or domain errors, 3 when an internal
 consistency check fails (evaluations disagreeing across samples - an
 implementation-bug signal, never a mathematical zero).  With
 ``--format json`` every command emits one self-describing record per line;
-given the same seed the bytes are identical between runs.  The default
-seed comes from the SGW_SEED environment variable.  Sizes above the
-ceilings below are refused before any work starts.
+given the same seed the bytes are identical between runs.  Each option is
+declared once: a size's ceiling is its ``click.IntRange``, and ``--seed``
+falls back to an environment variable, so click refuses a size above its
+ceiling or a non-integer seed while parsing, before any work starts.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -22,8 +22,6 @@ import click
 from . import localize, point, quantum, tables, taut
 from .errors import DomainError, InconsistencyError
 from .point import Invariant
-
-_ENV_SEED = "SGW_SEED"
 
 # Measured on a shared 2-core Xeon as whole processes: point --k 24 takes
 # 0.2-0.6 s (median 0.3 s) and grows about 1.5x per k; taut --k 24 takes
@@ -37,14 +35,15 @@ MAX_QUANTUM_N = 10
 MAX_SAMPLES = 100
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(_ENV_SEED)
-    if raw is None:
-        return localize.DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise click.UsageError(f"{_ENV_SEED} must be an integer, got {raw!r}") from exc
+class _Capped(click.IntRange):
+    name = "integer"  # a non-integer reads "is not a valid integer", as with type=int
+
+
+_FORMAT = click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+_SEED = click.option(
+    "--seed", type=int, envvar="SGW_SEED", default=localize.DEFAULT_SEED, show_default=True, show_envvar=True,
+    help="Random seed.",
+)
 
 
 def _emit_json(record: dict) -> None:
@@ -56,11 +55,6 @@ def _record(command: str, inputs: dict, result: Invariant, diagnostics: dict | N
     record.update(result.to_json())
     record["diagnostics"] = diagnostics or {}
     return record
-
-
-def _at_most(value: int, ceiling: int, option: str) -> None:
-    if value > ceiling:
-        raise DomainError(f"{option} must be at most {ceiling}, got {value}")
 
 
 def _parse_int_list(raw: str, what: str) -> tuple[int, ...]:
@@ -114,11 +108,10 @@ def main():
 
 
 @main.command("point")
-@click.option("--k", "k", type=int, required=True, help=f"Number of marked points, 3 <= k <= {MAX_POINT_K}.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@click.option("--k", "k", type=_Capped(max=MAX_POINT_K), required=True, help="Number of marked points, k >= 3.")
+@_FORMAT
 def cmd_point(k: int, fmt: str):
     """k-point super Gromov-Witten number of a point."""
-    _at_most(k, MAX_POINT_K, "--k")
     result = point.sgw_point(k)
     if fmt == "json":
         _emit_json(_record("point", {"k": k}, result))
@@ -127,20 +120,17 @@ def cmd_point(k: int, fmt: str):
 
 
 @main.command("invariant")
-@click.option("--n", "n", type=int, required=True, help=f"Target dimension, 1 <= n <= {MAX_N}.")
+@click.option("--n", "n", type=_Capped(max=MAX_N), required=True, help="Target dimension, n >= 1.")
 @click.option("--k", "k", type=int, required=True, help="Marked points, 1..3.")
 @click.option("--classes", required=True, help="Comma-separated hyperplane powers a1,..,ak.")
 @click.option("--strategy", type=click.Choice(["evaluate", "symbolic"]), default="evaluate")
-@click.option("--samples", type=int, default=3, show_default=True, help=f"Character tuples to evaluate at, 2..{MAX_SAMPLES}.")
-@click.option("--seed", type=int, default=None, help=f"Random seed (default: ${_ENV_SEED} or {localize.DEFAULT_SEED}).")
+@click.option("--samples", type=_Capped(max=MAX_SAMPLES), default=3, show_default=True, help="Character samples, >= 2.")
+@_SEED
 @click.option("--trace", is_flag=True, help="JSON only: per-graph summands at the first sample or grid point.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-def cmd_invariant(n: int, k: int, classes: str, strategy: str, samples: int, seed: int | None, trace: bool, fmt: str):
+@_FORMAT
+def cmd_invariant(n: int, k: int, classes: str, strategy: str, samples: int, seed: int, trace: bool, fmt: str):
     """Degree-one k-point invariant of P^n via localization."""
-    _at_most(n, MAX_N, "--n")
-    _at_most(samples, MAX_SAMPLES, "--samples")
     class_tuple = _parse_int_list(classes, "--classes")
-    seed = _default_seed() if seed is None else seed
     result = localize.invariant(n, k, class_tuple, strategy=strategy, samples=samples, seed=seed)
     if fmt != "json":
         click.echo(str(result))
@@ -158,12 +148,11 @@ def cmd_invariant(n: int, k: int, classes: str, strategy: str, samples: int, see
 
 
 @main.command("taut")
-@click.option("--k", "k", type=int, required=True, help=f"Marked points on the moduli space, 3 <= k <= {MAX_POINT_K}.")
+@click.option("--k", "k", type=_Capped(max=MAX_POINT_K), required=True, help="Points on the moduli space, k >= 3.")
 @click.option("--exps", default="", help="Comma-separated exponents i4,..,ik (empty for k=3).")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@_FORMAT
 def cmd_taut(k: int, exps: str, fmt: str):
     """Integrate a pullback psi-class monomial over the k-pointed moduli space."""
-    _at_most(k, MAX_POINT_K, "--k")
     exponents = _parse_int_list(exps, "--exps")
     value = taut.integrate_monomial(k, exponents)
     if fmt == "json":
@@ -173,13 +162,11 @@ def cmd_taut(k: int, exps: str, fmt: str):
 
 
 @main.command("quantum")
-@click.option("--n", "n", type=int, required=True, help=f"Target dimension, 1 <= n <= {MAX_QUANTUM_N}.")
-@click.option("--seed", type=int, default=None)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-def cmd_quantum(n: int, seed: int | None, fmt: str):
+@click.option("--n", "n", type=_Capped(max=MAX_QUANTUM_N), required=True, help="Target dimension, n >= 1.")
+@_SEED
+@_FORMAT
+def cmd_quantum(n: int, seed: int, fmt: str):
     """Structure table and first-order quantum products of hyperplane powers."""
-    _at_most(n, MAX_QUANTUM_N, "--n")
-    seed = _default_seed() if seed is None else seed
     table = quantum.structure_table(n, seed=seed)
     if fmt == "json":
         for (a, b), entries in sorted(table.items()):
@@ -236,18 +223,15 @@ def _reproduce_lines(seed: int):
 
 
 @main.command("reproduce-paper")
-@click.option("--seed", type=int, default=None)
-def cmd_reproduce_paper(seed: int | None):
+@_SEED
+def cmd_reproduce_paper(seed: int):
     """Recompute every published reference value and report PASS/FAIL/SKIP."""
-    seed = _default_seed() if seed is None else seed
     lines = _reproduce_lines(seed)
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
     for status, message in lines:
         counts[status] += 1
         click.echo(f"{status}  {message}")
-    click.echo(
-        f"summary: {counts['PASS']} pass, {counts['FAIL']} fail, {counts['SKIP']} skip"
-    )
+    click.echo(f"summary: {counts['PASS']} pass, {counts['FAIL']} fail, {counts['SKIP']} skip")
     if counts["FAIL"]:
         sys.exit(1)
 

@@ -128,25 +128,19 @@ def _integrand_parts(g: FixedGraph, data: EulerData, codegrees: Collection[int],
     ``data.lam_weight * lam`` is twice the pure lam weight, so h_c of them
     all is 2^c times h_c of the odd weights; since lam^2 = 0, the pure
     weight only adds lam_weight * lam * h_{c-1}.  The part is that h_c
-    times (num_one + num_u * u + num_lam * lam): an m04 locus takes its
-    lam coefficient, a point locus its lam-free part, and lam must not
-    survive on a point locus.  Each part is an integer: 2^c times the
-    integrand part without its sign (-1)^c.  The caller divides by (-2)^c
-    along with the Euler denominator.
+    times (num_one + num_u * u + num_lam * lam), one branch per locus
+    type: a point locus carries no lam data at all and takes its lam-free
+    part h_c * lam_free; an m04 locus takes the lam coefficient
+    num_lam * h_c + lam_weight * h_{c-1} * lam_free.  Each part is an
+    integer: 2^c times the integrand part without its sign (-1)^c.  The
+    caller divides by (-2)^c along with the Euler denominator.
     """
     lam_free = data.num_one + data.num_u * u
-    m04 = g.m04
-    if not (m04 or data.num_lam or data.lam_weight):  # a point locus with no lam to check
-        return {c: h[c] * lam_free for c in codegrees}
-    parts = {}
-    for c in codegrees:
-        coeff = data.num_lam * h[c]
-        if c and data.lam_weight:
-            coeff = coeff + data.lam_weight * h[c - 1] * lam_free
-        if not m04 and coeff:
+    if not g.m04:
+        if data.num_lam or data.lam_weight:
             raise InconsistencyError(f"lam survived on the point-type locus {g.label()}")
-        parts[c] = coeff if m04 else h[c] * lam_free
-    return parts
+        return {c: h[c] * lam_free for c in codegrees}
+    return {c: data.num_lam * h[c] + (data.lam_weight * h[c - 1] * lam_free if c else 0) for c in codegrees}
 
 
 def _pair(g: FixedGraph, cmax: int, tau: Sequence[int]) -> tuple[int, list]:

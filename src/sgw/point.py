@@ -56,8 +56,7 @@ class Invariant(_InvariantFields):
 
     @classmethod
     def of(cls, coeff, kappa_exp: int) -> "Invariant":
-        c = Fraction(coeff)
-        return cls.zero() if c == 0 else cls(c, kappa_exp)
+        return cls(Fraction(coeff), kappa_exp)
 
     @property
     def is_zero(self) -> bool:

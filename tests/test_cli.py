@@ -99,6 +99,50 @@ def test_env_seed_used(runner):
     assert via_env.output == via_flag.output
 
 
+@pytest.mark.parametrize(
+    "argv,module,callee,fake,exit_code",
+    [
+        (
+            ["invariant", "--n", "1", "--k", "1", "--classes", "1"],
+            sgw.localize,
+            "invariant",
+            lambda *args: Invariant.zero(),
+            0,
+        ),
+        (
+            ["quantum", "--n", "1", "--format", "json"],
+            sgw.quantum,
+            "structure_table",
+            lambda n: {(0, 0): [(0, Invariant.zero())]},
+            0,
+        ),
+        # every localized entry reads zero, so some FAIL: exit 1
+        (["reproduce-paper"], sgw.localize, "table", lambda n, k, classes: dict.fromkeys(classes, Invariant.zero()), 1),
+    ],
+    ids=["invariant", "quantum", "reproduce-paper"],
+)
+def test_seed_reaches_the_library(runner, monkeypatch, argv, module, callee, fake, exit_code):
+    # Neither quantum's nor reproduce-paper's output shows the seed, so the
+    # library callee of each seeded command records the seed it is handed.
+    seeds = []
+
+    def recording(*args, seed, **kwargs):
+        seeds.append(seed)
+        return fake(*args)
+
+    monkeypatch.setattr(module, callee, recording)
+    for env, flag, expected in (
+        ({"SGW_SEED": "77"}, [], 77),
+        ({"SGW_SEED": "77"}, ["--seed", "5"], 5),
+        ({"SGW_SEED": "abc"}, ["--seed", "5"], 5),
+        ({"SGW_SEED": None}, [], 1729),
+    ):
+        seeds.clear()
+        result = runner.invoke(main, argv + flag, env=env)
+        assert result.exit_code == exit_code and result.stderr == "", (env, flag, result.output)
+        assert seeds and set(seeds) == {expected}, (env, flag, seeds)
+
+
 def test_invariant_trace(runner):
     result = runner.invoke(
         main,
@@ -286,21 +330,21 @@ def _forbid_heavy_paths(monkeypatch):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["point", "--k", "1500"], f"--k must be at most {MAX_POINT_K}, got 1500"),
-        (["invariant", "--n", "100000", "--k", "1", "--classes", "0"], f"--n must be at most {MAX_N}, got 100000"),
+        (["point", "--k", "1500"], f"'--k': 1500 is not in the range x<={MAX_POINT_K}."),
+        (["invariant", "--n", "100000", "--k", "1", "--classes", "0"], f"'--n': 100000 is not in the range x<={MAX_N}."),
         (
             ["invariant", "--n", "2", "--k", "1", "--classes", "0", "--samples", "100000000"],
-            f"--samples must be at most {MAX_SAMPLES}, got 100000000",
+            f"'--samples': 100000000 is not in the range x<={MAX_SAMPLES}.",
         ),
-        (["quantum", "--n", "40"], f"--n must be at most {MAX_QUANTUM_N}, got 40"),
-        (["taut", "--k", "60", "--exps", ""], f"--k must be at most {MAX_POINT_K}, got 60"),
+        (["quantum", "--n", "40"], f"'--n': 40 is not in the range x<={MAX_QUANTUM_N}."),
+        (["taut", "--k", "60", "--exps", ""], f"'--k': 60 is not in the range x<={MAX_POINT_K}."),
     ],
 )
 def test_huge_sizes_rejected_before_any_work(runner, monkeypatch, argv, message):
     _forbid_heavy_paths(monkeypatch)
     result = runner.invoke(main, argv)
     assert result.exit_code == 2
-    assert result.output == message + "\n"
+    assert result.output == f"Error: Invalid value for {message}\n"
 
 
 def test_readme_ceilings_match_the_cli():
@@ -347,12 +391,23 @@ def test_symbolic_strategy_checks_samples(runner):
         (["invariant", "--n", "1", "--k", "1.5", "--classes", "1"], {}, "Invalid value for '--k'"),
         (["invariant", "--n", "1", "--k", "1", "--classes", "1", "--samples", "s"], {}, "Invalid value for '--samples'"),
         (["point", "--k", "twelve"], {}, "Invalid value for '--k'"),
-        (["invariant", "--n", "1", "--k", "1", "--classes", "1"], {"SGW_SEED": "abc"}, "SGW_SEED must be an integer"),
-        (["quantum", "--n", "1"], {"SGW_SEED": "1e3"}, "SGW_SEED must be an integer"),
+        (
+            ["invariant", "--n", "1", "--k", "1", "--classes", "1"],
+            {"SGW_SEED": "abc"},
+            "Invalid value for '--seed' (env var: 'SGW_SEED'): 'abc' is not a valid integer.",
+        ),
+        (
+            ["quantum", "--n", "1"],
+            {"SGW_SEED": "1e3"},
+            "Invalid value for '--seed' (env var: 'SGW_SEED'): '1e3' is not a valid integer.",
+        ),
         (["--bogus"], {}, "No such option '--bogus'"),
+        # a capped option words a non-integer as type=int does
+        (["quantum", "--n", "x"], {}, "Invalid value for '--n': 'x' is not a valid integer."),
     ],
 )
-def test_usage_errors_are_one_line(runner, argv, env, message):
+def test_usage_errors_are_one_line(runner, monkeypatch, argv, env, message):
+    _forbid_heavy_paths(monkeypatch)
     result = runner.invoke(main, argv, env=env)
     assert result.exit_code == 2
     assert result.stdout == ""

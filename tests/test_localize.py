@@ -3,8 +3,8 @@
 import random
 from fractions import Fraction as F
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from math import comb, lcm, prod
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import comb, factorial, lcm, prod
 
 import pytest
 
@@ -333,28 +333,46 @@ def test_two_point_corner_cells_empirical():
     # <H^(n-1), H^n>_2 = v kappa^-(n+2), with v = (n+1)/2 for n >= 2 and
     # v = -1/2 for n = 1; the exponents are the grading -r - d + deg.  For
     # 2 <= n <= 20, <1, H^2>_2 = <H^2, 1>_2 = -2(n-1)/n <H>_1 kappa^-1.
-    # Every golden two-point entry of these shapes, exactly as printed, is
-    # one of these cells.
+    # The upper triangle a <= b, a + b >= n + 1 takes in the first two
+    # shapes: with c = 2n - a - b,
+    #   <H^a, H^b>_2 = (n+c)! / (n! (n-a)! (n-b)! 2^c) kappa^(a+b-3n-1),
+    # 825 cells for n <= 20.  Every golden two-point entry of these shapes,
+    # exactly as printed, is one of these cells.
     def closed_form(n):
         v = F(n + 1, 2) if n >= 2 else F(-1, 2)
         corner = Invariant.of(v, -(n + 2))
         return {(n, n): Invariant.of(1, -(n + 1)), (n - 1, n): corner, (n, n - 1): corner}
 
-    cells, broken, predicted = 0, [], {}
+    def upper_triangle(n):
+        cells = {}
+        for a, b in combinations_with_replacement(range(n + 1), 2):
+            c = 2 * n - a - b
+            if c < n:
+                value = F(factorial(n + c), factorial(n) * factorial(n - a) * factorial(n - b) * 2**c)
+                cells[a, b] = Invariant.of(value, a + b - 3 * n - 1)
+        return cells
+
+    cells, broken, predicted, triangles = 0, [], {}, {}
     for n in range(1, 21):
-        expected = predicted[n] = closed_form(n)
+        corners = predicted[n] = closed_form(n)
         if n >= 2:
             base = one_point_table(n)[1,]
-            expected[0, 2] = expected[2, 0] = Invariant.of(F(-2 * (n - 1), n) * base.coeff, base.kappa_exp - 1)
-        got = localize.table(n, 2, list(expected))
-        cells += len(expected)
-        broken += [(n, classes, str(got[classes])) for classes in expected if got[classes] != expected[classes]]
-    assert cells == 98
+            corners[0, 2] = corners[2, 0] = Invariant.of(F(-2 * (n - 1), n) * base.coeff, base.kappa_exp - 1)
+        triangle = triangles[n] = upper_triangle(n)
+        got = localize.table(n, 2, list(corners | triangle))
+        for expected in (corners, triangle):
+            cells += len(expected)
+            broken += [(n, classes, str(got[classes])) for classes in expected if got[classes] != expected[classes]]
+    assert cells == 98 + 825
     assert not broken
     golden = [e for e in entries_for(2) if e.status == GOLDEN and e.classes in predicted[e.n]]
     assert len(golden) == 14
     for entry in golden:
         assert entry.printed == predicted[entry.n][entry.classes], entry.label
+    golden = [e for e in entries_for(2) if e.status == GOLDEN and tuple(sorted(e.classes)) in triangles[e.n]]
+    assert len(golden) == 22
+    for entry in golden:
+        assert entry.printed == triangles[entry.n][tuple(sorted(entry.classes))], entry.label
 
 
 def test_integer_core_divides_once():
@@ -693,3 +711,28 @@ def test_check_extension():
         check_extension(2, 3, (1, 1, 1))
     with pytest.raises(DomainError):
         check_extension(2, 2, (2, 2))
+
+
+def test_codegree_one_three_point_cells_empirical():
+    # An empirical check, fitted to this code's own output: it is neither
+    # derived nor printed in the paper, and it is never a reason to edit
+    # tables.py.  One codegree above the cells of check_extension, for
+    # a + b + c = 2n, <H^a, H^b, H^c>_3 = (n+1)/2 (m-1) kappa^-(n+3) with m
+    # the number of classes below n, so (n, n, 0) is zero: 101 cells
+    # a <= b <= c for n <= 12.  Every golden three-point entry of this
+    # shape, exactly as printed, is one of these cells.
+    cells, broken, predicted = 0, [], {}
+    for n in range(1, 13):
+        tuples = [t for t in combinations_with_replacement(range(n + 1), 3) if sum(t) == 2 * n]
+        expected = predicted[n] = {
+            t: Invariant.of(F(n + 1, 2) * (sum(a < n for a in t) - 1), -(n + 3)) for t in tuples
+        }
+        got = localize.table(n, 3, tuples)
+        cells += len(expected)
+        broken += [(n, classes, str(got[classes])) for classes in expected if got[classes] != expected[classes]]
+    assert cells == 101
+    assert not broken
+    golden = [e for e in entries_for(3) if e.status == GOLDEN and tuple(sorted(e.classes)) in predicted[e.n]]
+    assert len(golden) == 5
+    for entry in golden:
+        assert entry.printed == predicted[entry.n][tuple(sorted(entry.classes))], entry.label
