@@ -2,12 +2,13 @@
 
 Elements live on the basis of hyperplane powers L^0 .. L^n with
 coefficients that are Laurent polynomials in kappa^-1 times a q-power in
-{0, 1}; q^2 and L^(n+1) are unrepresentable.  The product of two basis
-powers has the classical cup product at q^0 (the degree-zero three-point
-invariants collapse to the pairing) and, at q^1, for each dual basis
-element L^(n-c) the degree-one three-point invariant with third insertion
-L^c rescaled by kappa^(n+2).  All of them come from one localization
-sweep per (n, seed), which is kept for the products that follow.
+{0, 1}; the constructor drops L^(n+1) and above and q^2 and above, so the
+truncation happens in one place.  The product of two basis powers has the
+classical cup product at q^0 (the degree-zero three-point invariants
+collapse to the pairing) and, at q^1, for each dual basis element L^(n-c)
+the degree-one three-point invariant with third insertion L^c rescaled by
+kappa^(n+2).  ``star`` reads those invariants straight from one
+localization sweep per (n, seed), which is kept for the products that follow.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ class QElement:
         self.n = n
         self.comps: dict[tuple[int, int], Laurent] = {}
         for (lam_pow, q_pow), laurent in (comps or {}).items():
+            if not all(isinstance(p, int) and p >= 0 for p in (lam_pow, q_pow)):
+                raise DomainError(f"L- and q-powers must be non-negative integers, got L^{lam_pow} q^{q_pow}")
             if q_pow >= 2 or lam_pow > n:
                 continue
             clean = {e: Fraction(c) for e, c in laurent.items() if c}
@@ -49,16 +52,6 @@ class QElement:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QElement) and self.n == other.n and self.comps == other.comps
-
-    def __add__(self, other: "QElement") -> "QElement":
-        if self.n != other.n:
-            raise DomainError("mixed targets")
-        out = {key: dict(val) for key, val in self.comps.items()}
-        for key, laurent in other.comps.items():
-            acc = out.setdefault(key, {})
-            for e, c in laurent.items():
-                acc[e] = acc.get(e, Fraction(0)) + c
-        return QElement(self.n, out)
 
     def coefficient(self, lam_pow: int, q_pow: int) -> Laurent:
         return dict(self.comps.get((lam_pow, q_pow), {}))
@@ -100,14 +93,6 @@ class QElement:
         return " + ".join(pieces)
 
 
-def _laurent_mul(x: Laurent, y: Laurent) -> Laurent:
-    out: dict[int, Fraction] = {}
-    for ex, cx in x.items():
-        for ey, cy in y.items():
-            out[ex + ey] = out.get(ex + ey, Fraction(0)) + cx * cy
-    return out
-
-
 @lru_cache(maxsize=8)
 def _three_point(n: int, seed: int) -> dict[tuple[int, int, int], Invariant]:
     """<L^a, L^b, L^c> for all a <= b and every c, from one localization sweep."""
@@ -127,33 +112,29 @@ def structure_table(n: int, seed: int = DEFAULT_SEED) -> dict[tuple[int, int], l
     }
 
 
-def _basis_star(n: int, a: int, b: int, seed: int) -> QElement:
-    comps: dict[tuple[int, int], Laurent] = {}
-    if a + b <= n:
-        comps[(a + b, 0)] = {0: Fraction(1)}
-    values = _three_point(n, seed)
-    for c in range(n + 1):
-        inv = values[(min(a, b), max(a, b), c)]
-        if not inv.is_zero:
-            comps[(n - c, 1)] = {inv.kappa_exp + n + 2: inv.coeff}
-    return QElement(n, comps)
-
-
 def star(n: int, x: QElement, y: QElement, seed: int = DEFAULT_SEED) -> QElement:
-    """Super quantum product, bilinear over the Laurent coefficients."""
+    """Super quantum product, bilinear over the Laurent coefficients.
+
+    Each pair of components L^a q^qa and L^b q^qb contributes the cup product
+    L^(a+b) q^(qa+qb) and, for every c, <L^a, L^b, L^c> kappa^(n+2) as
+    L^(n-c) q^(qa+qb+1), each times both coefficients, summed into one map;
+    the one ``QElement`` built from it drops what the truncation removes.
+    """
     if x.n != n or y.n != n:
         raise DomainError("operands must live on the same target")
-    result = QElement.zero(n)
+    values = _three_point(n, seed)
+    acc: dict[tuple[int, int], Laurent] = {}
     for (la, qa), ca in x.comps.items():
         for (lb, qb), cb in y.comps.items():
-            if qa + qb >= 2:
-                continue
-            base = _basis_star(n, la, lb, seed)
-            scale = _laurent_mul(ca, cb)
-            shifted: dict[tuple[int, int], Laurent] = {}
-            for (lam_pow, q_pow), laurent in base.comps.items():
-                if q_pow + qa + qb >= 2:
-                    continue
-                shifted[(lam_pow, q_pow + qa + qb)] = _laurent_mul(laurent, scale)
-            result = result + QElement(n, shifted)
-    return result
+            terms = [((la + lb, qa + qb), 0, 1)]
+            for c in range(n + 1):
+                inv = values[(min(la, lb), max(la, lb), c)]
+                if not inv.is_zero:
+                    terms.append(((n - c, qa + qb + 1), inv.kappa_exp + n + 2, inv.coeff))
+            for key, shift, coeff in terms:
+                laurent = acc.setdefault(key, {})
+                for ea, a in ca.items():
+                    for eb, b in cb.items():
+                        e = shift + ea + eb
+                        laurent[e] = laurent.get(e, 0) + coeff * a * b
+    return QElement(n, acc)

@@ -497,6 +497,23 @@ def test_symbolic_grid_catches_one_wrong_graph(monkeypatch):
     assert len(raised) == 26 and (2, 2, 2) not in raised
 
 
+def test_evaluate_catches_one_wrong_graph_at_n10(monkeypatch):
+    # The same doubled graph at n = 10: the seeded samples of the evaluate
+    # strategy disagree on every tuple tried but the graded-zero (10, 10, 10).
+    parts_of = localize._integrand_parts
+    wrong = graph(10, 3, 0, 2, [1])
+
+    def doubled(g, *args):
+        parts = parts_of(g, *args)
+        return {c: 2 * v for c, v in parts.items()} if g == wrong else parts
+
+    monkeypatch.setattr(localize, "_integrand_parts", doubled)
+    for classes in [(2, 1, 1), (5, 3, 0), (0, 0, 0)]:
+        with pytest.raises(InconsistencyError, match="not constant"):
+            invariant(10, 3, classes)
+    assert invariant(10, 3, (10, 10, 10)).is_zero
+
+
 @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2) for k in (1, 2, 3)])
 def test_symbolic_grid_is_homogeneous(n, k):
     # The certificate's premises, at seeded int tau: every graph denominator
@@ -614,7 +631,7 @@ def test_table_checks_each_tuple_on_its_own(monkeypatch):
         localize.table(1, 1, [(0,), (1,)])
 
 
-def test_resampling_retries_degenerate_tuples(monkeypatch):
+def test_repeated_characters_raise_without_resampling(monkeypatch):
     # No longer retried: sample_tau never repeats a character, so a forced
     # repeat is a pole that invariant reports instead of redrawing.
     monkeypatch.setattr(localize, "sample_tau", lambda rng, n: (F(5), F(5)))

@@ -72,6 +72,7 @@ def test_q_squared_unrepresentable():
     assert q_line == q_unit(n)
     assert star(n, q_line, q_line) == QElement.zero(n)
     assert QElement(n, {(0, 2): {0: F(1)}}) == QElement.zero(n)
+    assert QElement(2, {(3, 0): {0: 1}}) == QElement.zero(2)
 
 
 def test_structure_table_entries():
@@ -94,3 +95,38 @@ def test_star_rendering():
 def test_basis_bounds():
     with pytest.raises(DomainError):
         QElement.basis(2, 3)
+
+
+def test_star_is_bilinear_over_laurent_coefficients():
+    # x = (1 + 2 kappa^-1) L + (-3/2 kappa^-2) q, y = 5 kappa L^2 + (1 + 7 kappa^-3) L^3:
+    # star(x, y) is the sum over component pairs of the basis product,
+    # times both coefficients, shifted by both q-powers.
+    n = 3
+    x_comps = {(1, 0): {0: F(1), -1: F(2)}, (0, 1): {-2: F(-3, 2)}}
+    y_comps = {(2, 0): {1: F(5)}, (3, 0): {0: F(1), -3: F(7)}}
+    expected = {}
+    for ((la, qa), ca), ((lb, qb), cb) in product(x_comps.items(), y_comps.items()):
+        for (lam_pow, q_pow), laurent in star(n, basis(n, la), basis(n, lb)).comps.items():
+            acc = expected.setdefault((lam_pow, q_pow + qa + qb), {})
+            for (e, c), (ea, a), (eb, b) in product(laurent.items(), ca.items(), cb.items()):
+                acc[e + ea + eb] = acc.get(e + ea + eb, 0) + c * a * b
+    x, y = QElement(n, x_comps), QElement(n, y_comps)
+    assert star(n, x, y) == QElement(n, expected)
+    assert star(n, x, y).coefficient(0, 1)  # the q-terms are not all zero
+
+    def times_q(element):
+        return QElement(n, {(lam_pow, q_pow + 1): laurent for (lam_pow, q_pow), laurent in element.comps.items()})
+
+    assert star(n, times_q(x), times_q(y)) == QElement.zero(n)
+
+
+@pytest.mark.parametrize(
+    "comps",
+    [{(-1, 0): {0: 1}}, {(1.5, 0): {0: 1}}, {(0, -1): {0: 1}}],
+    ids=["negative-L", "fractional-L", "negative-q"],
+)
+def test_malformed_powers_refused(comps):
+    with pytest.raises(DomainError) as info:
+        star(2, QElement(2, comps), basis(2, 1))
+    assert "\n" not in str(info.value)
+
