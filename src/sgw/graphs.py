@@ -108,7 +108,8 @@ def pair_weights(n: int, a: int, b: int, tau: Sequence) -> list:
 
     The list is -u, then 2 tau_m - tau_a - tau_b for m != a, b, then u: a
     graph with marks at both ends has them all, and one with every mark at
-    one end lacks only the flag weight of its bare end.
+    one end lacks only the flag weight of its bare end.  As a multiset it
+    is 2 tau_m - tau_a - tau_b for every m: m = a gives -u and m = b gives u.
     """
     tau_a, tau_b = tau[a], tau[b]
     u = tau_b - tau_a

@@ -12,15 +12,16 @@ class is the numerator stored in ``EulerData`` over the closed form
 u^k * prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j), u = tau_b - tau_a.
 
 One builder evaluates the sum at integer characters tau:
-``_evaluate_once`` walks the graphs pair by pair and runs the h
-recurrence once per pair (a, b) over twice the lam-free odd weights
-``graphs.pair_weights`` (``_pair``), which gives 2^c h_c; each of the
-pair's 2^k graphs takes out a flag weight it lacks (``_own_h``) and adds
-the pure lam weight by h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W)
-(``_integrand_parts``; point loci have none).  It returns each graph's
-integer parts per codegree as they are, with L = lcm of the graph
-denominators and each graph's scale L // den_g, one division per
-distinct denominator.
+``_evaluate_once`` runs the h recurrence once per point, over 2 tau
+(``_point``).  Twice the lam-free odd weights of the pair (a, b),
+``graphs.pair_weights``, are {2 tau_m - s : m = 0..n}, s = tau_a + tau_b,
+so their h_j, 2^j times that of the odd weights, is sum_i C(n+j, i)
+(-s)^i h_{j-i}(2 tau) (``_pair``).  Each of the pair's 2^k graphs takes
+out a flag weight it lacks (``_own_h``) and adds the pure lam weight by
+h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W) (``_integrand_parts``; point
+loci have none).  It returns each graph's integer parts per codegree as
+they are, with L = lcm of the graph denominators and each graph's scale
+L // den_g, one division per distinct denominator.
 
 One sum, two point sets.  ``table`` (``invariant`` is its one-tuple case)
 runs ``_sweep``, which adds up each tuple at every point, applying the
@@ -39,11 +40,12 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import comb, lcm
+from operator import mul
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
-from .graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents, pair_weights
+from .graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents
 from .point import Invariant
 
 DEFAULT_SEED = 1729
@@ -143,16 +145,43 @@ def _integrand_parts(g: FixedGraph, data: EulerData, codegrees: Collection[int],
     return {c: data.num_lam * h[c] + (data.lam_weight * h[c - 1] * lam_free if c else 0) for c in codegrees}
 
 
-def _pair(g: FixedGraph, cmax: int, tau: Sequence[int]) -> tuple[int, list]:
-    """The Euler denominator and h_0 .. h_cmax of ``pair_weights`` on the pair of ``g``."""
-    tau_a, tau_b = tau[g.a], tau[g.b]
-    den = (tau_b - tau_a) ** g.k
+@lru_cache(maxsize=None)
+def _shift_plan(n: int, codegrees: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """cmax, the indices j of a pair's h that ``_own_h`` and ``_integrand_parts`` read, and C(n+j, j-i), i = 0 .. j."""
+    reads = sorted({j for c in codegrees for j in (c - 2, c - 1, c) if j >= 0})
+    rows = tuple(tuple(comb(n + j, j - i) for i in range(j + 1)) for j in reads)
+    return max(codegrees, default=0), tuple(reads), rows
+
+
+def _point(codegrees: tuple[int, ...], tau: Sequence[int]) -> tuple[int, tuple, list, list]:
+    """cmax, the read j, the coefficients C(n+j, j-i) h_i(2 tau) of h_j in -s, V_j = prod_{i != j} (tau_j - tau_i)."""
+    cmax, reads, rows = _shift_plan(len(tau) - 1, codegrees)
+    h = _h_values(cmax, [2 * t for t in tau])
+    vertex = [1] * len(tau)
     for j, tau_j in enumerate(tau):
-        if j != g.a and j != g.b:
-            den *= (tau_a - tau_j) * (tau_b - tau_j)
-    if den == 0:
-        raise ResampleSignal(f"denominator of {g.label()} vanishes at {tau}")
-    return den, _h_values(cmax, pair_weights(g.n, g.a, g.b, tau))
+        for i in range(j):
+            vertex[i] *= tau[i] - tau_j
+            vertex[j] *= tau_j - tau[i]
+    if 0 in vertex:
+        raise ResampleSignal(f"repeated characters, poles of the Euler denominators: {tau}")
+    return cmax, reads, [list(map(mul, row, h)) for row in rows], vertex
+
+
+def _pair(g: FixedGraph, point: tuple, tau: Sequence[int]) -> tuple[int, list]:
+    """The Euler denominator u^k (V_a / -u) (V_b / u) of ``g`` and h_0 .. h_cmax of its ``pair_weights``, 0 if unread.
+
+    Each read h_j is one Horner evaluation at -s; V_a = -u prod_{j != a, b} (tau_a - tau_j).
+    """
+    cmax, reads, coefficients, vertex = point
+    tau_a, tau_b = tau[g.a], tau[g.b]
+    u, t = tau_b - tau_a, -tau_a - tau_b
+    h = [0] * (cmax + 1)
+    for j, row in zip(reads, coefficients):
+        value = 0
+        for coefficient in row:
+            value = value * t + coefficient
+        h[j] = value
+    return u**g.k * (vertex[g.a] // -u) * (vertex[g.b] // u), h
 
 
 def graph_contribution(
@@ -161,31 +190,31 @@ def graph_contribution(
     """One graph's integer parts at the given characters, per codegree, and its Euler denominator.
 
     ``pair`` is the ``_pair`` that ``g`` shares with the graphs on its pair
-    (a, b) at ``tau``, computed here if not given; the graph's own h takes
-    O(cmax) from it.  Nothing is divided: a tuple of codegree c whose ev
-    pullback is tau_a^x tau_b^y gets the summand
+    (a, b) at ``tau``, computed here from ``_point`` if not given; the
+    graph's own h takes O(cmax) from it.  Nothing is divided: a tuple of
+    codegree c whose ev pullback is tau_a^x tau_b^y gets the summand
     tau_a^x tau_b^y parts[c] / (den * (-2)^c).
     """
-    den, h = _pair(g, max(codegrees, default=0), tau) if pair is None else pair
+    den, h = _pair(g, _point(tuple(codegrees), tau), tau) if pair is None else pair
     u = tau[g.b] - tau[g.a]
     return _integrand_parts(g, euler_data(g), codegrees, _own_h(g, h, u), u), den
 
 
 def _evaluate_once(
-    graphs: Sequence[FixedGraph], codegrees: Collection[int], tau
+    graphs: Sequence[FixedGraph], codegrees: tuple[int, ...], tau
 ) -> tuple[tuple, int, list[int], dict[int, list[int]]]:
     """The point (tau, L, scales, columns): L = lcm of the graph denominators, each graph's L // den_g in ``scales``.
 
     ``columns`` maps each codegree c to every graph's unscaled parts_g[c].
-    The graphs come as ``enumerate_graphs`` lists them: the 2^k graphs on a
-    pair (a, b) are adjacent and share one ``_pair`` and denominator.
+    One ``_point`` serves every pair; the 2^k graphs on a pair (a, b),
+    adjacent as ``enumerate_graphs`` lists them, share one ``_pair``.
     """
-    cmax = max(codegrees)
+    point = _point(codegrees, tau)
     width = 2 ** graphs[0].k
     rows, dens = [], []
     for start in range(0, len(graphs), width):
         on_pair = graphs[start : start + width]
-        pair = _pair(on_pair[0], cmax, tau)
+        pair = _pair(on_pair[0], point, tau)
         for g in on_pair:
             parts, den = graph_contribution(g, codegrees, tau, pair)
             rows.append(parts)
@@ -225,7 +254,7 @@ def _symbolic_sum(n: int, k: int) -> tuple[tuple[FixedGraph, ...], tuple]:
     as P is homogeneous.
     """
     graphs = tuple(enumerate_graphs(n, k))
-    codegrees = range(LocalizationJob(n=n, k=k, classes=(0,) * k).c + 1)
+    codegrees = tuple(range(LocalizationJob(n=n, k=k, classes=(0,) * k).c + 1))
     delta = k * n * (n + 1) // 2
     points = [x for x in product(range(delta + 1), repeat=n) if sum(x) <= delta]
     taus = [(1,) + tuple(1 + j + n * x_j for j, x_j in enumerate(x, start=1)) for x in points]
@@ -244,7 +273,7 @@ def sample_taus(n: int, samples: int, seed: int) -> list[tuple[int, ...]]:
     return [sample_tau(rng, n) for _ in range(samples)]
 
 
-def _points(n: int, k: int, codegrees: Collection[int], strategy: str, samples: int, seed: int) -> tuple:
+def _points(n: int, k: int, codegrees: tuple[int, ...], strategy: str, samples: int, seed: int) -> tuple:
     """The graphs of (n, k) and the ``_evaluate_once`` points that ``strategy`` sums them at.
 
     "evaluate" draws ``samples`` seeded characters: they are distinct and
@@ -322,7 +351,7 @@ def table(
     result = {classes: Invariant.zero() for classes in jobs}
     live = [job for job in jobs.values() if not job.graded_zero]
     if live:
-        graphs, points = _points(n, k, {job.c for job in live}, strategy, samples, seed)
+        graphs, points = _points(n, k, tuple(sorted({job.c for job in live})), strategy, samples, seed)
         result.update(_sweep(graphs, live, points))
     return result
 
@@ -346,7 +375,7 @@ def per_graph(
     job = _jobs(n, k, [classes], strategy)[tuple(classes)]
     if job.graded_zero:
         return []
-    graphs, points = _points(n, k, {job.c}, strategy, 1, seed)
+    graphs, points = _points(n, k, (job.c,), strategy, 1, seed)
     tau, common, scales, columns = next(iter(points))
     den = common * (-2) ** job.c
     xys = (ev_exponents(g, job.classes) for g in graphs)
