@@ -16,20 +16,20 @@ One builder evaluates the sum at integer characters tau:
 (``_point``).  Twice the lam-free odd weights of the pair (a, b),
 ``graphs.pair_weights``, are {2 tau_m - s : m = 0..n}, s = tau_a + tau_b,
 so their h_j, 2^j times that of the odd weights, is sum_i C(n+j, i)
-(-s)^i h_{j-i}(2 tau) (``_pair``).  Each of the pair's 2^k graphs takes
-out a flag weight it lacks (``_own_h``) and adds the pure lam weight by
-h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W) (``_integrand_parts``; point
-loci have none).  It returns each graph's integer parts per codegree as
-they are, with L = lcm of the graph denominators and each graph's scale
-L // den_g, one division per distinct denominator.
+(-s)^i h_{j-i}(2 tau) (``_pair``).  Each of the pair's 2^k graphs reads
+it at c, c - 1 and c - 2, takes out inline a flag weight it lacks, and
+adds the pure lam weight by h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W)
+(``_integrand_parts``; point loci have none).  Each graph's integer parts
+come out scaled by L // den_g, L = lcm of the graph denominators, one
+division per distinct denominator.
 
 One sum, two point sets.  ``table`` (``invariant`` is its one-tuple case)
-runs ``_sweep``, which adds up each tuple at every point, applying the
-scales as it goes, so a tuple's value at tau is one integer sum over
-L * (-2)^c, the sign turning 2^c h_c into (-1)^c h_c.  ``_agree`` insists
-that all points agree, as the sum is a constant function of the
-characters.  ``_points`` alone chooses them: seeded generic samples for
-"evaluate", or for "symbolic" (n <= 2) the grid built once per (n, k) by
+runs ``_sweep``, which adds up each tuple's scaled summands at every
+point, so a tuple's value at tau is one integer sum over L * (-2)^c, the
+sign turning 2^c h_c into (-1)^c h_c.  ``_agree`` insists that all
+points agree, as the sum is a constant function of the characters.
+``_points`` alone chooses them: seeded generic samples for "evaluate",
+or for "symbolic" (n <= 2) the grid built once per (n, k) by
 ``_symbolic_sum``, on which agreement proves the sum constant.
 ``per_graph`` divides each summand on its own at the first point.
 """
@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
@@ -111,43 +111,45 @@ def _h_values(c: int, weights: Sequence) -> list:
     return h
 
 
-def _own_h(g: FixedGraph, h: list, u) -> list:
-    """h_0 .. h_cmax of the odd weights of ``g`` from ``h`` of its pair's ``pair_weights``.
-
-    If all marks are at one end, ``g`` lacks the flag weight w of the bare
-    end (-u at q_a, u at q_b): h_c(W) = h_c(W + w) - w h_{c-1}(W + w).
-    """
-    if g.A and len(g.A) < g.k:
-        return h
-    w = u if g.A else -u
-    return h[:1] + [h_c - w * h_prev for h_prev, h_c in zip(h, h[1:])]
-
-
 def _integrand_parts(g: FixedGraph, data: EulerData, codegrees: Collection[int], h: list, u) -> dict:
     """Part of one graph's integrand numerator that its locus integrates, per codegree c.
 
-    ``h`` is h_0 .. h_cmax of twice the lam-free odd weights of ``g`` and
-    ``data.lam_weight * lam`` is twice the pure lam weight, so h_c of them
-    all is 2^c times h_c of the odd weights; since lam^2 = 0, the pure
-    weight only adds lam_weight * lam * h_{c-1}.  The part is that h_c
-    times (num_one + num_u * u + num_lam * lam), one branch per locus
-    type: a point locus carries no lam data at all and takes its lam-free
-    part h_c * lam_free; an m04 locus takes the lam coefficient
-    num_lam * h_c + lam_weight * h_{c-1} * lam_free.  Each part is an
-    integer: 2^c times the integrand part without its sign (-1)^c.  The
-    caller divides by (-2)^c along with the Euler denominator.
+    ``h`` is the ``_pair`` h of twice the lam-free odd weights of every graph
+    on (a, b), read at c, c - 1 and c - 2.  A graph with every mark at one
+    end lacks the flag weight w of its bare end (-u at q_a, u at q_b): its
+    own h_j is h_j - w h_{j-1}.  Twice the pure lam weight is
+    ``data.lam_weight * lam`` and lam^2 = 0, so it only adds
+    lam_weight * lam * h_{c-1}.  The part is h_c times
+    (num_one + num_u * u + num_lam * lam), by locus type, read off |A| and
+    k: a point locus has no lam data and takes h_c * lam_free; an m04 locus
+    (k = 3, every mark at one end) takes num_lam * h_c + lam_weight * h_{c-1} * lam_free.
+    Each part is 2^c times the integrand part without its sign (-1)^c, an
+    integer: the caller divides by (-2)^c along with the Euler denominator.
     """
-    lam_free = data.num_one + data.num_u * u
-    if not g.m04:
-        if data.num_lam or data.lam_weight:
-            raise InconsistencyError(f"lam survived on the point-type locus {g.label()}")
-        return {c: h[c] * lam_free for c in codegrees}
-    return {c: data.num_lam * h[c] + (data.lam_weight * h[c - 1] * lam_free if c else 0) for c in codegrees}
+    lam_weight, num_one, num_u, num_lam = data
+    lam_free = num_one + num_u * u
+    marks, k = len(g.A), g.k
+    parts = {}
+    if k == 3 and marks in (0, 3):
+        w = u if marks else -u
+        for c in codegrees:
+            if c:
+                below = h[c - 1] - w * h[c - 2] if c > 1 else h[0]
+                parts[c] = num_lam * (h[c] - w * h[c - 1]) + lam_weight * below * lam_free
+            else:
+                parts[c] = num_lam * h[0]
+        return parts
+    if lam_weight or num_lam:
+        raise InconsistencyError(f"lam survived on the point-type locus {g.label()}")
+    w = 0 if 0 < marks < k else u if marks else -u  # 0: marks at both ends, h is the graph's own
+    for c in codegrees:
+        parts[c] = (h[c] - w * h[c - 1] if c and w else h[c]) * lam_free
+    return parts
 
 
 @lru_cache(maxsize=None)
 def _shift_plan(n: int, codegrees: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """cmax, the indices j of a pair's h that ``_own_h`` and ``_integrand_parts`` read, and C(n+j, j-i), i = 0 .. j."""
+    """cmax, the indices j of a pair's h that ``_integrand_parts`` reads, and C(n+j, j-i), i = 0 .. j."""
     reads = sorted({j for c in codegrees for j in (c - 2, c - 1, c) if j >= 0})
     rows = tuple(tuple(comb(n + j, j - i) for i in range(j + 1)) for j in reads)
     return max(codegrees, default=0), tuple(reads), rows
@@ -190,39 +192,38 @@ def graph_contribution(
     """One graph's integer parts at the given characters, per codegree, and its Euler denominator.
 
     ``pair`` is the ``_pair`` that ``g`` shares with the graphs on its pair
-    (a, b) at ``tau``, computed here from ``_point`` if not given; the
-    graph's own h takes O(cmax) from it.  Nothing is divided: a tuple of
+    (a, b) at ``tau``, computed here from ``_point`` if not given; each
+    part reads it at three indices.  Nothing is divided: a tuple of
     codegree c whose ev pullback is tau_a^x tau_b^y gets the summand
     tau_a^x tau_b^y parts[c] / (den * (-2)^c).
     """
     den, h = _pair(g, _point(tuple(codegrees), tau), tau) if pair is None else pair
-    u = tau[g.b] - tau[g.a]
-    return _integrand_parts(g, euler_data(g), codegrees, _own_h(g, h, u), u), den
+    return _integrand_parts(g, euler_data(g), codegrees, h, tau[g.b] - tau[g.a]), den
 
 
 def _evaluate_once(
     graphs: Sequence[FixedGraph], codegrees: tuple[int, ...], tau
-) -> tuple[tuple, int, list[int], dict[int, list[int]]]:
-    """The point (tau, L, scales, columns): L = lcm of the graph denominators, each graph's L // den_g in ``scales``.
+) -> tuple[tuple, int, dict[int, list[int]]]:
+    """The point (tau, L, columns): L = lcm of the graph denominators.
 
-    ``columns`` maps each codegree c to every graph's unscaled parts_g[c].
+    ``columns`` maps each codegree c to every graph's scaled part
+    parts_g[c] * (L // den_g), one division per distinct denominator.
     One ``_point`` serves every pair; the 2^k graphs on a pair (a, b),
     adjacent as ``enumerate_graphs`` lists them, share one ``_pair``.
     """
     point = _point(codegrees, tau)
     width = 2 ** graphs[0].k
-    rows, dens = [], []
+    contributions = []
     for start in range(0, len(graphs), width):
-        on_pair = graphs[start : start + width]
-        pair = _pair(on_pair[0], point, tau)
-        for g in on_pair:
-            parts, den = graph_contribution(g, codegrees, tau, pair)
-            rows.append(parts)
-            dens.append(den)
+        pair = _pair(graphs[start], point, tau)
+        for g in graphs[start : start + width]:
+            contributions.append(graph_contribution(g, codegrees, tau, pair))
+    rows, dens = zip(*contributions)
     distinct = set(dens)
     common = lcm(*distinct)
     scale_of = {den: common // den for den in distinct}
-    return tau, common, [scale_of[den] for den in dens], {c: [parts[c] for parts in rows] for c in codegrees}
+    scales = [scale_of[den] for den in dens]
+    return tau, common, {c: list(map(mul, map(itemgetter(c), rows), scales)) for c in codegrees}
 
 
 def _agree(job: LocalizationJob, values: Sequence[tuple[int, int]]) -> Invariant:
@@ -295,11 +296,11 @@ def _jobs(n: int, k: int, class_tuples: Iterable[Sequence[int]], strategy: str) 
 
 
 def _sweep(graphs: Sequence[FixedGraph], jobs: list[LocalizationJob], points: Iterable) -> dict:
-    """The invariant of each job from its sum at every ``_evaluate_once`` point (tau, L, scales, columns).
+    """The invariant of each job from its sum at every ``_evaluate_once`` point (tau, L, columns).
 
     A graph's summand depends on a job only through the ev exponents (x, y)
     on its marked set A, and x + y fixes the codegree, so each point sums
-    tau_a^x tau_b^y parts[c] (L // den) over the graphs of A once per key
+    tau_a^x tau_b^y times the scaled part over the graphs of A once per key
     (A, x, y), from one table of powers of tau, and each job adds up its
     keys into one integer over L * (-2)^c.
     """
@@ -313,14 +314,14 @@ def _sweep(graphs: Sequence[FixedGraph], jobs: list[LocalizationJob], points: It
         picks.append([keys.setdefault((A, *xy), len(keys)) for A, xy in zip(groups, xys)])
     d_kd = jobs[0].d_kd
     values: list[list[tuple[int, int]]] = [[] for _ in jobs]
-    for tau, common, scales, columns in points:
+    for tau, common, columns in points:
         powers = [[t**e for e in range(d_kd + 1)] for t in tau]
         partial = []
         for A, x, y in keys:
             column = columns[d_kd - x - y]
             total = 0
             for a, b, i in groups[A]:
-                total += powers[a][x] * powers[b][y] * column[i] * scales[i]
+                total += powers[a][x] * powers[b][y] * column[i]
             partial.append(total)
         for pick, job_values in zip(picks, values):
             job_values.append((sum(map(partial.__getitem__, pick)), common))
@@ -369,19 +370,18 @@ def per_graph(
 ) -> list[tuple[FixedGraph, Fraction]]:
     """Each graph's summand of ``classes`` at the first point of ``strategy``, divided on its own.
 
-    That point is the first seeded sample, or the grid point (1, 2, .., n + 1).
-    The summands add up to the invariant; a graded-zero tuple has none.
+    That point is the first seeded sample, or the grid point (1, 2, .., n + 1), where each
+    scaled part is divided by L * (-2)^c.  They add up to the invariant; a graded-zero tuple has none.
     """
     job = _jobs(n, k, [classes], strategy)[tuple(classes)]
     if job.graded_zero:
         return []
     graphs, points = _points(n, k, (job.c,), strategy, 1, seed)
-    tau, common, scales, columns = next(iter(points))
+    tau, common, columns = next(iter(points))
     den = common * (-2) ** job.c
     xys = (ev_exponents(g, job.classes) for g in graphs)
     return [
-        (g, Fraction(tau[g.a] ** x * tau[g.b] ** y * part * scale, den))
-        for g, (x, y), part, scale in zip(graphs, xys, columns[job.c], scales)
+        (g, Fraction(tau[g.a] ** x * tau[g.b] ** y * part, den)) for g, (x, y), part in zip(graphs, xys, columns[job.c])
     ]
 
 

@@ -120,25 +120,48 @@ def test_h_values_is_the_reference_recurrence():
 
 
 @pytest.mark.parametrize("ring", ["int", "Poly"])
-def test_pair_h_gives_each_graph_its_own_h(ring):
-    # The graphs on one pair share h of the pair's full weight list; each
-    # graph's own h, with its missing flag weight taken out, must be the h
-    # of its own odd weights, at every c up to 2n + 1, the largest codegree
-    # (up to 3 over Polys, which grow fast).
+def test_graph_parts_read_their_own_h_off_the_pair(ring):
+    # Each graph reads its h off its pair's, taking a missing flag weight
+    # out inline; its parts must be those built from h of its own odd
+    # weights: h_c * lam_free on point loci and
+    # num_lam * h_c + lam_weight * h_{c-1} * lam_free on m04 loci.  Over
+    # seeded ints graph_contribution gives them at every c up to 2n + 1,
+    # the largest codegree, and the same part in a plan of that one
+    # codegree.  Over Polys (n <= 3, c <= 3: they grow fast) the pair's h
+    # and constant Euler data go in directly, so the check is an identity.
     rng = random.Random(2024)
+    sizes = range(1, 7) if ring == "int" else range(1, 4)
     checked = 0
-    for n in range(1, 7):
+    for n in sizes:
         if ring == "int":
-            tau, c = rng.sample(range(-999, 1000), n + 1), 2 * n + 1
+            tau, cmax = rng.sample(range(-999, 1000), n + 1), 2 * n + 1
         else:
-            tau, c = [Poly.tau(n + 1, i) for i in range(n + 1)], 3
+            tau, cmax = [Poly.tau(n + 1, i) for i in range(n + 1)], 3
+        codegrees = range(cmax + 1)
         for k in (1, 2, 3):
             for g in enumerate_graphs(n, k):
-                h = localize._h_values(c, pair_weights(n, g.a, g.b, tau))
-                own = localize._own_h(g, h, tau[g.b] - tau[g.a])
-                assert own == localize._h_values(c, odd_weights(g, tau)), g
+                data, u = euler_data(g), tau[g.b] - tau[g.a]
+                if ring == "int":
+                    parts = graph_contribution(g, codegrees, tau)[0]
+                    c = rng.choice(codegrees)
+                    assert graph_contribution(g, (c,), tau)[0] == {c: parts[c]}, (g, c)
+                else:
+                    data = EulerData(*(Poly.const(n + 1, v) for v in data))
+                    h = localize._h_values(cmax, pair_weights(n, g.a, g.b, tau))
+                    parts = localize._integrand_parts(g, data, codegrees, h, u)
+                lam_weight, num_one, num_u, num_lam = data
+                lam_free = num_one + num_u * u
+                h = localize._h_values(cmax, odd_weights(g, tau))
+                for c in codegrees:
+                    if not g.m04:
+                        expected = h[c] * lam_free
+                    elif c:
+                        expected = num_lam * h[c] + lam_weight * h[c - 1] * lam_free
+                    else:
+                        expected = num_lam * h[c]
+                    assert parts[c] == expected, (g, c)
                 checked += 1
-    assert checked == sum(comb(n + 1, 2) for n in range(1, 7)) * (2 + 4 + 8)
+    assert checked == sum(comb(n + 1, 2) for n in sizes) * (2 + 4 + 8)
 
 
 def test_one_point_gives_every_pair_its_h_and_denominator():
@@ -210,14 +233,14 @@ def test_h_recurrence_runs_once_per_point(monkeypatch):
 def test_integrand_parts_apply_the_lam_weight():
     # Against the reference: h_c of every odd weight (half of the doubled
     # ones), the pure lam one included, times the whole numerator; m04 loci
-    # take its lam coefficient.  The parts carry 2^c h_c and no sign: the
-    # callers divide by (-2)^c.
+    # take its lam coefficient.  The parts, read off the h of the pair's
+    # weights, carry 2^c h_c and no sign: the callers divide by (-2)^c.
     rng = random.Random(7)
     for g in enumerate_graphs(2, 3):
         data = euler_data(g)
         taus = [rng.randint(-50, 50) for _ in range(3)]
         u = taus[g.b] - taus[g.a]
-        h = localize._h_values(4, odd_weights(g, taus))
+        h = localize._h_values(4, pair_weights(2, g.a, g.b, taus))
         parts = localize._integrand_parts(g, data, range(5), h, u)
         lam_free, lam_coeff = data.num_one + data.num_u * u, data.num_lam
         halves = [w.scale(F(1, 2)) for w in odd_weights(g, [Poly.tau(3, i) for i in range(3)])]
@@ -431,7 +454,7 @@ def test_integer_core_divides_once():
         for g in enumerate_graphs(n, k):
             taus = rng.sample(range(-50, 51), n + 1)
             u = taus[g.b] - taus[g.a]
-            h = localize._h_values(4, odd_weights(g, taus))
+            h = localize._h_values(4, pair_weights(n, g.a, g.b, taus))
             parts = localize._integrand_parts(g, euler_data(g), range(5), h, u)
             assert all(type(v) is int for v in h), g
             assert all(type(v) is int for v in parts.values()), g
@@ -442,8 +465,8 @@ def test_integer_core_divides_once():
             continue
         symbolic += 1
         _, grid = localize._symbolic_sum(job.n, job.k)
-        for tau, common, scales, columns in grid:
-            numbers = [*tau, common, *scales] + [v for column in columns.values() for v in column]
+        for tau, common, columns in grid:
+            numbers = [*tau, common] + [v for column in columns.values() for v in column]
             assert all(type(v) is int for v in numbers), entry.label
     assert symbolic > 0
     jobs = [LocalizationJob(n=2, k=3, classes=c) for c in [(1, 1, 0), (2, 1, 1), (0, 0, 0)]]
@@ -591,8 +614,8 @@ def test_symbolic_grid_points():
     # The grid is tau = (1, tau_1 .. tau_n), tau_j = 1 + j + n x_j, over the
     # C(delta + n, n) points x of the simplex |x| <= delta: distinct
     # characters at every point, and one value of x_j per value of tau_j.
-    # Each point records L, every graph's scale L // den_g and, per
-    # codegree, every graph's unscaled graph_contribution part.
+    # Each point records L and, per codegree, every graph's
+    # graph_contribution part scaled by L // den_g.
     for n, k in product((1, 2), (1, 2, 3)):
         delta = k * n * (n + 1) // 2
         simplex = {x for x in product(range(delta + 1), repeat=n) if sum(x) <= delta}
@@ -601,16 +624,16 @@ def test_symbolic_grid_points():
         assert graphs == tuple(enumerate_graphs(n, k))
         assert len(grid) == len(simplex) == comb(delta + n, n), (n, k)
         xs = set()
-        for tau, common, scales, columns in grid:
+        for tau, common, columns in grid:
             assert tau[0] == 1 and len(set(tau)) == n + 1, tau
             assert all((t - 1 - j) % n == 0 for j, t in enumerate(tau[1:], start=1)), tau
             xs.add(tuple((t - 1 - j) // n for j, t in enumerate(tau[1:], start=1)))
-            assert len(scales) == len(graphs) and set(columns) == set(codegrees), tau
+            assert set(columns) == set(codegrees), tau
+            assert all(len(column) == len(graphs) for column in columns.values()), tau
             dens = []
             for i, g in enumerate(graphs):
                 parts, den = graph_contribution(g, codegrees, tau)
-                assert scales[i] * den == common, (g, tau)
-                assert [columns[c][i] for c in codegrees] == [parts[c] for c in codegrees], (g, tau)
+                assert [columns[c][i] for c in codegrees] == [parts[c] * (common // den) for c in codegrees], (g, tau)
                 dens.append(den)
             assert common == lcm(*dens), tau
         assert xs == simplex, (n, k)
@@ -800,3 +823,61 @@ def test_codegree_one_three_point_cells_empirical():
     assert len(golden) == 5
     for entry in golden:
         assert entry.printed == predicted[entry.n][tuple(sorted(entry.classes))], entry.label
+
+
+def test_three_point_boundary_laws_empirical():
+    # An empirical check, fitted to this code's own output: it is neither
+    # derived nor printed in the paper, and it is never a reason to edit
+    # tables.py.  For n <= 12, over cells b <= c and a <= b:
+    #   <1, H^b, H^c>_3 = 0                              for b + c >= n + 1,
+    #   <1, H^b, H^c>_3 = 1/2 kappa^-2 <1, H^(b+c)>_2    for b + c <= n,
+    #   <H^a, H^b, H^n>_3 = C(n+e, e) / 2^e kappa^(a+b-2n-3)
+    # for a >= 1 and codegree e = n + 1 - a - b >= 0.
+    counts, broken = [0, 0, 0], []
+    for n in range(1, 13):
+        two = localize.table(n, 2, [(0, m) for m in range(n + 1)])
+        expected = {}
+        for b, c in combinations_with_replacement(range(n + 1), 2):
+            if b + c > n:
+                expected[0, b, c], law = Invariant.zero(), 0
+            else:
+                half = two[0, b + c]
+                expected[0, b, c], law = Invariant.of(half.coeff / 2, half.kappa_exp - 2), 1
+            counts[law] += 1
+        for a, b in combinations_with_replacement(range(1, n + 1), 2):
+            e = n + 1 - a - b
+            if e >= 0:
+                expected[a, b, n] = Invariant.of(F(comb(n + e, e), 2**e), a + b - 2 * n - 3)
+                counts[2] += 1
+        got = localize.table(n, 3, list(expected))
+        broken += [(n, classes, str(got[classes])) for classes in expected if got[classes] != expected[classes]]
+    assert counts == [203, 251, 203]
+    assert not broken
+
+
+def test_per_graph_call_counts_in_process(monkeypatch):
+    # The counts perfbench/selfcheck.py reads through its tracer: a cold
+    # invariant(1, 3, (1, 1, 1)) evaluates its 8 graphs at 3 samples, with
+    # one graph_contribution and one euler_data call each, and misses the
+    # euler_data cache once per graph.
+    calls = {"graph_contribution": 0, "euler_data": 0}
+    contribution, data_of = localize.graph_contribution, localize.euler_data
+
+    def counting_contribution(*args, **kwargs):
+        calls["graph_contribution"] += 1
+        return contribution(*args, **kwargs)
+
+    def counting_data(g):
+        calls["euler_data"] += 1
+        return data_of(g)
+
+    monkeypatch.setattr(localize, "graph_contribution", counting_contribution)
+    monkeypatch.setattr(localize, "euler_data", counting_data)
+    euler_data.cache_clear()
+    misses = euler_data.cache_info().misses
+    assert invariant(1, 3, (1, 1, 1)) == Invariant.of(1, -3)
+    misses = euler_data.cache_info().misses - misses
+    assert (calls, misses) == ({"graph_contribution": 24, "euler_data": 24}, 8), (
+        f"cold invariant(1, 3, (1, 1, 1)) made {calls} calls with {misses} euler_data misses; "
+        "perfbench/selfcheck.py expects 24 of each and 8 misses"
+    )
