@@ -26,7 +26,7 @@ from .point import Invariant
 # Measured on a shared 2-core Xeon as whole processes: point --k 24 takes
 # 0.2-0.6 s (median 0.3 s) and grows about 1.5x per k; taut --k 24 takes
 # 0.12-0.37 s, nearly all of it start-up, and shares the point ceiling;
-# invariant --n 20 --k 3 takes 0.22-0.29 s and quantum --n 10 0.4-0.5 s, and
+# invariant --n 20 --k 3 takes 0.22-0.29 s and quantum --n 10 0.17-0.25 s, and
 # quantum grows about n^4.  A larger value is refused up front instead of
 # running for hours or running out of memory.
 MAX_POINT_K = point.MAX_K
@@ -131,7 +131,11 @@ def cmd_point(k: int, fmt: str):
 def cmd_invariant(n: int, k: int, classes: str, strategy: str, samples: int, seed: int, trace: bool, fmt: str):
     """Degree-one k-point invariant of P^n via localization."""
     class_tuple = _parse_int_list(classes, "--classes")
-    result = localize.invariant(n, k, class_tuple, strategy=strategy, samples=samples, seed=seed)
+    options = {"strategy": strategy, "samples": samples, "seed": seed}
+    if trace and fmt == "json":  # one sweep, whose first point gives the summands
+        result, summands = localize.traced_invariant(n, k, class_tuple, **options)
+    else:
+        result, summands = localize.invariant(n, k, class_tuple, **options), []
     if fmt != "json":
         click.echo(str(result))
         return
@@ -141,7 +145,6 @@ def cmd_invariant(n: int, k: int, classes: str, strategy: str, samples: int, see
         live = not localize.LocalizationJob(n=n, k=k, classes=class_tuple).graded_zero
         taus = localize.sample_taus(n, samples, seed) if live else []
         diagnostics["tau_samples"] = [[str(t) for t in tau] for tau in taus]
-    summands = localize.per_graph(n, k, class_tuple, strategy=strategy, seed=seed) if trace else []
     if summands:  # a graded-zero tuple has none
         diagnostics["per_graph"] = [{"graph": g.label(), "value": str(value)} for g, value in summands]
     _emit_json(_record("invariant", {"n": n, "k": k, "d": 1, "classes": list(class_tuple)}, result, diagnostics))
@@ -176,10 +179,10 @@ def cmd_quantum(n: int, seed: int, fmt: str):
                 _emit_json(record)
         return
     click.echo(f"# degree-one three-point invariants <L^a, L^b, L^c> for P^{n}")
-    width = max(len(str(inv)) for entries in table.values() for _, inv in entries)
-    for (a, b), entries in sorted(table.items()):
-        cells = "  ".join(f"c={c}: {str(inv):<{width}}" for c, inv in entries)
-        click.echo(f"a={a} b={b}  {cells}")
+    rows = {ab: [(c, str(inv)) for c, inv in entries] for ab, entries in sorted(table.items())}
+    width = max(len(text) for cells in rows.values() for _, text in cells)
+    for (a, b), cells in rows.items():
+        click.echo(f"a={a} b={b}  " + "  ".join(f"c={c}: {text:<{width}}" for c, text in cells))
     click.echo(f"# products L^a * L^b modulo q^2 for P^{n}")
     for a in range(n + 1):
         for b in range(a, n + 1):

@@ -25,13 +25,14 @@ division per distinct denominator.
 
 One sum, two point sets.  ``table`` (``invariant`` is its one-tuple case)
 runs ``_sweep``, which adds up each tuple's scaled summands at every
-point, so a tuple's value at tau is one integer sum over L * (-2)^c, the
-sign turning 2^c h_c into (-1)^c h_c.  ``_agree`` insists that all
-points agree, as the sum is a constant function of the characters.
-``_points`` alone chooses them: seeded generic samples for "evaluate",
-or for "symbolic" (n <= 2) the grid built once per (n, k) by
-``_symbolic_sum``, on which agreement proves the sum constant.
-``per_graph`` divides each summand on its own at the first point.
+point once per key (bitmask of A, ev exponents), so a tuple's value at
+tau is one integer sum over L * (-2)^c, the sign turning 2^c h_c into
+(-1)^c h_c.  ``_agree`` insists that all points agree, as the sum is a
+constant function of the characters.  ``_points`` alone chooses them:
+seeded generic samples for "evaluate", or for "symbolic" (n <= 2) the
+grid built once per (n, k) by ``_symbolic_sum``, on which agreement
+proves the sum constant.  ``traced_invariant`` also divides each graph's
+summand on its own at the first point of the tuple's sweep.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import comb, lcm
 from operator import itemgetter, mul
 from typing import Collection, Iterable, NamedTuple, Sequence
@@ -286,8 +287,12 @@ def _points(n: int, k: int, codegrees: tuple[int, ...], strategy: str, samples: 
     return graphs, (_evaluate_once(graphs, codegrees, tau) for tau in sample_taus(n, samples, seed))
 
 
-def _jobs(n: int, k: int, class_tuples: Iterable[Sequence[int]], strategy: str) -> dict[tuple, LocalizationJob]:
-    """The job of each distinct class tuple, in first-seen order, once ``strategy`` is known to apply to n."""
+def _jobs(
+    n: int, k: int, class_tuples: Iterable[Sequence[int]], strategy: str, samples: int
+) -> dict[tuple, LocalizationJob]:
+    """The job of each distinct class tuple, in first-seen order, once ``samples`` and ``strategy`` are valid for n."""
+    if samples < 2:
+        raise DomainError(f"localization needs at least 2 samples, got {samples}")
     if strategy not in ("evaluate", "symbolic"):
         raise DomainError(f"unknown strategy {strategy!r}")
     if strategy == "symbolic" and n > 2:
@@ -295,32 +300,44 @@ def _jobs(n: int, k: int, class_tuples: Iterable[Sequence[int]], strategy: str) 
     return {classes: LocalizationJob(n=n, k=k, classes=classes) for classes in map(tuple, class_tuples)}
 
 
+def _subset_sums(classes: Sequence[int]) -> list[int]:
+    """x[m], the sum of classes[i] over the bits 2^i of m, for every bitmask m: one addition each."""
+    x = [0] * 2 ** len(classes)
+    for m in range(1, len(x)):
+        low = m & -m
+        x[m] = x[m ^ low] + classes[low.bit_length() - 1]
+    return x
+
+
 def _sweep(graphs: Sequence[FixedGraph], jobs: list[LocalizationJob], points: Iterable) -> dict:
     """The invariant of each job from its sum at every ``_evaluate_once`` point (tau, L, columns).
 
     A graph's summand depends on a job only through the ev exponents (x, y)
-    on its marked set A, and x + y fixes the codegree, so each point sums
-    tau_a^x tau_b^y times the scaled part over the graphs of A once per key
-    (A, x, y), from one table of powers of tau, and each job adds up its
+    on its marked set A, and x + y fixes the codegree.  ``enumerate_graphs``
+    lists the 2^k graphs of each pair by the bitmask m of A (mark i + 1 in
+    A for bit 2^i), so ``graphs[m::2^k]`` are the graphs of one A, and a
+    job's x on every mask is its ``_subset_sums``.  Each point sums
+    tau_a^x tau_b^y times the scaled part over the graphs of m once per key
+    (m, x, y), from one table of powers of tau, and each job adds up its
     keys into one integer over L * (-2)^c.
     """
-    groups: dict[frozenset[int], list[tuple[int, int, int]]] = {}
-    for i, g in enumerate(graphs):
-        groups.setdefault(g.A, []).append((g.a, g.b, i))
-    keys: dict[tuple, int] = {}  # (A, x, y) -> its place in the partial sums
-    picks = []  # per job, the place of its key on each A
+    width = 2 ** jobs[0].k
+    indexed = [(g.a, g.b, i) for i, g in enumerate(graphs)]
+    members = [indexed[m::width] for m in range(width)]  # the graphs whose A has bitmask m
+    keys: dict[tuple[int, int, int], int] = {}  # (m, x, y) -> its place in the partial sums
+    picks = []  # per job, the place of its key on each mask
     for job in jobs:
-        xys = [ev_exponents(graphs[members[0][2]], job.classes) for members in groups.values()]
-        picks.append([keys.setdefault((A, *xy), len(keys)) for A, xy in zip(groups, xys)])
+        total = job.total_class_degree
+        picks.append([keys.setdefault((m, x, total - x), len(keys)) for m, x in enumerate(_subset_sums(job.classes))])
     d_kd = jobs[0].d_kd
     values: list[list[tuple[int, int]]] = [[] for _ in jobs]
     for tau, common, columns in points:
         powers = [[t**e for e in range(d_kd + 1)] for t in tau]
         partial = []
-        for A, x, y in keys:
+        for m, x, y in keys:
             column = columns[d_kd - x - y]
             total = 0
-            for a, b, i in groups[A]:
+            for a, b, i in members[m]:
                 total += powers[a][x] * powers[b][y] * column[i]
             partial.append(total)
         for pick, job_values in zip(picks, values):
@@ -346,9 +363,7 @@ def table(
     codegree are zero and take no part.  Each distinct tuple, in first-seen
     order, maps to its invariant.
     """
-    if samples < 2:
-        raise DomainError(f"localization needs at least 2 samples, got {samples}")
-    jobs = _jobs(n, k, class_tuples, strategy)
+    jobs = _jobs(n, k, class_tuples, strategy, samples)
     result = {classes: Invariant.zero() for classes in jobs}
     live = [job for job in jobs.values() if not job.graded_zero]
     if live:
@@ -365,24 +380,28 @@ def invariant(
     return table(n, k, [classes], strategy=strategy, samples=samples, seed=seed)[classes]
 
 
-def per_graph(
-    n: int, k: int, classes: Sequence[int], strategy: str = "evaluate", seed: int = DEFAULT_SEED
-) -> list[tuple[FixedGraph, Fraction]]:
-    """Each graph's summand of ``classes`` at the first point of ``strategy``, divided on its own.
+def traced_invariant(
+    n: int, k: int, classes: Sequence[int], strategy: str = "evaluate", samples: int = 3, seed: int = DEFAULT_SEED
+) -> tuple[Invariant, list[tuple[FixedGraph, Fraction]]]:
+    """``invariant`` of ``classes`` and each graph's summand at the first point of its sweep, divided on its own.
 
     That point is the first seeded sample, or the grid point (1, 2, .., n + 1), where each
-    scaled part is divided by L * (-2)^c.  They add up to the invariant; a graded-zero tuple has none.
+    scaled part is divided by L * (-2)^c.  The summands add up to the invariant; a graded-zero
+    tuple has none.
     """
-    job = _jobs(n, k, [classes], strategy)[tuple(classes)]
+    classes = tuple(classes)
+    job = _jobs(n, k, [classes], strategy, samples)[classes]
     if job.graded_zero:
-        return []
-    graphs, points = _points(n, k, (job.c,), strategy, 1, seed)
-    tau, common, columns = next(iter(points))
+        return Invariant.zero(), []
+    graphs, points = _points(n, k, (job.c,), strategy, samples, seed)
+    points = iter(points)
+    tau, common, columns = first = next(points)
     den = common * (-2) ** job.c
     xys = (ev_exponents(g, job.classes) for g in graphs)
-    return [
+    summands = [
         (g, Fraction(tau[g.a] ** x * tau[g.b] ** y * part, den)) for g, (x, y), part in zip(graphs, xys, columns[job.c])
     ]
+    return _sweep(graphs, [job], chain([first], points))[classes], summands
 
 
 def check_extension(n: int, k: int, classes: Sequence[int], seed: int = DEFAULT_SEED) -> bool:

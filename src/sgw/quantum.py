@@ -9,12 +9,17 @@ collapse to the pairing) and, at q^1, for each dual basis element L^(n-c)
 the degree-one three-point invariant with third insertion L^c rescaled by
 kappa^(n+2).  ``star`` reads those invariants straight from one
 localization sweep per (n, seed), which is kept for the products that follow.
+Hyperplane powers are even classes, so a three-point invariant does not
+depend on the order of its insertions (the S_3 symmetry of the
+Kontsevich-Manin axioms): the sweep computes each unordered triple once,
+and every cell is read through its sorted key.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .errors import DomainError
 from .localize import DEFAULT_SEED, table
@@ -95,9 +100,19 @@ class QElement:
 
 @lru_cache(maxsize=8)
 def _three_point(n: int, seed: int) -> dict[tuple[int, int, int], Invariant]:
-    """<L^a, L^b, L^c> for all a <= b and every c, from one localization sweep."""
-    tuples = [(a, b, c) for a in range(n + 1) for b in range(a, n + 1) for c in range(n + 1)]
-    return table(n, 3, tuples, seed=seed)
+    """<L^a, L^b, L^c> for every sorted triple a <= b <= c, from one localization sweep.
+
+    The invariant is symmetric in its insertions, so the C(n+3, 3) sorted
+    triples hold every value; ``_cell`` reads any order through them.
+    The symmetry is assumed here only: ``table`` itself computes every
+    tuple it is given, in any order, so it can be checked there.
+    """
+    return table(n, 3, combinations_with_replacement(range(n + 1), 3), seed=seed)
+
+
+def _cell(values: dict[tuple[int, int, int], Invariant], a: int, b: int, c: int) -> Invariant:
+    """<L^a, L^b, L^c> from the sorted triples of ``_three_point``."""
+    return values[tuple(sorted((a, b, c)))]
 
 
 def structure_table(n: int, seed: int = DEFAULT_SEED) -> dict[tuple[int, int], list[tuple[int, Invariant]]]:
@@ -106,7 +121,7 @@ def structure_table(n: int, seed: int = DEFAULT_SEED) -> dict[tuple[int, int], l
         raise DomainError("n must be >= 1")
     values = _three_point(n, seed)
     return {
-        (a, b): [(c, values[(a, b, c)]) for c in range(n + 1)]
+        (a, b): [(c, _cell(values, a, b, c)) for c in range(n + 1)]
         for a in range(n + 1)
         for b in range(a, n + 1)
     }
@@ -128,7 +143,7 @@ def star(n: int, x: QElement, y: QElement, seed: int = DEFAULT_SEED) -> QElement
         for (lb, qb), cb in y.comps.items():
             terms = [((la + lb, qa + qb), 0, 1)]
             for c in range(n + 1):
-                inv = values[(min(la, lb), max(la, lb), c)]
+                inv = _cell(values, la, lb, c)
                 if not inv.is_zero:
                     terms.append(((n - c, qa + qb + 1), inv.kappa_exp + n + 2, inv.coeff))
             for key, shift, coeff in terms:

@@ -253,6 +253,24 @@ def test_json_without_trace_forms_no_per_graph_values(runner, monkeypatch):
     assert len(labelled) == 8  # every graph once, at the first sample only
 
 
+def test_trace_evaluates_the_first_sample_once(runner, monkeypatch):
+    # 8 graphs of (n, k) = (1, 3) at 3 samples: the summands come from the
+    # sweep's own first point, not from a second evaluation of it.
+    calls = []
+    contribution = sgw.localize.graph_contribution
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return contribution(*args, **kwargs)
+
+    monkeypatch.setattr(sgw.localize, "graph_contribution", counting)
+    base = ["invariant", "--format", "json", "--seed", "1729", "--n", "1", "--k", "3", "--classes", "1,1,1"]
+    result = runner.invoke(main, base + ["--trace"])
+    assert result.exit_code == 0
+    assert result.stdout == GOLDEN_TRACE
+    assert len(calls) == 24
+
+
 def test_taut(runner):
     result = runner.invoke(main, ["taut", "--k", "6", "--exps", "1,1,1"])
     assert result.exit_code == 0
@@ -299,8 +317,8 @@ def test_quantum_json(runner):
 
 
 def test_quantum_sweeps_each_graph_once_per_sample(runner, monkeypatch):
-    # 48 graphs of (n, k) = (3, 3) times 3 samples: one sweep serves all 40
-    # class tuples of the table and every product printed after it.
+    # 48 graphs of (n, k) = (3, 3) times 3 samples: one sweep serves all 20
+    # sorted class tuples of the table and every product printed after it.
     calls = []
     contribution = sgw.localize.graph_contribution
 
@@ -505,6 +523,20 @@ def test_reproduce_paper(runner):
     }
     assert lines[-1].startswith("summary: ")
     assert result.exit_code == 1
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv,golden,exit_code",
+    [(["quantum", "--n", "3"], "quantum-n3.txt", 0), (["reproduce-paper"], "reproduce-paper.txt", 1)],
+    ids=["quantum-n3", "reproduce-paper"],
+)
+def test_output_matches_the_benchmark_golden_text(runner, argv, golden, exit_code):
+    result = runner.invoke(main, argv + ["--seed", "1729"])
+    assert result.exit_code == exit_code
+    assert result.stdout == (GOLDEN_DIR / golden).read_text()
 
 
 def test_reproduce_paper_skips_name_recomputed_values(runner):

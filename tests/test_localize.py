@@ -516,6 +516,19 @@ def test_table_permuted_and_repeated_tuples():
     assert {swept[c] for c in [(2, 1, 0), (0, 1, 2), (1, 2, 0)]} == {invariant(2, 3, (2, 1, 0))}
 
 
+def test_sweep_reads_graphs_by_the_bitmask_of_a():
+    # _sweep takes graphs[m::2^k] as the graphs whose marked set A has
+    # bitmask m, and their ev exponent at q_a from the subset sums.
+    for n in (1, 2, 3):
+        for k in (1, 2, 3):
+            graphs = enumerate_graphs(n, k)
+            for i, g in enumerate(graphs):
+                assert g.A == {bit + 1 for bit in range(k) if i % 2**k >> bit & 1}, (n, k, i)
+            for classes in product(range(n + 1), repeat=k):
+                x = localize._subset_sums(classes)
+                assert [x[i % 2**k] for i in range(len(graphs))] == [ev_exponents(g, classes)[0] for g in graphs]
+
+
 def test_table_validation():
     assert localize.table(2, 3, []) == {}
     assert localize.table(1, 3, [(1, 1, 1)], samples=10) == {(1, 1, 1): Invariant.of(1, -3)}
@@ -720,10 +733,11 @@ def test_per_graph_at_first_sample():
     for n, k, classes, seed in [(1, 2, (1, 1), 1729), (2, 3, (2, 1, 0), 9), (3, 2, (2, 1), 5)]:
         job = LocalizationJob(n=n, k=k, classes=classes)
         tau = localize.sample_taus(n, 3, seed)[0]
-        summands = localize.per_graph(n, k, classes, seed=seed)
+        swept, summands = localize.traced_invariant(n, k, classes, seed=seed)
         assert [g for g, _ in summands] == enumerate_graphs(n, k)
         assert [value for _, value in summands] == [contributions(g, [job], tau)[0] for g in enumerate_graphs(n, k)]
-        assert Invariant.of(sum(value for _, value in summands), job.kappa_exp) == invariant(n, k, classes, seed=seed)
+        assert Invariant.of(sum(value for _, value in summands), job.kappa_exp) == swept
+        assert swept == invariant(n, k, classes, seed=seed)
 
 
 def test_symbolic_per_graph_at_first_grid_point():
@@ -733,15 +747,16 @@ def test_symbolic_per_graph_at_first_grid_point():
         job = LocalizationJob(n=n, k=k, classes=classes)
         tau = tuple(range(1, n + 2))
         assert localize._symbolic_sum(n, k)[1][0][0] == tau
-        summands = localize.per_graph(n, k, classes, strategy="symbolic")
+        swept, summands = localize.traced_invariant(n, k, classes, strategy="symbolic")
         assert [g for g, _ in summands] == enumerate_graphs(n, k)
         assert [value for _, value in summands] == [contributions(g, [job], tau)[0] for g in enumerate_graphs(n, k)]
-        value = invariant(n, k, classes, strategy="symbolic")
-        assert Invariant.of(sum(value for _, value in summands), job.kappa_exp) == value
+        assert Invariant.of(sum(value for _, value in summands), job.kappa_exp) == swept
+        assert swept == invariant(n, k, classes, strategy="symbolic")
 
 
 def test_per_graph_refuses_as_table():
-    assert localize.per_graph(2, 3, (2, 2, 2)) == localize.per_graph(2, 3, (2, 2, 2), strategy="symbolic") == []
+    for strategy in ("evaluate", "symbolic"):
+        assert localize.traced_invariant(2, 3, (2, 2, 2), strategy=strategy) == (Invariant.zero(), [])
     cases = [
         ((1, 1, (1,)), {"strategy": "bogus"}, DomainError, "unknown strategy 'bogus'"),
         ((3, 1, (1,)), {"strategy": "symbolic"}, DomainError, "symbolic strategy supported for n <= 2"),
@@ -750,7 +765,7 @@ def test_per_graph_refuses_as_table():
     ]
     for (n, k, classes), options, error, message in cases:
         for call in (
-            lambda: localize.per_graph(n, k, classes, **options),
+            lambda: localize.traced_invariant(n, k, classes, **options),
             lambda: localize.table(n, k, [classes], **options),
         ):
             with pytest.raises(error) as info:
@@ -771,6 +786,7 @@ def test_table_refuses_as_invariant():
     for (n, k, classes), options, message in cases:
         for call in (
             lambda: invariant(n, k, classes, **options),
+            lambda: localize.traced_invariant(n, k, classes, **options),
             lambda: localize.table(n, k, [classes], **options),
             lambda: localize.table(n, k, [classes, classes[::-1]], **options),
         ):

@@ -2,12 +2,14 @@
 
 from fractions import Fraction as F
 from itertools import product
+from math import comb
 
 import pytest
 
 from sgw.errors import DomainError
+from sgw.localize import table
 from sgw.point import Invariant
-from sgw.quantum import QElement, star, structure_table
+from sgw.quantum import QElement, _three_point, star, structure_table
 
 
 def basis(n, a):
@@ -84,6 +86,22 @@ def test_structure_table_entries():
     table3 = structure_table(3)
     assert table3[(3, 3)][0] == (0, Invariant.zero())
     assert table3[(3, 3)][1] == (1, Invariant.of(1, -5))
+
+
+@pytest.mark.parametrize("seed", [1729, 5])
+def test_structure_table_is_symmetric_in_its_insertions(seed):
+    # The quantum table sweeps only the sorted triples and reads every other
+    # order through them; each cell must equal the value that table computes
+    # for that ordered triple itself.
+    for n in range(1, 5):
+        assert len(_three_point(n, seed)) == comb(n + 3, 3)
+        ordered = table(n, 3, product(range(n + 1), repeat=3), seed=seed)
+        cells = structure_table(n, seed=seed)
+        assert len(cells) == (n + 1) * (n + 2) // 2
+        for (a, b), entries in cells.items():
+            assert [c for c, _ in entries] == list(range(n + 1))
+            for c, inv in entries:
+                assert inv == ordered[(a, b, c)], (n, a, b, c)
 
 
 def test_star_rendering():
