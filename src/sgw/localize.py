@@ -19,7 +19,7 @@ so their h_j, 2^j times that of the odd weights, is sum_i C(n+j, i)
 (-s)^i h_{j-i}(2 tau) (``_pair``).  Each of the pair's 2^k graphs reads
 it at c, c - 1 and c - 2, takes out inline a flag weight it lacks, and
 adds the pure lam weight by h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W)
-(``_integrand_parts``; point loci have none).  Each graph's integer parts
+(``graph_contribution``; point loci have none).  Each graph's integer parts
 come out scaled by L // den_g, L = lcm of the graph denominators, one
 division per distinct denominator.
 
@@ -40,13 +40,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, cycle, product
 from math import comb, lcm
 from operator import itemgetter, mul
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
-from .graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents
+from .graphs import FixedGraph, enumerate_graphs, euler_data
 from .point import Invariant
 
 DEFAULT_SEED = 1729
@@ -112,45 +112,9 @@ def _h_values(c: int, weights: Sequence) -> list:
     return h
 
 
-def _integrand_parts(g: FixedGraph, data: EulerData, codegrees: Collection[int], h: list, u) -> dict:
-    """Part of one graph's integrand numerator that its locus integrates, per codegree c.
-
-    ``h`` is the ``_pair`` h of twice the lam-free odd weights of every graph
-    on (a, b), read at c, c - 1 and c - 2.  A graph with every mark at one
-    end lacks the flag weight w of its bare end (-u at q_a, u at q_b): its
-    own h_j is h_j - w h_{j-1}.  Twice the pure lam weight is
-    ``data.lam_weight * lam`` and lam^2 = 0, so it only adds
-    lam_weight * lam * h_{c-1}.  The part is h_c times
-    (num_one + num_u * u + num_lam * lam), by locus type, read off |A| and
-    k: a point locus has no lam data and takes h_c * lam_free; an m04 locus
-    (k = 3, every mark at one end) takes num_lam * h_c + lam_weight * h_{c-1} * lam_free.
-    Each part is 2^c times the integrand part without its sign (-1)^c, an
-    integer: the caller divides by (-2)^c along with the Euler denominator.
-    """
-    lam_weight, num_one, num_u, num_lam = data
-    lam_free = num_one + num_u * u
-    marks, k = len(g.A), g.k
-    parts = {}
-    if k == 3 and marks in (0, 3):
-        w = u if marks else -u
-        for c in codegrees:
-            if c:
-                below = h[c - 1] - w * h[c - 2] if c > 1 else h[0]
-                parts[c] = num_lam * (h[c] - w * h[c - 1]) + lam_weight * below * lam_free
-            else:
-                parts[c] = num_lam * h[0]
-        return parts
-    if lam_weight or num_lam:
-        raise InconsistencyError(f"lam survived on the point-type locus {g.label()}")
-    w = 0 if 0 < marks < k else u if marks else -u  # 0: marks at both ends, h is the graph's own
-    for c in codegrees:
-        parts[c] = (h[c] - w * h[c - 1] if c and w else h[c]) * lam_free
-    return parts
-
-
 @lru_cache(maxsize=None)
 def _shift_plan(n: int, codegrees: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """cmax, the indices j of a pair's h that ``_integrand_parts`` reads, and C(n+j, j-i), i = 0 .. j."""
+    """cmax, the indices j of a pair's h that ``graph_contribution`` reads, and C(n+j, j-i), i = 0 .. j."""
     reads = sorted({j for c in codegrees for j in (c - 2, c - 1, c) if j >= 0})
     rows = tuple(tuple(comb(n + j, j - i) for i in range(j + 1)) for j in reads)
     return max(codegrees, default=0), tuple(reads), rows
@@ -190,16 +154,45 @@ def _pair(g: FixedGraph, point: tuple, tau: Sequence[int]) -> tuple[int, list]:
 def graph_contribution(
     g: FixedGraph, codegrees: Collection[int], tau: Sequence[int], pair: tuple | None = None
 ) -> tuple[dict[int, int], int]:
-    """One graph's integer parts at the given characters, per codegree, and its Euler denominator.
+    """Part of one graph's integrand numerator that its locus integrates, per codegree c, and its Euler denominator.
 
-    ``pair`` is the ``_pair`` that ``g`` shares with the graphs on its pair
-    (a, b) at ``tau``, computed here from ``_point`` if not given; each
-    part reads it at three indices.  Nothing is divided: a tuple of
-    codegree c whose ev pullback is tau_a^x tau_b^y gets the summand
+    ``pair`` is the ``_pair`` (den, h) that ``g`` shares with the graphs on
+    its pair (a, b) at ``tau``, computed here from ``_point`` if not given.
+    h is that of twice the lam-free odd weights of every graph on (a, b),
+    read at c, c - 1 and c - 2.  A graph with every mark at one end lacks
+    the flag weight w of its bare end (-u at q_a, u at q_b, u = tau_b -
+    tau_a): its own h_j is h_j - w h_{j-1}.  Twice the pure lam weight is
+    ``lam_weight * lam`` (``euler_data``) and lam^2 = 0, so it only adds
+    lam_weight * lam * h_{c-1}.  The part is h_c times
+    (num_one + num_u * u + num_lam * lam), by locus type, read off |A| and
+    k: a point locus has no lam data and takes h_c * lam_free; an m04 locus
+    (k = 3, every mark at one end) takes num_lam * h_c + lam_weight * h_{c-1} * lam_free.
+    Each part is 2^c times the integrand part without its sign (-1)^c, an
+    integer, and nothing is divided: a tuple of codegree c whose ev
+    pullback is tau_a^x tau_b^y gets the summand
     tau_a^x tau_b^y parts[c] / (den * (-2)^c).
     """
     den, h = _pair(g, _point(tuple(codegrees), tau), tau) if pair is None else pair
-    return _integrand_parts(g, euler_data(g), codegrees, h, tau[g.b] - tau[g.a]), den
+    lam_weight, num_one, num_u, num_lam = euler_data(g)
+    u = tau[g.b] - tau[g.a]
+    lam_free = num_one + num_u * u
+    marks, k = len(g.A), g.k
+    parts = {}
+    if k == 3 and marks in (0, 3):
+        w = u if marks else -u
+        for c in codegrees:
+            if c:
+                below = h[c - 1] - w * h[c - 2] if c > 1 else h[0]
+                parts[c] = num_lam * (h[c] - w * h[c - 1]) + lam_weight * below * lam_free
+            else:
+                parts[c] = num_lam * h[0]
+        return parts, den
+    if lam_weight or num_lam:
+        raise InconsistencyError(f"lam survived on the point-type locus {g.label()}")
+    w = 0 if 0 < marks < k else u if marks else -u  # 0: marks at both ends, h is the graph's own
+    for c in codegrees:
+        parts[c] = (h[c] - w * h[c - 1] if c and w else h[c]) * lam_free
+    return parts, den
 
 
 def _evaluate_once(
@@ -397,9 +390,11 @@ def traced_invariant(
     points = iter(points)
     tau, common, columns = first = next(points)
     den = common * (-2) ** job.c
-    xys = (ev_exponents(g, job.classes) for g in graphs)
+    total = job.total_class_degree
+    xs = cycle(_subset_sums(job.classes))  # graphs[i] marks A by the bitmask i % 2^k, as in ``_sweep``
     summands = [
-        (g, Fraction(tau[g.a] ** x * tau[g.b] ** y * part, den)) for g, (x, y), part in zip(graphs, xys, columns[job.c])
+        (g, Fraction(tau[g.a] ** x * tau[g.b] ** (total - x) * part, den))
+        for g, x, part in zip(graphs, xs, columns[job.c])
     ]
     return _sweep(graphs, [job], chain([first], points))[classes], summands
 

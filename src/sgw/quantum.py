@@ -37,8 +37,11 @@ class QElement:
         self.n = n
         self.comps: dict[tuple[int, int], Laurent] = {}
         for (lam_pow, q_pow), laurent in (comps or {}).items():
-            if not all(isinstance(p, int) and p >= 0 for p in (lam_pow, q_pow)):
+            if not all(type(p) is int and p >= 0 for p in (lam_pow, q_pow)):
                 raise DomainError(f"L- and q-powers must be non-negative integers, got L^{lam_pow} q^{q_pow}")
+            for e in laurent:
+                if type(e) is not int:
+                    raise DomainError(f"kappa exponents must be integers, got kappa^{e}")
             if q_pow >= 2 or lam_pow > n:
                 continue
             clean = {e: Fraction(c) for e, c in laurent.items() if c}

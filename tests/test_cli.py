@@ -553,3 +553,16 @@ def test_sgw_does_not_import_dataclasses():
     code = f"import sys; sys.path.insert(0, {str(src)!r}); import sgw, sgw.cli; print('dataclasses' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert result.stdout == "False\n", result.stderr
+
+
+def test_importing_one_module_loads_only_its_dependencies():
+    # The package binds no names, so importing it loads no sgw module, and
+    # the point target loads neither the localization sums nor their users.
+    src = Path(sgw.cli.__file__).resolve().parent.parent
+    for imports, absent in [("sgw", "sgw."), ("sgw.taut, sgw.point", ("sgw.localize", "sgw.graphs", "sgw.quantum"))]:
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import {imports}; "
+            f"print(sorted(m for m in sys.modules if m.startswith({absent!r})))"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert result.stdout == "[]\n", (imports, result.stdout, result.stderr)

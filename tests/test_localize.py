@@ -120,7 +120,7 @@ def test_h_values_is_the_reference_recurrence():
 
 
 @pytest.mark.parametrize("ring", ["int", "Poly"])
-def test_graph_parts_read_their_own_h_off_the_pair(ring):
+def test_graph_parts_read_their_own_h_off_the_pair(ring, monkeypatch):
     # Each graph reads its h off its pair's, taking a missing flag weight
     # out inline; its parts must be those built from h of its own odd
     # weights: h_c * lam_free on point loci and
@@ -129,6 +129,7 @@ def test_graph_parts_read_their_own_h_off_the_pair(ring):
     # the largest codegree, and the same part in a plan of that one
     # codegree.  Over Polys (n <= 3, c <= 3: they grow fast) the pair's h
     # and constant Euler data go in directly, so the check is an identity.
+    # The Poly pair's denominator is not read here: 1 stands in for it.
     rng = random.Random(2024)
     sizes = range(1, 7) if ring == "int" else range(1, 4)
     checked = 0
@@ -147,8 +148,9 @@ def test_graph_parts_read_their_own_h_off_the_pair(ring):
                     assert graph_contribution(g, (c,), tau)[0] == {c: parts[c]}, (g, c)
                 else:
                     data = EulerData(*(Poly.const(n + 1, v) for v in data))
+                    monkeypatch.setattr(localize, "euler_data", lambda _, data=data: data)
                     h = localize._h_values(cmax, pair_weights(n, g.a, g.b, tau))
-                    parts = localize._integrand_parts(g, data, codegrees, h, u)
+                    parts = graph_contribution(g, codegrees, tau, (1, h))[0]
                 lam_weight, num_one, num_u, num_lam = data
                 lam_free = num_one + num_u * u
                 h = localize._h_values(cmax, odd_weights(g, tau))
@@ -241,7 +243,7 @@ def test_integrand_parts_apply_the_lam_weight():
         taus = [rng.randint(-50, 50) for _ in range(3)]
         u = taus[g.b] - taus[g.a]
         h = localize._h_values(4, pair_weights(2, g.a, g.b, taus))
-        parts = localize._integrand_parts(g, data, range(5), h, u)
+        parts = graph_contribution(g, range(5), taus, (1, h))[0]
         lam_free, lam_coeff = data.num_one + data.num_u * u, data.num_lam
         halves = [w.scale(F(1, 2)) for w in odd_weights(g, [Poly.tau(3, i) for i in range(3)])]
         for c in range(5):
@@ -254,18 +256,23 @@ def test_integrand_parts_apply_the_lam_weight():
             assert parts[c] == 2**c * expected, (g, c)
 
 
-def test_integrand_parts_reject_lam_on_a_point_locus():
+def test_integrand_parts_reject_lam_on_a_point_locus(monkeypatch):
     # A point locus takes its lam-free part; lam data that leave a lam
     # coefficient there are inconsistent, whichever of the two is nonzero.
     g = graph(2, 2, 0, 1, [1])
-    h, u = [1, 5, 7], 3
-    assert localize._integrand_parts(g, EulerData(0, -1, 0, 0), range(3), h, u) == {0: -1, 1: -5, 2: -7}
+    tau, pair = (0, 3, 9), (1, [1, 5, 7])  # u = 3
+
+    def parts(g, data):
+        monkeypatch.setattr(localize, "euler_data", lambda _: data)
+        return graph_contribution(g, range(3), tau, pair)[0]
+
+    assert parts(g, EulerData(0, -1, 0, 0)) == {0: -1, 1: -5, 2: -7}
     message = r"^lam survived on the point-type locus G\(k=2,d=1,a=0,b=1,A=\{1\}\)$"
     for data in (EulerData(0, -1, 0, 1), EulerData(-1, -1, 0, 0), EulerData(-1, 0, 1, 1)):
         with pytest.raises(InconsistencyError, match=message):
-            localize._integrand_parts(g, data, range(3), h, u)
+            parts(g, data)
     # an m04 locus takes the lam coefficient, zero when there is no lam
-    assert localize._integrand_parts(graph(2, 3, 0, 1, []), EulerData(0, 1, 0, 0), range(3), h, u) == {0: 0, 1: 0, 2: 0}
+    assert parts(graph(2, 3, 0, 1, []), EulerData(0, 1, 0, 0)) == {0: 0, 1: 0, 2: 0}
 
 
 def test_graph_contribution_resample_signal():
@@ -453,9 +460,8 @@ def test_integer_core_divides_once():
     for n, k in product((1, 2, 3), (1, 2, 3)):
         for g in enumerate_graphs(n, k):
             taus = rng.sample(range(-50, 51), n + 1)
-            u = taus[g.b] - taus[g.a]
             h = localize._h_values(4, pair_weights(n, g.a, g.b, taus))
-            parts = localize._integrand_parts(g, euler_data(g), range(5), h, u)
+            parts = graph_contribution(g, range(5), taus, (1, h))[0]
             assert all(type(v) is int for v in h), g
             assert all(type(v) is int for v in parts.values()), g
     symbolic = 0
@@ -563,14 +569,14 @@ def test_symbolic_non_constant_sum_raises(monkeypatch):
 def test_symbolic_grid_catches_one_wrong_graph(monkeypatch):
     # Doubling the parts of one graph, (a, b) = (0, 2) with one mark over
     # q_a, breaks every tuple of (2, 3) but the graded-zero (2, 2, 2).
-    parts_of = localize._integrand_parts
+    contribution_of = localize.graph_contribution
     wrong = graph(2, 3, 0, 2, [1])
 
     def doubled(g, *args):
-        parts = parts_of(g, *args)
-        return {c: 2 * v for c, v in parts.items()} if g == wrong else parts
+        parts, den = contribution_of(g, *args)
+        return ({c: 2 * v for c, v in parts.items()} if g == wrong else parts), den
 
-    monkeypatch.setattr(localize, "_integrand_parts", doubled)
+    monkeypatch.setattr(localize, "graph_contribution", doubled)
     raised = []
     for classes in product(range(3), repeat=3):
         try:
@@ -583,14 +589,14 @@ def test_symbolic_grid_catches_one_wrong_graph(monkeypatch):
 def test_evaluate_catches_one_wrong_graph_at_n10(monkeypatch):
     # The same doubled graph at n = 10: the seeded samples of the evaluate
     # strategy disagree on every tuple tried but the graded-zero (10, 10, 10).
-    parts_of = localize._integrand_parts
+    contribution_of = localize.graph_contribution
     wrong = graph(10, 3, 0, 2, [1])
 
     def doubled(g, *args):
-        parts = parts_of(g, *args)
-        return {c: 2 * v for c, v in parts.items()} if g == wrong else parts
+        parts, den = contribution_of(g, *args)
+        return ({c: 2 * v for c, v in parts.items()} if g == wrong else parts), den
 
-    monkeypatch.setattr(localize, "_integrand_parts", doubled)
+    monkeypatch.setattr(localize, "graph_contribution", doubled)
     for classes in [(2, 1, 1), (5, 3, 0), (0, 0, 0)]:
         with pytest.raises(InconsistencyError, match="not constant"):
             invariant(10, 3, classes)

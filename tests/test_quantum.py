@@ -140,8 +140,15 @@ def test_star_is_bilinear_over_laurent_coefficients():
 
 @pytest.mark.parametrize(
     "comps",
-    [{(-1, 0): {0: 1}}, {(1.5, 0): {0: 1}}, {(0, -1): {0: 1}}],
-    ids=["negative-L", "fractional-L", "negative-q"],
+    [
+        {(-1, 0): {0: 1}},
+        {(1.5, 0): {0: 1}},
+        {(0, -1): {0: 1}},
+        {(True, 0): {0: 1}},
+        {(0, False): {0: 1}},
+        {(1, 0): {0.5: 1}},
+    ],
+    ids=["negative-L", "fractional-L", "negative-q", "bool-L", "bool-q", "fractional-kappa"],
 )
 def test_malformed_powers_refused(comps):
     with pytest.raises(DomainError) as info:
