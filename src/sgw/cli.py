@@ -191,15 +191,16 @@ def cmd_quantum(n: int, seed: int, fmt: str):
 
 
 def _compare_line(label: str, got, entry) -> tuple[str, str]:
+    printed = entry.printed
     if entry.status == tables.SUSPECT:
         return (
             "SKIP",
-            f"{label}: printed {entry.printed} suspect ({entry.note}); recomputed {got}",
+            f"{label}: printed {printed} suspect ({entry.note}); recomputed {got}",
         )
-    if got == entry.printed:
-        return ("PASS", f"{label}: computed {got}, printed {entry.printed}")
+    if got == printed:
+        return ("PASS", f"{label}: computed {got}, printed {printed}")
     note = f" ({entry.note})" if entry.note else ""
-    return ("FAIL", f"{label}: computed {got}, printed {entry.printed}{note}")
+    return ("FAIL", f"{label}: computed {got}, printed {printed}{note}")
 
 
 def _reproduce_lines(seed: int):

@@ -21,18 +21,21 @@ it at c, c - 1 and c - 2, takes out inline a flag weight it lacks, and
 adds the pure lam weight by h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W)
 (``graph_contribution``; point loci have none).  Each graph's integer parts
 come out scaled by L // den_g, L = lcm of the graph denominators, one
-division per distinct denominator.
+division per distinct denominator, and the point keeps its table of powers
+tau_j^e, e <= d_kd, next to them.
 
 One sum, two point sets.  ``table`` (``invariant`` is its one-tuple case)
 runs ``_sweep``, which adds up each tuple's scaled summands at every
-point once per key (bitmask of A, ev exponents), so a tuple's value at
-tau is one integer sum over L * (-2)^c, the sign turning 2^c h_c into
-(-1)^c h_c.  ``_agree`` insists that all points agree, as the sum is a
-constant function of the characters.  ``_points`` alone chooses them:
-seeded generic samples for "evaluate", or for "symbolic" (n <= 2) the
-grid built once per (n, k) by ``_symbolic_sum``, on which agreement
-proves the sum constant.  ``traced_invariant`` also divides each graph's
-summand on its own at the first point of the tuple's sweep.
+point once per key (bitmask of A, ev exponents), from the point's own
+powers, so a tuple's value at tau is one integer sum over L * (-2)^c,
+the sign turning 2^c h_c into (-1)^c h_c.  ``_agree`` insists that all
+points agree, as the sum is a constant function of the characters.
+``_points`` alone chooses them: seeded generic samples for "evaluate",
+or for "symbolic" (n <= 2) the grid built once per (n, k) by
+``_symbolic_sum``, on which agreement proves the sum constant; the grid
+keeps each point's powers, so no tuple builds them again.
+``traced_invariant`` also divides each graph's summand on its own at the
+first point of the tuple's sweep.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, cycle, product
+from itertools import accumulate, chain, cycle, product, repeat
 from math import comb, lcm
 from operator import itemgetter, mul
 from typing import Collection, Iterable, NamedTuple, Sequence
@@ -197,16 +200,20 @@ def graph_contribution(
 
 def _evaluate_once(
     graphs: Sequence[FixedGraph], codegrees: tuple[int, ...], tau
-) -> tuple[tuple, int, dict[int, list[int]]]:
-    """The point (tau, L, columns): L = lcm of the graph denominators.
+) -> tuple[tuple[tuple[int, ...], ...], int, dict[int, tuple[int, ...]]]:
+    """The point (powers, L, columns): powers[j] = (1, tau_j, .., tau_j^d_kd), L = lcm of the graph denominators.
 
-    ``columns`` maps each codegree c to every graph's scaled part
-    parts_g[c] * (L // den_g), one division per distinct denominator.
-    One ``_point`` serves every pair; the 2^k graphs on a pair (a, b),
-    adjacent as ``enumerate_graphs`` lists them, share one ``_pair``.
+    d_kd = 2n + k - 2 is the largest ev degree x + y = d_kd - c that a
+    tuple reads, so ``_sweep`` takes every tau_a^x tau_b^y from ``powers``
+    and builds no table of its own.  ``columns`` maps each codegree c to
+    every graph's scaled part parts_g[c] * (L // den_g), one division per
+    distinct denominator.  One ``_point`` serves every pair; the 2^k graphs
+    on a pair (a, b), adjacent as ``enumerate_graphs`` lists them, share
+    one ``_pair``.
     """
     point = _point(codegrees, tau)
-    width = 2 ** graphs[0].k
+    k = graphs[0].k
+    width = 2**k
     contributions = []
     for start in range(0, len(graphs), width):
         pair = _pair(graphs[start], point, tau)
@@ -217,7 +224,9 @@ def _evaluate_once(
     common = lcm(*distinct)
     scale_of = {den: common // den for den in distinct}
     scales = [scale_of[den] for den in dens]
-    return tau, common, {c: list(map(mul, map(itemgetter(c), rows), scales)) for c in codegrees}
+    d_kd = 2 * (len(tau) - 1) + k - 2
+    powers = tuple(tuple(accumulate(repeat(t, d_kd), mul, initial=1)) for t in tau)
+    return powers, common, {c: tuple(map(mul, map(itemgetter(c), rows), scales)) for c in codegrees}
 
 
 def _agree(job: LocalizationJob, values: Sequence[tuple[int, int]]) -> Invariant:
@@ -303,7 +312,7 @@ def _subset_sums(classes: Sequence[int]) -> list[int]:
 
 
 def _sweep(graphs: Sequence[FixedGraph], jobs: list[LocalizationJob], points: Iterable) -> dict:
-    """The invariant of each job from its sum at every ``_evaluate_once`` point (tau, L, columns).
+    """The invariant of each job from its sum at every ``_evaluate_once`` point (powers, L, columns).
 
     A graph's summand depends on a job only through the ev exponents (x, y)
     on its marked set A, and x + y fixes the codegree.  ``enumerate_graphs``
@@ -311,8 +320,8 @@ def _sweep(graphs: Sequence[FixedGraph], jobs: list[LocalizationJob], points: It
     A for bit 2^i), so ``graphs[m::2^k]`` are the graphs of one A, and a
     job's x on every mask is its ``_subset_sums``.  Each point sums
     tau_a^x tau_b^y times the scaled part over the graphs of m once per key
-    (m, x, y), from one table of powers of tau, and each job adds up its
-    keys into one integer over L * (-2)^c.
+    (m, x, y), reading the powers from the point's own table, and each job
+    adds up its keys into one integer over L * (-2)^c.
     """
     width = 2 ** jobs[0].k
     indexed = [(g.a, g.b, i) for i, g in enumerate(graphs)]
@@ -324,8 +333,7 @@ def _sweep(graphs: Sequence[FixedGraph], jobs: list[LocalizationJob], points: It
         picks.append([keys.setdefault((m, x, total - x), len(keys)) for m, x in enumerate(_subset_sums(job.classes))])
     d_kd = jobs[0].d_kd
     values: list[list[tuple[int, int]]] = [[] for _ in jobs]
-    for tau, common, columns in points:
-        powers = [[t**e for e in range(d_kd + 1)] for t in tau]
+    for powers, common, columns in points:
         partial = []
         for m, x, y in keys:
             column = columns[d_kd - x - y]
@@ -379,8 +387,8 @@ def traced_invariant(
     """``invariant`` of ``classes`` and each graph's summand at the first point of its sweep, divided on its own.
 
     That point is the first seeded sample, or the grid point (1, 2, .., n + 1), where each
-    scaled part is divided by L * (-2)^c.  The summands add up to the invariant; a graded-zero
-    tuple has none.
+    scaled part times tau_a^x tau_b^y, read from the point's powers, is divided by L * (-2)^c.
+    The summands add up to the invariant; a graded-zero tuple has none.
     """
     classes = tuple(classes)
     job = _jobs(n, k, [classes], strategy, samples)[classes]
@@ -388,12 +396,12 @@ def traced_invariant(
         return Invariant.zero(), []
     graphs, points = _points(n, k, (job.c,), strategy, samples, seed)
     points = iter(points)
-    tau, common, columns = first = next(points)
+    powers, common, columns = first = next(points)
     den = common * (-2) ** job.c
     total = job.total_class_degree
     xs = cycle(_subset_sums(job.classes))  # graphs[i] marks A by the bitmask i % 2^k, as in ``_sweep``
     summands = [
-        (g, Fraction(tau[g.a] ** x * tau[g.b] ** (total - x) * part, den))
+        (g, Fraction(powers[g.a][x] * powers[g.b][total - x] * part, den))
         for g, x, part in zip(graphs, xs, columns[job.c])
     ]
     return _sweep(graphs, [job], chain([first], points))[classes], summands

@@ -39,12 +39,14 @@ class QElement:
         for (lam_pow, q_pow), laurent in (comps or {}).items():
             if not all(type(p) is int and p >= 0 for p in (lam_pow, q_pow)):
                 raise DomainError(f"L- and q-powers must be non-negative integers, got L^{lam_pow} q^{q_pow}")
-            for e in laurent:
+            for e, c in laurent.items():
                 if type(e) is not int:
                     raise DomainError(f"kappa exponents must be integers, got kappa^{e}")
+                if type(c) is not int and not isinstance(c, Fraction):
+                    raise DomainError(f"coefficients must be integers or Fractions, got {c!r}")
             if q_pow >= 2 or lam_pow > n:
                 continue
-            clean = {e: Fraction(c) for e, c in laurent.items() if c}
+            clean = {e: c if isinstance(c, Fraction) else Fraction(c) for e, c in laurent.items() if c}
             if clean:
                 self.comps[(lam_pow, q_pow)] = clean
 

@@ -471,8 +471,8 @@ def test_integer_core_divides_once():
             continue
         symbolic += 1
         _, grid = localize._symbolic_sum(job.n, job.k)
-        for tau, common, columns in grid:
-            numbers = [*tau, common] + [v for column in columns.values() for v in column]
+        for powers, common, columns in grid:
+            numbers = [common] + [v for row in powers for v in row] + [v for column in columns.values() for v in column]
             assert all(type(v) is int for v in numbers), entry.label
     assert symbolic > 0
     jobs = [LocalizationJob(n=2, k=3, classes=c) for c in [(1, 1, 0), (2, 1, 1), (0, 0, 0)]]
@@ -643,7 +643,8 @@ def test_symbolic_grid_points():
         assert graphs == tuple(enumerate_graphs(n, k))
         assert len(grid) == len(simplex) == comb(delta + n, n), (n, k)
         xs = set()
-        for tau, common, columns in grid:
+        for powers, common, columns in grid:
+            tau = tuple(p[1] for p in powers)
             assert tau[0] == 1 and len(set(tau)) == n + 1, tau
             assert all((t - 1 - j) % n == 0 for j, t in enumerate(tau[1:], start=1)), tau
             xs.add(tuple((t - 1 - j) // n for j, t in enumerate(tau[1:], start=1)))
@@ -656,6 +657,24 @@ def test_symbolic_grid_points():
                 dens.append(den)
             assert common == lcm(*dens), tau
         assert xs == simplex, (n, k)
+
+
+def test_points_carry_their_power_tables():
+    # Every point holds powers[j] = (1, tau_j, .., tau_j^d_kd) as a tuple,
+    # d_kd = 2n + k - 2 being the largest ev degree a tuple reads: on every
+    # point of the n <= 2 grids, and on the sampled points at n <= 6.
+    for n, k in product(range(1, 7), (1, 2, 3)):
+        d_kd = LocalizationJob(n=n, k=k, classes=(0,) * k).d_kd
+        codegrees = tuple(range(d_kd + 1))
+        points = list(localize._points(n, k, codegrees, "evaluate", 3, 1729)[1])
+        assert [tuple(p[1] for p in powers) for powers, _, _ in points] == localize.sample_taus(n, 3, 1729)
+        if n <= 2:
+            points += localize._points(n, k, codegrees, "symbolic", 3, 1729)[1]
+        for powers, _, _ in points:
+            assert type(powers) is tuple and len(powers) == n + 1, (n, k)
+            for row in powers:
+                assert type(row) is tuple and len(row) == d_kd + 1, (n, k, row)
+                assert all(type(v) is int and v == row[1] ** e for e, v in enumerate(row)), (n, k, row)
 
 
 # The argument checks come before the shortcut for tuples of negative
@@ -752,7 +771,8 @@ def test_symbolic_per_graph_at_first_grid_point():
     for n, k, classes in [(1, 1, (1,)), (1, 3, (1, 1, 0)), (2, 2, (2, 1)), (2, 3, (2, 1, 1))]:
         job = LocalizationJob(n=n, k=k, classes=classes)
         tau = tuple(range(1, n + 2))
-        assert localize._symbolic_sum(n, k)[1][0][0] == tau
+        powers = localize._symbolic_sum(n, k)[1][0][0]
+        assert tuple(p[1] for p in powers) == tau
         swept, summands = localize.traced_invariant(n, k, classes, strategy="symbolic")
         assert [g for g, _ in summands] == enumerate_graphs(n, k)
         assert [value for _, value in summands] == [contributions(g, [job], tau)[0] for g in enumerate_graphs(n, k)]

@@ -147,11 +147,25 @@ def test_star_is_bilinear_over_laurent_coefficients():
         {(True, 0): {0: 1}},
         {(0, False): {0: 1}},
         {(1, 0): {0.5: 1}},
+        {(1, 0): {0: 0.1}},
+        {(1, 0): {0: 0.0}},
+        {(1, 0): {0: "1/3"}},
+        {(1, 0): {0: True}},
+        {(1, 0): {0: False}},
     ],
-    ids=["negative-L", "fractional-L", "negative-q", "bool-L", "bool-q", "fractional-kappa"],
+    ids=[
+        "negative-L", "fractional-L", "negative-q", "bool-L", "bool-q", "fractional-kappa",
+        "float-coefficient", "float-zero-coefficient", "str-coefficient", "bool-coefficient", "bool-zero-coefficient",
+    ],
 )
 def test_malformed_powers_refused(comps):
     with pytest.raises(DomainError) as info:
         star(2, QElement(2, comps), basis(2, 1))
     assert "\n" not in str(info.value)
 
+
+def test_coefficients_stay_exact():
+    # An int coefficient becomes a Fraction; a Fraction is kept as the same object.
+    third = F(1, 3)
+    kept = QElement(2, {(1, 0): {0: third, -1: 2}}).comps[(1, 0)]
+    assert kept[0] is third and kept[-1] == 2 and type(kept[-1]) is F
