@@ -24,8 +24,8 @@ from .errors import DomainError, InconsistencyError
 from .point import Invariant
 
 # Measured on a shared 2-core Xeon as whole processes: point --k 24 takes
-# 0.2-0.6 s (median 0.3 s) and grows about 1.5x per k; taut --k 24 takes
-# 0.12-0.37 s, nearly all of it start-up, and shares the point ceiling;
+# 0.16-0.30 s (median 0.17-0.19 s) and grows about 1.5x per k; taut --k 24
+# takes 0.10-0.18 s, nearly all of it start-up, and shares the point ceiling;
 # invariant --n 20 --k 3 takes 0.22-0.29 s and quantum --n 10 0.17-0.25 s, and
 # quantum grows about n^4.  A larger value is refused up front instead of
 # running for hours or running out of memory.

@@ -15,7 +15,8 @@ pushed forward, the summand is therefore the prefix monomial in
 psi_4 .. psi_l times a kappa-only expression, and the sum of those
 kappa-only expressions over all suffixes (i_(l+1), .., i_k) depends only
 on the prefix sum P = i_4 + .. + i_l.  ``point_sum`` keeps one map from
-kappa key to coefficient per (level l, prefix sum P): at each level it
+interned kappa node to coefficient per (level l, prefix sum P), starting
+from and reading back the node of the empty key: at each level it
 pushes the map of P times psi_l^i forward with ``taut._push``, the
 kernel that ``taut.integrate_monomial`` walks one monomial with, and adds
 the result into the map of P - i one level down, for every i <= P that
@@ -29,11 +30,11 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DomainError
-from .taut import KappaFactors, _push
+from .taut import _KappaNode, _node, _push
 
-# Largest k that ``sgw_point`` accepts: k = 24 takes 0.2-0.6 s (median 0.3 s)
-# and under 20 MB as a whole process on a shared 2-core Xeon, 0.14 s of it in
-# ``point_sum`` with cold kernel caches, and each further k about 1.5x longer.
+# Largest k that ``sgw_point`` accepts: k = 24 takes 0.16-0.30 s (median
+# 0.17-0.19 s) and 21 MB as a whole process on a shared 2-core Xeon, 0.06-0.10 s
+# of it in ``point_sum`` with a cold node table, and each further k about 1.5x longer.
 MAX_K = 24
 
 
@@ -102,13 +103,14 @@ def compositions(total: int, parts: int, pruned: bool = True) -> Iterator[tuple[
 def point_sum(k: int) -> Fraction:
     """Sum of the composition integrals entering the k-point number.
 
-    ``states[P]`` maps each kappa key of the kappa-only expression on the
-    l-pointed space, summed over the exponents of the points above l, to
-    its coefficient, for prefix sum P.
+    ``states[P]`` maps the node of each kappa key of the kappa-only
+    expression on the l-pointed space, summed over the exponents of the
+    points above l, to its coefficient, for prefix sum P.
     """
-    states: dict[int, dict[KappaFactors, int]] = {k - 3: {(): 1}}
+    root = _node(())
+    states: dict[int, dict[_KappaNode, int]] = {k - 3: {root: 1}}
     for l in range(k, 3, -1):
-        down: dict[int, dict[KappaFactors, int]] = {}
+        down: dict[int, dict[_KappaNode, int]] = {}
         for prefix_sum, kappas in states.items():
             # pruning keeps prefix sums of at most l - 4 one level down
             low = max(0, prefix_sum - (l - 4))
@@ -116,7 +118,7 @@ def point_sum(k: int) -> Fraction:
                 _push(kappas, l, i, down.setdefault(prefix_sum - i, {}))
         states = down
     # on the 3-pointed space only the empty kappa key has degree zero
-    return Fraction(states.get(0, {}).get((), 0))
+    return Fraction(states.get(0, {}).get(root, 0))
 
 
 def sgw_point(k: int) -> Invariant:

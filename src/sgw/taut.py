@@ -12,12 +12,15 @@ rest are dropped before the first step.
 
 Every factor but psi_l and the kappa classes is pulled back, so it passes
 through the step unchanged (projection formula).  One kernel, ``_push``,
-pushes a kappa-only expression times psi_l^s0 down one level; the kappa
-expansion and the kappa bump it uses are cached per kappa key.  It has
-three callers: ``integrate_monomial`` walks a kappa-only state from k
-points down to 4, taking one psi exponent per level; ``point.point_sum``
-does the same for many monomials at once; ``pushforward_step``, behind
-``integrate``, groups a ``TautExpr`` by psi key and pushes each group.
+pushes a kappa-only expression times psi_l^s0 down one level.  Its states
+are keyed by interned kappa nodes, one per canonical kappa key, so a push
+hashes no tuple: each node carries its branch expansion, its kappa bumps
+and one push plan per s0, built on first use.  It has three callers:
+``integrate_monomial`` walks a kappa-only state from k points down to 4,
+taking one psi exponent per level; ``point.point_sum`` does the same for
+many monomials at once; ``pushforward_step``, behind ``integrate``, groups
+a ``TautExpr`` by psi key and pushes each group, turning its kappa keys
+into nodes and back.
 Coefficients stay in the ring they come in (integers from ``monomial``'s
 default), and the integrals become a ``Fraction`` at their return.
 """
@@ -25,7 +28,6 @@ default), and the integrals become a ``Fraction`` at their return.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
@@ -116,40 +118,74 @@ def _degree(key: Key) -> int:
     return sum(p for _, p in psi) + sum(a * p for a, p in kappa)
 
 
-# Every kappa key that a monomial with k <= 24 reaches fits in the caches
-# (792 and 2087 entries, about 2 MB); the bound stops arbitrary
-# ``pushforward_step`` input from growing them for the life of the process.
-@lru_cache(maxsize=4096)
-def _kappa_branches(kappa: KappaFactors) -> tuple[tuple[KappaFactors, int, int], ...]:
-    """Expand every kappa_a^p as sum_t C(p,t) f^*(kappa_a^(p-t)) psi_l^(a*t).
+class _KappaNode:
+    """One canonical kappa key, interned in ``_NODES``, with what ``_push`` reads off it.
 
-    Returns (remaining kappa factors, extra psi_l power, binomial weight)
-    triples, as a tuple so that no caller can change a cached entry.
+    ``branches`` expands every kappa_a^p as sum_t C(p,t) f^*(kappa_a^(p-t))
+    psi_l^(a*t), as (rest node, extra psi_l power, binomial weight) triples;
+    ``bumped[a]`` is the node of key * kappa_a; ``plans[s0]`` lists (node, a, b):
+    pushing the key times psi_l^s0 adds coeff * (a + b * (l - 3)) to that
+    node, as kappa_0 downstairs is the scalar (l - 1) - 2.  All are built on
+    first use, and all are tuples but the two maps.  A node hashes by identity.
     """
-    branches: list[tuple[KappaFactors, int, int]] = [((), 0, 1)]
-    for a, p in kappa:
-        branches = [
-            (rest + ((a, p - t),) if p - t else rest, s_extra + a * t, weight * comb(p, t))
-            for rest, s_extra, weight in branches
-            for t in range(p + 1)
-        ]
-    return tuple(branches)
+
+    __slots__ = ("key", "branches", "bumped", "plans")
+
+    def __init__(self, key: KappaFactors):
+        self.key, self.branches, self.bumped, self.plans = key, None, {}, {}
+
+    def times(self, a: int) -> "_KappaNode":
+        """The node of this key times kappa_a: one scan of the sorted key bumps or inserts kappa_a."""
+        node = self.bumped.get(a)
+        if node is None:
+            kappa, i = self.key, 0
+            while i < len(kappa) and kappa[i][0] < a:
+                i += 1
+            if i < len(kappa) and kappa[i][0] == a:
+                kappa = kappa[:i] + ((a, kappa[i][1] + 1),) + kappa[i + 1 :]
+            else:
+                kappa = kappa[:i] + ((a, 1),) + kappa[i:]
+            node = self.bumped[a] = _node(kappa)
+        return node
+
+    def plan(self, s0: int) -> tuple[tuple["_KappaNode", int, int], ...]:
+        """Build ``plans[s0]``: one entry per node that the push reaches."""
+        if self.branches is None:
+            branches: list[tuple[KappaFactors, int, int]] = [((), 0, 1)]
+            for a, p in self.key:
+                branches = [
+                    (rest + ((a, p - t),) if p - t else rest, s_extra + a * t, weight * comb(p, t))
+                    for rest, s_extra, weight in branches
+                    for t in range(p + 1)
+                ]
+            self.branches = tuple((_node(rest), s_extra, weight) for rest, s_extra, weight in branches)
+        merged: dict[_KappaNode, tuple[int, int]] = {}
+        for rest, s_extra, weight in self.branches:
+            s = s0 + s_extra
+            if s:
+                target, a, b = (rest, 0, weight) if s == 1 else (rest.times(s - 1), weight, 0)
+                old_a, old_b = merged.get(target, (0, 0))
+                merged[target] = (old_a + a, old_b + b)
+        plan = self.plans[s0] = tuple((target, a, b) for target, (a, b) in merged.items())
+        return plan
 
 
-@lru_cache(maxsize=4096)
-def _times_kappa(kappa: KappaFactors, a: int) -> KappaFactors:
-    """The canonical key of kappa times kappa_a: one scan of the sorted key bumps or inserts kappa_a."""
-    for i, (b, power) in enumerate(kappa):
-        if b == a:
-            return kappa[:i] + ((a, power + 1),) + kappa[i + 1 :]
-        if b > a:
-            return kappa[:i] + ((a, 1),) + kappa[i:]
-    return kappa + ((a, 1),)
+# Never evicted: a second node for one key would split its coefficient over
+# two state entries.  The table holds each kappa key a computation reaches;
+# a cold ``sgw_point(24)`` interns 792 of them, with 3505 plans.
+_NODES: dict[KappaFactors, _KappaNode] = {}
+
+
+def _node(kappa: KappaFactors) -> _KappaNode:
+    node = _NODES.get(kappa)
+    if node is None:
+        node = _NODES[kappa] = _KappaNode(kappa)
+    return node
 
 
 def _push(
-    kappas: dict[KappaFactors, int], l: int, s0: int, down: dict[KappaFactors, int] | None = None
-) -> dict[KappaFactors, int]:
+    kappas: dict[_KappaNode, int], l: int, s0: int, down: dict[_KappaNode, int] | None = None
+) -> dict[_KappaNode, int]:
     """Push sum_K c_K K psi_l^s0 from l points down to l - 1, for kappa-only keys K.
 
     The module's only copy of the pushforward rule; factors pulled back
@@ -158,16 +194,13 @@ def _push(
     """
     if down is None:
         down = {}
-    for kappa, coeff in kappas.items():
-        for rest, s_extra, weight in _kappa_branches(kappa):
-            s = s0 + s_extra
-            if s == 0:
-                continue
-            if s == 1:  # kappa_0 downstairs is the scalar (l - 1) - 2
-                key, term = rest, coeff * weight * (l - 3)
-            else:
-                key, term = _times_kappa(rest, s - 1), coeff * weight
-            down[key] = down.get(key, 0) + term
+    m = l - 3
+    for node, coeff in kappas.items():
+        plan = node.plans.get(s0)
+        if plan is None:
+            plan = node.plan(s0)
+        for target, a, b in plan:
+            down[target] = down.get(target, 0) + coeff * (a + b * m)
     return down
 
 
@@ -176,15 +209,15 @@ def pushforward_step(expr: TautExpr) -> TautExpr:
     l = expr.l
     if l == 3:
         raise DomainError("already on the 3-pointed space")
-    by_psi: dict[PsiFactors, dict[KappaFactors, int | Fraction]] = {}
+    by_psi: dict[PsiFactors, dict[_KappaNode, int | Fraction]] = {}
     for (psi, kappa), coeff in expr._terms.items():
-        by_psi.setdefault(psi, {})[kappa] = coeff
-    by_down: dict[PsiFactors, dict[KappaFactors, int | Fraction]] = {}
+        by_psi.setdefault(psi, {})[_node(kappa)] = coeff
+    by_down: dict[PsiFactors, dict[_KappaNode, int | Fraction]] = {}
     for psi, kappas in by_psi.items():
         # depths are ascending, so a psi_l factor (depth 0) comes first
         s0 = psi[0][1] if psi and psi[0][0] == 0 else 0
         _push(kappas, l, s0, by_down.setdefault(tuple((m - 1, p) for m, p in psi if m), {}))
-    return TautExpr(l - 1, {(psi, kappa): c for psi, kappas in by_down.items() for kappa, c in kappas.items()})
+    return TautExpr(l - 1, {(psi, node.key): c for psi, nodes in by_down.items() for node, c in nodes.items()})
 
 
 def integrate(expr: TautExpr) -> Fraction:
@@ -200,7 +233,8 @@ def integrate_monomial(k: int, exponents: Sequence[int]) -> Fraction:
     _check_exponents(k, exponents)  # as ``TautExpr.from_exponents``, building no expression
     if sum(exponents) != k - 3:
         return Fraction(0)
-    kappas: dict[KappaFactors, int] = {(): 1}
+    root = _node(())
+    kappas = {root: 1}
     for l, e in zip(range(k, 3, -1), reversed(exponents)):
         kappas = _push(kappas, l, e)
-    return Fraction(kappas.get((), 0))
+    return Fraction(kappas.get(root, 0))

@@ -52,8 +52,8 @@ def test_k_seven_matches_oracle():
 
 def test_closed_form_oracle():
     # sgw_point(k) = (-1)^(k-3) (2k-7)!! / 2^(k-3) kappa^(5-2k); the pushforward
-    # computes it, the double factorial only checks it.
-    for k in range(3, 21):
+    # computes it, the double factorial only checks it, up to the ceiling.
+    for k in range(3, MAX_K + 1):
         double_factorial = 1
         for odd in range(2 * k - 7, 0, -2):
             double_factorial *= odd
@@ -93,6 +93,34 @@ def test_k_twelve_takes_one_pushforward_per_level_and_split(monkeypatch):
     assert sgw_point(12) == Invariant.of(F(-1, 512) * 3 * 5 * 7 * 9 * 11 * 13 * 15 * 17, -19)
     assert len(calls) == 165
     assert sorted(set(calls)) == list(range(4, 13))
+
+
+def test_node_table_holds_each_key_once(monkeypatch):
+    # A cold sgw_point(24) interns every kappa key it reaches, 792 of them
+    # with 3505 push plans; a second call interns none and plans none.
+    nodes = sgw.taut._NODES
+    nodes.clear()
+    sgw_point(MAX_K)
+    sizes = (len(nodes), sum(len(node.plans) for node in nodes.values()))
+    assert sizes == (792, 3505)
+    sgw_point(MAX_K)
+    assert (len(nodes), sum(len(node.plans) for node in nodes.values())) == sizes
+    # Both callers start from the interned () node and read it back: the last
+    # push leaves every coefficient on it.
+    pushed = []
+    push = sgw.taut._push
+
+    def recording(kappas, l, s0, down=None):
+        pushed.append((l, push(kappas, l, s0, down)))
+        return pushed[-1][1]
+
+    monkeypatch.setattr(sgw.taut, "_push", recording)
+    monkeypatch.setattr(sgw.point, "_push", recording)
+    root = nodes[()]
+    assert integrate_monomial(6, (1, 1, 1)) == 6 and pushed[-1] == (4, {root: 6})
+    assert point_sum(6) == 15
+    assert {key for l, down in pushed if l == 4 for key in down} == {root}
+    assert len(nodes) == sizes[0]
 
 
 @pytest.mark.parametrize("k", [MAX_K + 1, 1500])

@@ -294,30 +294,80 @@ def test_integrate_monomial_matches_integrate_and_oracle(case):
 
 
 def test_cold_caches_give_the_warm_values():
-    warm = [point_sum(k) for k in range(3, 13)]
-    sgw.taut._kappa_branches.cache_clear()
-    sgw.taut._times_kappa.cache_clear()
-    cold = [point_sum(k) for k in range(3, 13)]
-    assert sgw.taut._kappa_branches.cache_info().misses > 0
-    assert cold == warm
-    point_sum(24)  # the bounded caches hold every key up to the ceiling: nothing is evicted
-    for cached in (sgw.taut._kappa_branches, sgw.taut._times_kappa):
-        info = cached.cache_info()
-        assert info.currsize == info.misses < info.maxsize
+    # The node table is the kernel's only cache: emptied, it fills again on
+    # the next calls and gives the values it gave warm.
+    def values():
+        return [point_sum(k) for k in range(3, 13)] + [integrate_monomial(9, (1, 0, 2, 1, 0, 2))]
+
+    warm = values()
+    sgw.taut._NODES.clear()
+    cold = values()
+    assert sgw.taut._NODES and cold == warm
+    assert all(node.key == key for key, node in sgw.taut._NODES.items())
 
 
 def test_cached_branch_tables_are_tuples():
+    node = sgw.taut._node
     for kappa in [(), ((1, 1),), ((1, 2), (3, 1)), ((2, 3),)]:
-        table = sgw.taut._kappa_branches(kappa)
+        for s0 in range(4):
+            plan = node(kappa).plan(s0)
+            assert type(plan) is tuple and all(type(entry) is tuple for entry in plan)
+            assert node(kappa).plans[s0] is plan
+        table = node(kappa).branches
         assert type(table) is tuple and all(type(branch) is tuple for branch in table)
-        assert table is sgw.taut._kappa_branches(kappa)
+        assert node(kappa) is node(kappa) and all(rest is node(rest.key) for rest, _, _ in table)
     # kappa_1^2 kappa_3 = sum_t C(2, t) kappa_1^(2-t) psi^t times (kappa_3 + psi^3)
-    assert sgw.taut._kappa_branches(((1, 2), (3, 1))) == (
+    assert [(rest.key, s, weight) for rest, s, weight in node(((1, 2), (3, 1))).branches] == [
         (((1, 2), (3, 1)), 0, 1),
         (((1, 2),), 3, 1),
         (((1, 1), (3, 1)), 1, 2),
         (((1, 1),), 4, 2),
         (((3, 1),), 2, 1),
         ((), 5, 1),
-    )
-    assert type(sgw.taut._times_kappa(((1, 1),), 2)) is tuple
+    ]
+    # kappa_1^2 psi^0: psi^1 meets kappa_0 twice (b = 2), psi^2 gives kappa_1 once (a = 1)
+    assert node(((1, 2),)).plan(0) == ((node(((1, 1),)), 1, 2),)
+    assert node(((1, 1),)).times(2) is node(((1, 1), (2, 1)))
+    assert node(((1, 1), (3, 2))).times(3) is node(((1, 1), (3, 3)))
+
+
+def _reference_push(kappas, l, s0):
+    """The module docstring's rule, one branch at a time, on tuple keys."""
+    down = {}
+    for kappa, coeff in kappas.items():
+        # kappa_a^p = sum_t C(p, t) f^*(kappa_a^(p-t)) psi_l^(a*t), factor by factor
+        branches = [({}, 0, 1)]
+        for a, p in kappa:
+            branches = [
+                ({**rest, a: p - t} if p - t else rest, s + a * t, weight * comb(p, t))
+                for rest, s, weight in branches
+                for t in range(p + 1)
+            ]
+        for rest, s, weight in branches:
+            s += s0
+            if s == 0:  # no psi_l factor pushes to zero
+                continue
+            if s == 1:  # f^*(x) psi_l pushes to x kappa_0, the scalar (l - 1) - 2
+                term = coeff * weight * (l - 3)
+            else:  # f^*(x) psi_l^s pushes to x kappa_(s-1)
+                rest = {**rest, s - 1: rest.get(s - 1, 0) + 1}
+                term = coeff * weight
+            key = tuple(sorted(rest.items()))
+            down[key] = down.get(key, 0) + term
+    return {key: c for key, c in down.items() if c}
+
+
+_kappa_keys = st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=3).map(lambda d: tuple(sorted(d.items())))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    kappas=st.dictionaries(_kappa_keys, st.integers(-5, 5).filter(bool), min_size=1, max_size=4),
+    l=st.integers(4, 24),
+    data=st.data(),
+)
+def test_push_matches_a_per_branch_reference(kappas, l, data):
+    s0 = data.draw(st.integers(0, l))
+    node = sgw.taut._node
+    pushed = sgw.taut._push({node(kappa): c for kappa, c in kappas.items()}, l, s0)
+    assert {target.key: c for target, c in pushed.items() if c} == _reference_push(kappas, l, s0)
