@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check that a value is an integer."""
 
 
 class DomainError(ValueError):
@@ -15,6 +15,13 @@ class DimensionError(ValueError):
 
 class InconsistencyError(RuntimeError):
     """Internal cross-check failed; indicates an implementation bug, not a zero."""
+
+
+def integer(value, name: str) -> int:
+    """``value`` if its type is ``int``; anything else, a float or a bool included, is refused, not truncated."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 class ResampleSignal(Exception):

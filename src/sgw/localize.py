@@ -19,10 +19,10 @@ so their h_j, 2^j times that of the odd weights, is sum_i C(n+j, i)
 (-s)^i h_{j-i}(2 tau) (``_pair``).  Each of the pair's 2^k graphs reads
 it at c, c - 1 and c - 2, takes out inline a flag weight it lacks, and
 adds the pure lam weight by h_c(W + {e*lam}) = h_c(W) + e*lam*h_{c-1}(W)
-(``graph_contribution``; point loci have none).  Each graph's integer parts
-come out scaled by L // den_g, L = lcm of the graph denominators, one
-division per distinct denominator, and the point keeps its table of powers
-tau_j^e, e <= d_kd, next to them.
+(``graph_contribution``; point loci have none).  Its graphs share the
+pair's one Euler denominator den, so their integer parts come out scaled
+by L // den, L = lcm of the pair denominators, one division per pair,
+and the point keeps its table of powers tau_j^e, e <= d_kd, next to them.
 
 One sum, two point sets.  ``table`` (``invariant`` is its one-tuple case)
 runs ``_sweep``, which adds up each tuple's scaled summands at every
@@ -48,7 +48,7 @@ from math import comb, lcm
 from operator import itemgetter, mul
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
+from .errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError, integer
 from .graphs import FixedGraph, enumerate_graphs, euler_data
 from .point import Invariant
 
@@ -66,14 +66,14 @@ class LocalizationJob(_JobFields):
     __slots__ = ()
 
     def __new__(cls, n: int, k: int, classes: tuple[int, ...]):
-        if n < 1:
+        if integer(n, "n") < 1:
             raise DomainError("n must be >= 1")
-        if k not in (1, 2, 3):
+        if integer(k, "k") not in (1, 2, 3):
             raise UnsupportedError("localization implemented for k in {1, 2, 3}")
         if len(classes) != k:
             raise DomainError(f"expected {k} classes")
         for a in classes:
-            if not 0 <= a <= n:
+            if not 0 <= integer(a, "every class exponent") <= n:
                 raise DomainError(f"class exponent {a} outside [0, {n}]")
         return super().__new__(cls, n, k, classes)
 
@@ -138,9 +138,10 @@ def _point(codegrees: tuple[int, ...], tau: Sequence[int]) -> tuple[int, tuple, 
 
 
 def _pair(g: FixedGraph, point: tuple, tau: Sequence[int]) -> tuple[int, list]:
-    """The Euler denominator u^k (V_a / -u) (V_b / u) of ``g`` and h_0 .. h_cmax of its ``pair_weights``, 0 if unread.
+    """The Euler denominator u^k (V_a / -u) (V_b / u) and h_0 .. h_cmax of ``pair_weights``, 0 if unread, of g's pair.
 
-    Each read h_j is one Horner evaluation at -s; V_a = -u prod_{j != a, b} (tau_a - tau_j).
+    Every graph on the pair (a, b) shares both.  Each read h_j is one
+    Horner evaluation at -s; V_a = -u prod_{j != a, b} (tau_a - tau_j).
     """
     cmax, reads, coefficients, vertex = point
     tau_a, tau_b = tau[g.a], tau[g.b]
@@ -154,17 +155,15 @@ def _pair(g: FixedGraph, point: tuple, tau: Sequence[int]) -> tuple[int, list]:
     return u**g.k * (vertex[g.a] // -u) * (vertex[g.b] // u), h
 
 
-def graph_contribution(
-    g: FixedGraph, codegrees: Collection[int], tau: Sequence[int], pair: tuple | None = None
-) -> tuple[dict[int, int], int]:
-    """Part of one graph's integrand numerator that its locus integrates, per codegree c, and its Euler denominator.
+def graph_contribution(g: FixedGraph, codegrees: Collection[int], tau: Sequence[int], h: Sequence) -> dict[int, int]:
+    """Part of one graph's integrand numerator that its locus integrates, per codegree c.
 
-    ``pair`` is the ``_pair`` (den, h) that ``g`` shares with the graphs on
-    its pair (a, b) at ``tau``, computed here from ``_point`` if not given.
-    h is that of twice the lam-free odd weights of every graph on (a, b),
-    read at c, c - 1 and c - 2.  A graph with every mark at one end lacks
-    the flag weight w of its bare end (-u at q_a, u at q_b, u = tau_b -
-    tau_a): its own h_j is h_j - w h_{j-1}.  Twice the pure lam weight is
+    ``h`` is the ``_pair`` h that ``g`` shares with every graph on its pair
+    (a, b) at ``tau``, as it shares the pair's Euler denominator den: h of
+    twice the lam-free odd weights of every graph on (a, b), read at c,
+    c - 1 and c - 2.  A graph with every mark at one end lacks the flag
+    weight w of its bare end (-u at q_a, u at q_b, u = tau_b - tau_a): its
+    own h_j is h_j - w h_{j-1}.  Twice the pure lam weight is
     ``lam_weight * lam`` (``euler_data``) and lam^2 = 0, so it only adds
     lam_weight * lam * h_{c-1}.  The part is h_c times
     (num_one + num_u * u + num_lam * lam), by locus type, read off |A| and
@@ -175,7 +174,6 @@ def graph_contribution(
     pullback is tau_a^x tau_b^y gets the summand
     tau_a^x tau_b^y parts[c] / (den * (-2)^c).
     """
-    den, h = _pair(g, _point(tuple(codegrees), tau), tau) if pair is None else pair
     lam_weight, num_one, num_u, num_lam = euler_data(g)
     u = tau[g.b] - tau[g.a]
     lam_free = num_one + num_u * u
@@ -189,41 +187,39 @@ def graph_contribution(
                 parts[c] = num_lam * (h[c] - w * h[c - 1]) + lam_weight * below * lam_free
             else:
                 parts[c] = num_lam * h[0]
-        return parts, den
+        return parts
     if lam_weight or num_lam:
         raise InconsistencyError(f"lam survived on the point-type locus {g.label()}")
     w = 0 if 0 < marks < k else u if marks else -u  # 0: marks at both ends, h is the graph's own
     for c in codegrees:
         parts[c] = (h[c] - w * h[c - 1] if c and w else h[c]) * lam_free
-    return parts, den
+    return parts
 
 
 def _evaluate_once(
     graphs: Sequence[FixedGraph], codegrees: tuple[int, ...], tau
 ) -> tuple[tuple[tuple[int, ...], ...], int, dict[int, tuple[int, ...]]]:
-    """The point (powers, L, columns): powers[j] = (1, tau_j, .., tau_j^d_kd), L = lcm of the graph denominators.
+    """The point (powers, L, columns): powers[j] = (1, tau_j, .., tau_j^d_kd), L = lcm of the pair denominators.
 
     d_kd = 2n + k - 2 is the largest ev degree x + y = d_kd - c that a
     tuple reads, so ``_sweep`` takes every tau_a^x tau_b^y from ``powers``
     and builds no table of its own.  ``columns`` maps each codegree c to
-    every graph's scaled part parts_g[c] * (L // den_g), one division per
-    distinct denominator.  One ``_point`` serves every pair; the 2^k graphs
-    on a pair (a, b), adjacent as ``enumerate_graphs`` lists them, share
-    one ``_pair``.
+    every graph's scaled part parts_g[c] * (L // den), one division per
+    pair.  One ``_point`` serves every pair; the 2^k graphs on a pair
+    (a, b), adjacent as ``enumerate_graphs`` lists them, share its one
+    ``_pair`` (den, h).
     """
     point = _point(codegrees, tau)
     k = graphs[0].k
     width = 2**k
-    contributions = []
+    dens, rows = [], []
     for start in range(0, len(graphs), width):
-        pair = _pair(graphs[start], point, tau)
+        den, h = _pair(graphs[start], point, tau)
+        dens.append(den)
         for g in graphs[start : start + width]:
-            contributions.append(graph_contribution(g, codegrees, tau, pair))
-    rows, dens = zip(*contributions)
-    distinct = set(dens)
-    common = lcm(*distinct)
-    scale_of = {den: common // den for den in distinct}
-    scales = [scale_of[den] for den in dens]
+            rows.append(graph_contribution(g, codegrees, tau, h))
+    common = lcm(*dens)
+    scales = [scale for den in dens for scale in repeat(common // den, width)]
     d_kd = 2 * (len(tau) - 1) + k - 2
     powers = tuple(tuple(accumulate(repeat(t, d_kd), mul, initial=1)) for t in tau)
     return powers, common, {c: tuple(map(mul, map(itemgetter(c), rows), scales)) for c in codegrees}
@@ -293,7 +289,7 @@ def _jobs(
     n: int, k: int, class_tuples: Iterable[Sequence[int]], strategy: str, samples: int
 ) -> dict[tuple, LocalizationJob]:
     """The job of each distinct class tuple, in first-seen order, once ``samples`` and ``strategy`` are valid for n."""
-    if samples < 2:
+    if integer(samples, "samples") < 2:
         raise DomainError(f"localization needs at least 2 samples, got {samples}")
     if strategy not in ("evaluate", "symbolic"):
         raise DomainError(f"unknown strategy {strategy!r}")
@@ -406,13 +402,3 @@ def traced_invariant(
     ]
     return _sweep(graphs, [job], chain([first], points))[classes], summands
 
-
-def check_extension(n: int, k: int, classes: Sequence[int], seed: int = DEFAULT_SEED) -> bool:
-    """Codegree-zero three-point values must be exactly kappa^-(n+2)."""
-    job = LocalizationJob(n=n, k=k, classes=tuple(classes))
-    if k != 3:
-        raise DomainError("extension check applies to three-point invariants")
-    if job.c != 0:
-        raise DomainError("extension check needs codegree zero")
-    result = invariant(n, k, classes, seed=seed)
-    return result == Invariant.of(1, -job.r_kd)

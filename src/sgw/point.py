@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, integer
 from .taut import _KappaNode, _node, _push
 
 # Largest k that ``sgw_point`` accepts: k = 24 takes 0.16-0.30 s (median
@@ -74,11 +74,10 @@ class Invariant(_InvariantFields):
         return {"coefficient": str(self.coeff), "kappa_exponent": self.kappa_exp}
 
 
-def compositions(total: int, parts: int, pruned: bool = True) -> Iterator[tuple[int, ...]]:
-    """Weak compositions of ``total`` into ``parts`` parts.
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Weak compositions of ``total`` into ``parts`` parts whose prefix sum over the first j parts is at most j.
 
-    With ``pruned`` set, branches whose running prefix sum over the first
-    j parts exceeds j are dropped; those monomials integrate to zero.
+    The branches dropped are monomials that integrate to zero.
     """
     if parts == 0:
         if total == 0:
@@ -91,7 +90,7 @@ def compositions(total: int, parts: int, pruned: bool = True) -> Iterator[tuple[
                 yield prefix
             return
         for value in range(remaining + 1):
-            if pruned and sum(prefix) + value > slot + 1:
+            if sum(prefix) + value > slot + 1:
                 continue
             if slot == parts - 1 and value != remaining:
                 continue
@@ -123,7 +122,7 @@ def point_sum(k: int) -> Fraction:
 
 def sgw_point(k: int) -> Invariant:
     """k-point super Gromov-Witten number of a point, 3 <= k <= MAX_K."""
-    if k < 3:
+    if integer(k, "k") < 3:
         raise DomainError("k must be >= 3")
     if k > MAX_K:
         raise DomainError(f"k must be at most {MAX_K}, got {k}")
@@ -138,12 +137,12 @@ def mapping_to_point(n: int, classes: Sequence[int]) -> Invariant:
     otherwise.
     """
     k = len(classes)
-    if n < 1:
+    if integer(n, "n") < 1:
         raise DomainError("n must be >= 1")
     if k < 3:
         raise DomainError("k must be >= 3")
     for a in classes:
-        if not 0 <= a <= n:
+        if not 0 <= integer(a, "every class exponent") <= n:
             raise DomainError(f"class exponent {a} outside [0, {n}]")
     if sum(classes) != n:
         return Invariant.zero()

@@ -66,12 +66,6 @@ class QElement:
     def coefficient(self, lam_pow: int, q_pow: int) -> Laurent:
         return dict(self.comps.get((lam_pow, q_pow), {}))
 
-    def q_part(self, q_pow: int) -> "QElement":
-        return QElement(
-            self.n,
-            {key: val for key, val in self.comps.items() if key[1] == q_pow},
-        )
-
     @staticmethod
     def _laurent_str(laurent: Laurent) -> str:
         parts = []

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 PsiFactors = tuple[tuple[int, int], ...]  # (pull depth, power >= 1), depths ascending and distinct
 KappaFactors = tuple[tuple[int, int], ...]  # (index >= 1, power >= 1), indices ascending
@@ -39,13 +39,16 @@ Key = tuple[PsiFactors, KappaFactors]
 
 
 def _check_exponents(k: int, exponents: Sequence[int]) -> None:
-    """Refuse (e_4, .., e_k) unless k >= 3, there are k - 3 of them and the nonzero ones are >= 1."""
-    if k < 3:
+    """Refuse (e_4, .., e_k) unless k >= 3, there are k - 3 of them and they are integers >= 0."""
+    if integer(k, "k") < 3:
         raise DomainError("k >= 3 required")
     if len(exponents) != k - 3:
         raise DomainError(f"expected {k - 3} exponents for k={k}")
-    if any(p < 1 for p in [int(e) for e in exponents if e]):
-        raise DomainError("psi factors need depth >= 0 and power >= 1")
+    for e in exponents:
+        if type(e) is not int:  # ``integer`` inline: point sums check every monomial
+            integer(e, "every exponent")
+        if e < 0:
+            raise DomainError("psi factors need depth >= 0 and power >= 1")
 
 
 class TautExpr:
@@ -59,7 +62,7 @@ class TautExpr:
     __slots__ = ("l", "_terms")
 
     def __init__(self, l: int, terms: dict[Key, int | Fraction] | None = None):
-        if l < 3:
+        if integer(l, "l") < 3:
             raise DomainError("monomials live on a moduli space with l >= 3 points")
         self.l = l
         self._terms = {key: coeff for key, coeff in (terms or {}).items() if coeff}
@@ -67,13 +70,15 @@ class TautExpr:
     @classmethod
     def monomial(cls, l: int, psi: Iterable = (), kappa: Iterable = (), coeff=1) -> "TautExpr":
         """One monomial, given as (depth, power) and (index, power) pairs; zero powers are dropped."""
-        psi_t = tuple(sorted((int(m), int(p)) for m, p in psi if p))
+        factors = [(integer(m, "every depth"), integer(p, "every power")) for m, p in psi]
+        psi_t = tuple(sorted((m, p) for m, p in factors if p))
         merged: dict[int, int] = {}
         for a, p in kappa:
+            a, p = integer(a, "every kappa index"), integer(p, "every power")
             if p:
-                merged[int(a)] = merged.get(int(a), 0) + int(p)
+                merged[a] = merged.get(a, 0) + p
         kappa_t = tuple(sorted(merged.items()))
-        result = cls(l, {(psi_t, kappa_t): coeff})  # refuses l < 3 before the factor checks
+        result = cls(l, {(psi_t, kappa_t): coeff})  # refuses l < 3 before the range checks of the factors
         if len({m for m, _ in psi_t}) != len(psi_t):
             raise DomainError("pull depths must be pairwise distinct")
         for m, p in psi_t:

@@ -19,8 +19,8 @@ from fractions import Fraction as F
 from itertools import permutations, product
 
 from sgw.exact import complete_homogeneous
-from sgw.localize import LocalizationJob, check_extension, invariant, table
-from sgw.point import point_sum, sgw_point
+from sgw.localize import LocalizationJob, invariant, table
+from sgw.point import Invariant, point_sum, sgw_point
 from sgw.quantum import QElement, star
 from sgw.tables import GOLDEN, POINT_ENTRIES, entries_for
 from sgw.taut import integrate_monomial
@@ -143,7 +143,7 @@ def test_criterion_6_property_suites():
         for classes in product(range(n + 1), repeat=3):
             if sum(classes) != 2 * n + 1:
                 continue
-            if not check_extension(n, 3, classes):
+            if invariant(n, 3, classes) != Invariant.of(1, -(n + 2)):
                 failures.append(f"(d) n={n} {classes}: extension value differs")
 
     # (e) symbolic and evaluate strategies agree on every n <= 2 job.

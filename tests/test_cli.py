@@ -322,9 +322,9 @@ def test_quantum_sweeps_each_graph_once_per_sample(runner, monkeypatch):
     calls = []
     contribution = sgw.localize.graph_contribution
 
-    def counting(g, codegrees, tau, pair=None):
+    def counting(g, codegrees, tau, h):
         calls.append(g)
-        return contribution(g, codegrees, tau, pair)
+        return contribution(g, codegrees, tau, h)
 
     monkeypatch.setattr(sgw.localize, "graph_contribution", counting)
     sgw.quantum._three_point.cache_clear()

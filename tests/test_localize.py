@@ -12,7 +12,7 @@ import sgw.localize as localize
 from sgw.errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
 from sgw.exact import Poly, complete_homogeneous
 from sgw.graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents, odd_weights, pair_weights
-from sgw.localize import LocalizationJob, check_extension, graph_contribution, invariant
+from sgw.localize import LocalizationJob, graph_contribution, invariant
 from sgw.point import Invariant
 from sgw.tables import ALL_INVARIANT_ENTRIES, DISCREPANT, GOLDEN, SUSPECT, entries_for
 
@@ -23,9 +23,16 @@ def graph(n, k, a, b, members):
     return FixedGraph(n=n, a=a, b=b, A=frozenset(members), k=k)
 
 
+def contribution(g, codegrees, tau):
+    """``graph_contribution`` of ``g`` at ``tau`` and the Euler denominator, both off the ``_pair`` of its (a, b)."""
+    codegrees = tuple(codegrees)
+    den, h = localize._pair(g, localize._point(codegrees, tau), tau)
+    return graph_contribution(g, codegrees, tau, h), den
+
+
 def contributions(g, jobs, tau):
     """Each job's summand of ``g`` at ``tau``, divided on its own: tau_a^x tau_b^y parts[c] / (den * (-2)^c)."""
-    parts, den = graph_contribution(g, {job.c for job in jobs}, tau)
+    parts, den = contribution(g, {job.c for job in jobs}, tau)
     values = []
     for job in jobs:
         at_a, at_b = ev_exponents(g, job.classes)
@@ -58,9 +65,35 @@ def test_job_validation():
         assert type(info.value) is error and str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        ({"classes": (True,)}, "every class exponent must be an integer, got True"),
+        ({"classes": (1.0,)}, "every class exponent must be an integer, got 1.0"),
+        ({"n": 2, "k": 2, "classes": (1, F(1))}, "every class exponent must be an integer, got Fraction(1, 1)"),
+        ({"n": 1.0}, "n must be an integer, got 1.0"),
+        ({"n": True}, "n must be an integer, got True"),
+        ({"k": 1.0}, "k must be an integer, got 1.0"),
+        ({"samples": 3.0}, "samples must be an integer, got 3.0"),
+    ],
+)
+def test_non_integers_are_refused(options, message):
+    # invariant(1, 1, (True,)) used to read True as 1, and (1.0,) raised a TypeError.
+    options = {"n": 1, "k": 1, "classes": (1,)} | options
+    n, k, classes = options.pop("n"), options.pop("k"), options.pop("classes")
+    for call in (
+        lambda: invariant(n, k, classes, **options),
+        lambda: localize.table(n, k, [classes], **options),
+        lambda: localize.traced_invariant(n, k, classes, **options),
+    ):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert type(info.value) is DomainError and str(info.value) == message
+
+
 def test_graph_contribution_one_point():
     job = LocalizationJob(n=1, k=1, classes=(1,))
-    assert graph_contribution(graph(1, 1, 0, 1, []), {job.c}, (F(0), F(1))) == ({0: 1}, 1)
+    assert contribution(graph(1, 1, 0, 1, []), {job.c}, (F(0), F(1))) == ({0: 1}, 1)
     assert contributions(graph(1, 1, 0, 1, []), [job], (F(0), F(1))) == [1]
 
 
@@ -70,12 +103,12 @@ def test_graph_contribution_three_point_codegree_zero():
     t0, t1 = tau
     value = contributions(graph(1, 3, 0, 1, [1]), [job], tau)
     assert value == [-t0 * t1**2 / (t1 - t0) ** 3]
-    assert graph_contribution(graph(1, 3, 0, 1, [1]), {job.c}, tau)[1] == (t1 - t0) ** 3
+    assert contribution(graph(1, 3, 0, 1, [1]), {job.c}, tau)[1] == (t1 - t0) ** 3
 
 
 def test_graph_contribution_m04_codegree_two():
     job = LocalizationJob(n=1, k=3, classes=(1, 1, 0))
-    assert graph_contribution(graph(1, 3, 0, 1, []), {job.c}, (F(2), F(9)))[0] == {job.c: 0}
+    assert contribution(graph(1, 3, 0, 1, []), {job.c}, (F(2), F(9)))[0] == {job.c: 0}
     assert contributions(graph(1, 3, 0, 1, []), [job], (F(2), F(9))) == [0]
 
 
@@ -87,14 +120,14 @@ def test_graph_contribution_one_value_per_job():
     g = graph(1, 3, 0, 1, [1])
     tau = (F(3), F(11))
     jobs = [LocalizationJob(n=1, k=3, classes=c) for c in [(1, 1, 1), (0, 0, 0), (1, 0, 1), (1, 1, 1)]]
-    parts, den = graph_contribution(g, {job.c for job in jobs}, tau)
+    parts, den = contribution(g, {job.c for job in jobs}, tau)
     assert sorted(parts) == [0, 1, 3]
     for job in jobs:
-        assert graph_contribution(g, {job.c}, tau) == ({job.c: parts[job.c]}, den)
+        assert contribution(g, {job.c}, tau) == ({job.c: parts[job.c]}, den)
     together = contributions(g, jobs, tau)
     assert together == [contributions(g, [job], tau)[0] for job in jobs]
     assert together[0] == -F(3) * F(11) ** 2 / F(8) ** 3
-    assert graph_contribution(g, set(), tau) == ({}, 8**3)
+    assert contribution(g, set(), tau) == ({}, 8**3)
 
 
 def test_h_values_is_the_reference_recurrence():
@@ -129,7 +162,6 @@ def test_graph_parts_read_their_own_h_off_the_pair(ring, monkeypatch):
     # the largest codegree, and the same part in a plan of that one
     # codegree.  Over Polys (n <= 3, c <= 3: they grow fast) the pair's h
     # and constant Euler data go in directly, so the check is an identity.
-    # The Poly pair's denominator is not read here: 1 stands in for it.
     rng = random.Random(2024)
     sizes = range(1, 7) if ring == "int" else range(1, 4)
     checked = 0
@@ -143,14 +175,14 @@ def test_graph_parts_read_their_own_h_off_the_pair(ring, monkeypatch):
             for g in enumerate_graphs(n, k):
                 data, u = euler_data(g), tau[g.b] - tau[g.a]
                 if ring == "int":
-                    parts = graph_contribution(g, codegrees, tau)[0]
+                    parts = contribution(g, codegrees, tau)[0]
                     c = rng.choice(codegrees)
-                    assert graph_contribution(g, (c,), tau)[0] == {c: parts[c]}, (g, c)
+                    assert contribution(g, (c,), tau)[0] == {c: parts[c]}, (g, c)
                 else:
                     data = EulerData(*(Poly.const(n + 1, v) for v in data))
                     monkeypatch.setattr(localize, "euler_data", lambda _, data=data: data)
                     h = localize._h_values(cmax, pair_weights(n, g.a, g.b, tau))
-                    parts = graph_contribution(g, codegrees, tau, (1, h))[0]
+                    parts = graph_contribution(g, codegrees, tau, h)
                 lam_weight, num_one, num_u, num_lam = data
                 lam_free = num_one + num_u * u
                 h = localize._h_values(cmax, odd_weights(g, tau))
@@ -243,7 +275,7 @@ def test_integrand_parts_apply_the_lam_weight():
         taus = [rng.randint(-50, 50) for _ in range(3)]
         u = taus[g.b] - taus[g.a]
         h = localize._h_values(4, pair_weights(2, g.a, g.b, taus))
-        parts = graph_contribution(g, range(5), taus, (1, h))[0]
+        parts = graph_contribution(g, range(5), taus, h)
         lam_free, lam_coeff = data.num_one + data.num_u * u, data.num_lam
         halves = [w.scale(F(1, 2)) for w in odd_weights(g, [Poly.tau(3, i) for i in range(3)])]
         for c in range(5):
@@ -260,11 +292,11 @@ def test_integrand_parts_reject_lam_on_a_point_locus(monkeypatch):
     # A point locus takes its lam-free part; lam data that leave a lam
     # coefficient there are inconsistent, whichever of the two is nonzero.
     g = graph(2, 2, 0, 1, [1])
-    tau, pair = (0, 3, 9), (1, [1, 5, 7])  # u = 3
+    tau, h = (0, 3, 9), [1, 5, 7]  # u = 3
 
     def parts(g, data):
         monkeypatch.setattr(localize, "euler_data", lambda _: data)
-        return graph_contribution(g, range(3), tau, pair)[0]
+        return graph_contribution(g, range(3), tau, h)
 
     assert parts(g, EulerData(0, -1, 0, 0)) == {0: -1, 1: -5, 2: -7}
     message = r"^lam survived on the point-type locus G\(k=2,d=1,a=0,b=1,A=\{1\}\)$"
@@ -276,9 +308,11 @@ def test_integrand_parts_reject_lam_on_a_point_locus(monkeypatch):
 
 
 def test_graph_contribution_resample_signal():
+    # Repeated characters are poles of every pair denominator: the point
+    # that the pairs and their graphs read is refused.
     job = LocalizationJob(n=1, k=1, classes=(1,))
     with pytest.raises(ResampleSignal):
-        graph_contribution(graph(1, 1, 0, 1, []), {job.c}, (F(5), F(5)))
+        contribution(graph(1, 1, 0, 1, []), {job.c}, (F(5), F(5)))
 
 
 WORKED_EXAMPLES = [
@@ -461,7 +495,7 @@ def test_integer_core_divides_once():
         for g in enumerate_graphs(n, k):
             taus = rng.sample(range(-50, 51), n + 1)
             h = localize._h_values(4, pair_weights(n, g.a, g.b, taus))
-            parts = graph_contribution(g, range(5), taus, (1, h))[0]
+            parts = graph_contribution(g, range(5), taus, h)
             assert all(type(v) is int for v in h), g
             assert all(type(v) is int for v in parts.values()), g
     symbolic = 0
@@ -477,7 +511,7 @@ def test_integer_core_divides_once():
     assert symbolic > 0
     jobs = [LocalizationJob(n=2, k=3, classes=c) for c in [(1, 1, 0), (2, 1, 1), (0, 0, 0)]]
     for g in enumerate_graphs(2, 3):
-        parts, den = graph_contribution(g, {job.c for job in jobs}, (3, -7, 11))
+        parts, den = contribution(g, {job.c for job in jobs}, (3, -7, 11))
         assert type(den) is int and all(type(v) is int for v in parts.values()), g
     for strategy in ("evaluate", "symbolic"):
         assert type(invariant(2, 3, (1, 1, 0), strategy=strategy).coeff) is F
@@ -487,7 +521,7 @@ def test_integer_core_divides_once():
 @pytest.mark.parametrize("n,k", [(n, k) for n in (3, 6) for k in (1, 2, 3)])
 def test_table_matches_per_graph_fraction_sum(n, k):
     # An independent summation of the same samples: every graph's summand is
-    # divided on its own by den_g * (-2)^c and the Fractions are added, where
+    # divided on its own by its pair's den * (-2)^c and the Fractions are added, where
     # table adds integers over one common denominator and divides once.
     rng = random.Random(100 * n + k)
     tuples = [tuple(rng.randint(0, n) for _ in range(k)) for _ in range(12)]
@@ -573,8 +607,8 @@ def test_symbolic_grid_catches_one_wrong_graph(monkeypatch):
     wrong = graph(2, 3, 0, 2, [1])
 
     def doubled(g, *args):
-        parts, den = contribution_of(g, *args)
-        return ({c: 2 * v for c, v in parts.items()} if g == wrong else parts), den
+        parts = contribution_of(g, *args)
+        return {c: 2 * v for c, v in parts.items()} if g == wrong else parts
 
     monkeypatch.setattr(localize, "graph_contribution", doubled)
     raised = []
@@ -593,8 +627,8 @@ def test_evaluate_catches_one_wrong_graph_at_n10(monkeypatch):
     wrong = graph(10, 3, 0, 2, [1])
 
     def doubled(g, *args):
-        parts, den = contribution_of(g, *args)
-        return ({c: 2 * v for c, v in parts.items()} if g == wrong else parts), den
+        parts = contribution_of(g, *args)
+        return {c: 2 * v for c, v in parts.items()} if g == wrong else parts
 
     monkeypatch.setattr(localize, "graph_contribution", doubled)
     for classes in [(2, 1, 1), (5, 3, 0), (0, 0, 0)]:
@@ -605,9 +639,9 @@ def test_evaluate_catches_one_wrong_graph_at_n10(monkeypatch):
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2) for k in (1, 2, 3)])
 def test_symbolic_grid_is_homogeneous(n, k):
-    # The certificate's premises, at seeded int tau: every graph denominator
+    # The certificate's premises, at seeded int tau: every pair denominator
     # divides D = prod_{i<j} (tau_i - tau_j)^k, so a tuple's sum is N / D;
-    # and each summand tau_a^x tau_b^y parts[c] / den_g of codegree c, with
+    # and each summand tau_a^x tau_b^y parts[c] / den of codegree c, with
     # x + y = d_kd - c, takes the same value at 2 tau, so N has degree delta.
     rng = random.Random(10 * n + k)
     codegrees = range(LocalizationJob(n=n, k=k, classes=(0,) * k).c + 1)
@@ -617,8 +651,8 @@ def test_symbolic_grid_is_homogeneous(n, k):
         doubled = tuple(2 * t for t in tau)
         D = prod((tau[i] - tau[j]) ** k for i, j in combinations(range(n + 1), 2))
         for g in enumerate_graphs(n, k):
-            parts, den = graph_contribution(g, codegrees, tau)
-            parts_2, den_2 = graph_contribution(g, codegrees, doubled)
+            parts, den = contribution(g, codegrees, tau)
+            parts_2, den_2 = contribution(g, codegrees, doubled)
             assert D % den == 0, (g, tau)
             for c in codegrees:
                 degree = codegrees[-1] - c
@@ -633,8 +667,8 @@ def test_symbolic_grid_points():
     # The grid is tau = (1, tau_1 .. tau_n), tau_j = 1 + j + n x_j, over the
     # C(delta + n, n) points x of the simplex |x| <= delta: distinct
     # characters at every point, and one value of x_j per value of tau_j.
-    # Each point records L and, per codegree, every graph's
-    # graph_contribution part scaled by L // den_g.
+    # Each point records L, the lcm of the pair denominators, and, per
+    # codegree, every graph's graph_contribution part scaled by L // den.
     for n, k in product((1, 2), (1, 2, 3)):
         delta = k * n * (n + 1) // 2
         simplex = {x for x in product(range(delta + 1), repeat=n) if sum(x) <= delta}
@@ -652,7 +686,7 @@ def test_symbolic_grid_points():
             assert all(len(column) == len(graphs) for column in columns.values()), tau
             dens = []
             for i, g in enumerate(graphs):
-                parts, den = graph_contribution(g, codegrees, tau)
+                parts, den = contribution(g, codegrees, tau)
                 assert [columns[c][i] for c in codegrees] == [parts[c] * (common // den) for c in codegrees], (g, tau)
                 dens.append(den)
             assert common == lcm(*dens), tau
@@ -707,9 +741,9 @@ def test_unknown_strategy_rejected():
 def test_disagreeing_samples_raise(monkeypatch):
     calls = {"count": 0}
 
-    def fake_contribution(g, codegrees, tau, pair=None):
+    def fake_contribution(g, codegrees, tau, h):
         calls["count"] += 1
-        return {c: calls["count"] for c in codegrees}, 1
+        return {c: calls["count"] for c in codegrees}
 
     monkeypatch.setattr(localize, "graph_contribution", fake_contribution)
     with pytest.raises(InconsistencyError):
@@ -724,14 +758,15 @@ def test_table_checks_each_tuple_on_its_own(monkeypatch):
     samples = {"count": 0}
 
     # (0,) has codegree 1 and (1,) codegree 0.  The characters are
-    # (t, -t), so (1,) gets t times its part on A = {1} and -t times it on
+    # (t, t + 1), so u = 1 and the pair denominator is 1 at every sample,
+    # and (1,) gets t times its part on A = {1} and t + 1 times it on
     # A = {}: only the first of the two carries the moving part.
-    def fake_contribution(g, codegrees, tau, pair=None):
-        return {1: F(1), 0: F(samples["count"]) if g.A else F(0)}, 1
+    def fake_contribution(g, codegrees, tau, h):
+        return {1: F(1), 0: F(samples["count"]) if g.A else F(0)}
 
     def counting_tau(rng, n):
         samples["count"] += 1
-        return (F(samples["count"]), F(-samples["count"]))
+        return (samples["count"], samples["count"] + 1)
 
     monkeypatch.setattr(localize, "graph_contribution", fake_contribution)
     monkeypatch.setattr(localize, "sample_tau", counting_tau)
@@ -833,19 +868,22 @@ def test_symbolic_table_matches_invariant():
 
 
 def test_check_extension():
-    assert check_extension(1, 3, (1, 1, 1))
-    assert check_extension(2, 3, (2, 2, 1))
-    assert check_extension(3, 3, (3, 3, 1))
-    with pytest.raises(DomainError):
-        check_extension(2, 3, (1, 1, 1))
-    with pytest.raises(DomainError):
-        check_extension(2, 2, (2, 2))
+    # Extension: a three-point value of codegree zero, a + b + c = 2n + 1,
+    # is exactly kappa^-(n+2), for every tuple with n <= 4.
+    checked = 0
+    for n in range(1, 5):
+        tuples = [t for t in product(range(n + 1), repeat=3) if sum(t) == 2 * n + 1]
+        assert all(LocalizationJob(n=n, k=3, classes=t).c == 0 for t in tuples)
+        values = localize.table(n, 3, tuples)
+        assert values == {t: Invariant.of(1, -(n + 2)) for t in tuples}, n
+        checked += len(tuples)
+    assert checked == 1 + 3 + 6 + 10
 
 
 def test_codegree_one_three_point_cells_empirical():
     # An empirical check, fitted to this code's own output: it is neither
     # derived nor printed in the paper, and it is never a reason to edit
-    # tables.py.  One codegree above the cells of check_extension, for
+    # tables.py.  One codegree above the cells of test_check_extension, for
     # a + b + c = 2n, <H^a, H^b, H^c>_3 = (n+1)/2 (m-1) kappa^-(n+3) with m
     # the number of classes below n, so (n, n, 0) is zero: 101 cells
     # a <= b <= c for n <= 12.  Every golden three-point entry of this
@@ -894,6 +932,49 @@ def test_three_point_boundary_laws_empirical():
         got = localize.table(n, 3, list(expected))
         broken += [(n, classes, str(got[classes])) for classes in expected if got[classes] != expected[classes]]
     assert counts == [203, 251, 203]
+    assert not broken
+
+
+def test_three_point_closed_form_empirical():
+    # An empirical check, fitted to this code's own output: it is neither
+    # derived nor printed in the paper, and it is never a reason to edit
+    # tables.py.  For 0 <= a <= b <= c <= n <= 12 and codegree
+    # e = 2n + 1 - a - b - c >= 0,
+    #   2^e <H^a, H^b, H^c>_3 = [C(n+e, e) S - (2n+1-e) (n+e-2)! / (n!^2 (e-n-1)!)]
+    #                           kappa^(a+b+c-3n-3),
+    #   S = -1/2 [x^n y^n] (x - y)^2 h_{a-1} h_{b-1} h_{c-1} (x + y)^e,
+    # with h_j(x, y) = sum_{i <= j} x^i y^(j-i), h_{-1} = 0, and 1/(e-n-1)! = 0
+    # for e <= n.  S is the Schubert number of sigma_{a-1} sigma_{b-1}
+    # sigma_{c-1} sigma_1^e on the Grassmannian G(2, n+1) of lines in P^n.
+    # The polynomial is homogeneous of degree 2n, so [x^n y^n] is [x^n] at
+    # y = 1, and each factor is its list of coefficients of x^0, x^1, ...
+    def times(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, u in enumerate(p):
+            for j, v in enumerate(q):
+                out[i + j] += u * v
+        return out
+
+    def closed_form(n, a, b, c):
+        e = 2 * n + 1 - a - b - c
+        schubert = 0
+        if min(a, b, c) > 0:
+            poly = [comb(e, i) for i in range(e + 1)]
+            for factor in ([1, -2, 1], [1] * a, [1] * b, [1] * c):
+                poly = times(poly, factor)
+            schubert = F(-poly[n], 2)
+        value = comb(n + e, e) * schubert
+        if e > n:
+            value -= F((2 * n + 1 - e) * factorial(n + e - 2), factorial(n) ** 2 * factorial(e - n - 1))
+        return Invariant.of(value / 2**e, a + b + c - 3 * n - 3)
+
+    cells, broken = 0, []
+    for n in range(1, 13):
+        triples = [t for t in combinations_with_replacement(range(n + 1), 3) if sum(t) <= 2 * n + 1]
+        got = localize.table(n, 3, triples)
+        cells += len(triples)
+        broken += [(n, t, str(got[t])) for t in triples if got[t] != closed_form(n, *t)]
+    assert cells == 1563
     assert not broken
 
 

@@ -1,6 +1,7 @@
 """Point-target invariants and the composition-sum enumerator."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -13,10 +14,15 @@ from sgw.taut import integrate_monomial
 from .test_taut import oracle_monomial
 
 
+def unpruned(total, parts):
+    """Every weak composition of ``total`` into ``parts`` parts, with no pruning."""
+    return [comp for comp in product(range(total + 1), repeat=parts) if sum(comp) == total]
+
+
 def oracle_point_sum(k):
     """Unpruned term-by-term evaluation through the independent recursion."""
     total = F(0)
-    for comp in compositions(k - 3, k - 3, pruned=False):
+    for comp in unpruned(k - 3, k - 3):
         total += oracle_monomial(k, comp)
     return total
 
@@ -38,7 +44,7 @@ def test_k_six_sum_includes_dilaton_composition():
     # the reference tables. The fifth pruned composition (0,2,1) gives, by
     # the dilaton equation, (5 - 2) * <psi_5^2 on M_0,5> = 3.
     printed = {e.exps: e.value for e in TAUT_ENTRIES if e.k == 6}
-    assert set(compositions(3, 3, pruned=True)) == set(printed) | {(0, 2, 1)}
+    assert set(compositions(3, 3)) == set(printed) | {(0, 2, 1)}
     assert integrate_monomial(6, (0, 2, 1)) == 3
     assert sum(printed.values()) == 12
     assert sum(printed.values()) + integrate_monomial(6, (0, 2, 1)) == point_sum(6) == 15
@@ -135,10 +141,28 @@ def test_k_above_ceiling_rejected_before_any_work(monkeypatch, k):
 
 def test_pruning_skips_only_zero_terms():
     for k in range(4, 8):
-        pruned = set(compositions(k - 3, k - 3, pruned=True))
-        for comp in compositions(k - 3, k - 3, pruned=False):
+        pruned = set(compositions(k - 3, k - 3))
+        assert pruned <= set(unpruned(k - 3, k - 3)), k
+        for comp in unpruned(k - 3, k - 3):
             if comp not in pruned:
                 assert oracle_monomial(k, comp) == 0
+
+
+@pytest.mark.parametrize(
+    "build,args,message",
+    [
+        (sgw_point, (6.0,), "k must be an integer, got 6.0"),
+        (sgw_point, (True,), "k must be an integer, got True"),
+        (mapping_to_point, (1, (1.0, 0, 0)), "every class exponent must be an integer, got 1.0"),
+        (mapping_to_point, (2, (1, 1, F(0))), "every class exponent must be an integer, got Fraction(0, 1)"),
+        (mapping_to_point, (True, (1, 0, 0)), "n must be an integer, got True"),
+    ],
+)
+def test_non_integers_are_refused(build, args, message):
+    # mapping_to_point(1, (1.0, 0, 0)) used to return the 3-point number.
+    with pytest.raises(DomainError) as info:
+        build(*args)
+    assert type(info.value) is DomainError and str(info.value) == message
 
 
 def test_grading_exponent():

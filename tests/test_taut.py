@@ -192,8 +192,8 @@ def test_integrate_monomial_builds_no_expression(monkeypatch):
         (4, (), DomainError, "expected 1 exponents for k=4"),
         (6, (1, -1, 3), DomainError, "psi factors need depth >= 0 and power >= 1"),
         (5, (-2, 4), DomainError, "psi factors need depth >= 0 and power >= 1"),
-        (5, (-1, "x"), ValueError, "invalid literal for int() with base 10: 'x'"),
-        (5, (1, [2]), TypeError, None),
+        (5, (1, "x"), DomainError, "every exponent must be an integer, got 'x'"),
+        (5, (1, [2]), DomainError, "every exponent must be an integer, got [2]"),
     ],
 )
 def test_integrate_monomial_checks_as_from_exponents(k, exps, error, message):
@@ -205,6 +205,29 @@ def test_integrate_monomial_checks_as_from_exponents(k, exps, error, message):
         assert type(info.value) is error
         if message is not None:
             assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build,args,kwargs,message",
+    [
+        (integrate_monomial, (6, (1.5, 0, 1.5)), {}, "every exponent must be an integer, got 1.5"),
+        (integrate_monomial, (6, (True, 1, 1)), {}, "every exponent must be an integer, got True"),
+        (integrate_monomial, (6.0, (1, 1, 1)), {}, "k must be an integer, got 6.0"),
+        (TautExpr.from_exponents, (6, (1, 1, 1.0)), {}, "every exponent must be an integer, got 1.0"),
+        (TautExpr.monomial, (6,), {"psi": [(0, 1.5)]}, "every power must be an integer, got 1.5"),
+        (TautExpr.monomial, (6,), {"psi": [(0.5, 1)]}, "every depth must be an integer, got 0.5"),
+        (TautExpr.monomial, (6,), {"psi": [(1, 0.0)]}, "every power must be an integer, got 0.0"),
+        (TautExpr.monomial, (6,), {"kappa": [(1.0, 1)]}, "every kappa index must be an integer, got 1.0"),
+        (TautExpr.monomial, (6,), {"kappa": [(1, True)]}, "every power must be an integer, got True"),
+        (TautExpr, (6.0,), {}, "l must be an integer, got 6.0"),
+    ],
+)
+def test_non_integers_are_refused_not_truncated(build, args, kwargs, message):
+    # int() used to truncate: integrate_monomial(6, (1.5, 0, 1.5)) read 1, and
+    # psi=[(0, 1.5)] stored power 1.  A bool is an int to Python, not here.
+    with pytest.raises(DomainError) as info:
+        build(*args, **kwargs)
+    assert type(info.value) is DomainError and str(info.value) == message
 
 
 def test_kappa_zero_never_stored():
