@@ -15,9 +15,9 @@ canonical and suitable for golden tests.
 
 Nothing here divides.  ``sgw`` does not import this module: the
 localization sums run on integer characters, and tests use ``Poly`` as
-the reference ring for them.  The odd weights are built from
-``Poly.tau`` characters by ``graphs.odd_weights``;
-``complete_homogeneous`` is the reference h_c of such weights.
+the reference ring for them.  The tests build the odd weights from
+``Poly.tau`` characters, and ``complete_homogeneous`` is the reference
+h_c of such weights.
 """
 
 from __future__ import annotations

@@ -11,10 +11,9 @@ where the first is dropped when the a-end of the edge carries no marked
 point and the second when the b-end carries none.  Marked points
 clustered at one end sit on a contracted component, which contributes
 weight 0 (three special points) or weights {0, -lam/2} (four special
-points, moduli a projective line with hyperplane class lam).
-``pair_weights`` computes the lam-free weights of every graph on one pair
-from the characters in the caller's ring, and ``odd_weights`` slices out
-one graph's; the pure lam weight is ``EulerData.lam_weight``.
+points, moduli a projective line with hyperplane class lam).  The pure
+lam weight is ``EulerData.lam_weight``; ``localize`` builds the lam-free
+weights from the characters.
 
 Every locus has the same closed-form Euler denominator
 u^k * prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j); ``EulerData``
@@ -66,10 +65,10 @@ class FixedGraph(_GraphFields):
 class EulerData(NamedTuple):
     """Per-graph equivariant data, in integers: one of four values, by locus type.
 
-    Twice the lam-free odd normal weights come from ``odd_weights``; twice
-    the pure lam weight is ``lam_weight * lam`` (``lam_weight`` is -1 on
-    m04 loci and 0 elsewhere).  With u = tau_b - tau_a the inverse Euler
-    class of the fixed locus is
+    Twice the lam-free odd normal weights are those of the module
+    docstring; twice the pure lam weight is ``lam_weight * lam``
+    (``lam_weight`` is -1 on m04 loci and 0 elsewhere).  With
+    u = tau_b - tau_a the inverse Euler class of the fixed locus is
 
         (num_one + num_u * u + num_lam * lam) / (u^k * prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j)).
     """
@@ -101,30 +100,6 @@ def enumerate_graphs(n: int, k: int) -> list[FixedGraph]:
     subsets = [frozenset(i + 1 for i in range(k) if mask >> i & 1) for mask in range(2**k)]
     # valid by construction, so built without ``FixedGraph.__new__``'s checks
     return [tuple.__new__(FixedGraph, (n, a, b, A, k)) for a, b in combinations(range(n + 1), 2) for A in subsets]
-
-
-def pair_weights(n: int, a: int, b: int, tau: Sequence) -> list:
-    """Twice the lam-free odd normal weights of every graph on the pair (a, b), in the ring of ``tau``.
-
-    The list is -u, then 2 tau_m - tau_a - tau_b for m != a, b, then u: a
-    graph with marks at both ends has them all, and one with every mark at
-    one end lacks only the flag weight of its bare end.  As a multiset it
-    is 2 tau_m - tau_a - tau_b for every m: m = a gives -u and m = b gives u.
-    """
-    tau_a, tau_b = tau[a], tau[b]
-    u = tau_b - tau_a
-    return [-u] + [2 * tau[m] - tau_a - tau_b for m in range(n + 1) if m != a and m != b] + [u]
-
-
-def odd_weights(g: FixedGraph, tau: Sequence) -> list:
-    """Twice the lam-free odd normal weights of ``g``, in the ring of the characters ``tau``.
-
-    A slice of ``pair_weights``: -u goes when no mark is over q_a, u when
-    none is over q_b.  The weight 0 of a contracted component is left out:
-    it leaves every h_c unchanged.
-    """
-    weights = pair_weights(g.n, g.a, g.b, tau)
-    return weights[(0 if g.A else 1) : len(weights) - (len(g.A) == g.k)]
 
 
 @lru_cache(maxsize=None)

@@ -13,8 +13,8 @@ u^k * prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j), u = tau_b - tau_a.
 
 One builder evaluates the sum at integer characters tau:
 ``_evaluate_once`` runs the h recurrence once per point, over 2 tau
-(``_point``).  Twice the lam-free odd weights of the pair (a, b),
-``graphs.pair_weights``, are {2 tau_m - s : m = 0..n}, s = tau_a + tau_b,
+(``_point``).  Twice the lam-free odd weights of a graph on the pair
+(a, b) with marks at both ends are {2 tau_m - s : m = 0..n}, s = tau_a + tau_b,
 so their h_j, 2^j times that of the odd weights, is sum_i C(n+j, i)
 (-s)^i h_{j-i}(2 tau) (``_pair``).  Each of the pair's 2^k graphs reads
 it at c, c - 1 and c - 2, takes out inline a flag weight it lacks, and
@@ -138,7 +138,7 @@ def _point(codegrees: tuple[int, ...], tau: Sequence[int]) -> tuple[int, tuple, 
 
 
 def _pair(g: FixedGraph, point: tuple, tau: Sequence[int]) -> tuple[int, list]:
-    """The Euler denominator u^k (V_a / -u) (V_b / u) and h_0 .. h_cmax of ``pair_weights``, 0 if unread, of g's pair.
+    """The Euler denominator u^k (V_a / -u) (V_b / u) and h_0 .. h_cmax of the pair's weights, 0 if unread, of g's pair.
 
     Every graph on the pair (a, b) shares both.  Each read h_j is one
     Horner evaluation at -s; V_a = -u prod_{j != a, b} (tau_a - tau_j).

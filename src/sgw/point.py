@@ -1,4 +1,4 @@
-"""Super Gromov-Witten numbers of a point and constant-map invariants.
+"""Super Gromov-Witten numbers of a point.
 
 The k-point number of a point is, up to the sign (-1)^(k-3) and the
 normalisation 2^(k-3), the sum over all weak compositions (i_4, .., i_k)
@@ -27,7 +27,7 @@ in place of 4862 integrals of nine steps each.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, integer
 from .taut import _KappaNode, _node, _push
@@ -127,23 +127,3 @@ def sgw_point(k: int) -> Invariant:
     if k > MAX_K:
         raise DomainError(f"k must be at most {MAX_K}, got {k}")
     return Invariant.of(Fraction((-1) ** (k - 3) * point_sum(k), 2 ** (k - 3)), 5 - 2 * k)
-
-
-def mapping_to_point(n: int, classes: Sequence[int]) -> Invariant:
-    """Degree-zero k-point invariant of P^n with hyperplane-power insertions.
-
-    Equals the point number scaled by the integral of the cup product of
-    the insertions, which is one when the powers add up to n and zero
-    otherwise.
-    """
-    k = len(classes)
-    if integer(n, "n") < 1:
-        raise DomainError("n must be >= 1")
-    if k < 3:
-        raise DomainError("k must be >= 3")
-    for a in classes:
-        if not 0 <= integer(a, "every class exponent") <= n:
-            raise DomainError(f"class exponent {a} outside [0, {n}]")
-    if sum(classes) != n:
-        return Invariant.zero()
-    return sgw_point(k)

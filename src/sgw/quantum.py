@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .errors import DomainError
+from .errors import DomainError, integer
 from .localize import DEFAULT_SEED, table
 from .point import Invariant
 
@@ -34,6 +34,8 @@ class QElement:
     __slots__ = ("n", "comps")
 
     def __init__(self, n: int, comps: dict[tuple[int, int], Laurent] | None = None):
+        if integer(n, "n") < 1:
+            raise DomainError("n must be >= 1")
         self.n = n
         self.comps: dict[tuple[int, int], Laurent] = {}
         for (lam_pow, q_pow), laurent in (comps or {}).items():
@@ -56,15 +58,8 @@ class QElement:
             raise DomainError(f"basis power {power} outside [0, {n}]")
         return cls(n, {(power, 0): {0: Fraction(1)}})
 
-    @classmethod
-    def zero(cls, n: int) -> "QElement":
-        return cls(n)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, QElement) and self.n == other.n and self.comps == other.comps
-
-    def coefficient(self, lam_pow: int, q_pow: int) -> Laurent:
-        return dict(self.comps.get((lam_pow, q_pow), {}))
 
     @staticmethod
     def _laurent_str(laurent: Laurent) -> str:

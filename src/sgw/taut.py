@@ -45,7 +45,7 @@ def _check_exponents(k: int, exponents: Sequence[int]) -> None:
     if len(exponents) != k - 3:
         raise DomainError(f"expected {k - 3} exponents for k={k}")
     for e in exponents:
-        if type(e) is not int:  # ``integer`` inline: point sums check every monomial
+        if type(e) is not int:  # ``integer`` inline: this runs on every call
             integer(e, "every exponent")
         if e < 0:
             raise DomainError("psi factors need depth >= 0 and power >= 1")
@@ -54,9 +54,10 @@ def _check_exponents(k: int, exponents: Sequence[int]) -> None:
 class TautExpr:
     """Linear combination of monomials over a common l.
 
-    ``_terms`` maps a canonical (psi, kappa) key to its nonzero coefficient.
-    Every constructor refuses l < 3; ``monomial`` and ``from_exponents``
-    also check the factors, whose keys the pushforward builds canonically.
+    ``_terms`` maps a canonical (psi, kappa) key to its nonzero coefficient,
+    an int or a ``Fraction``.  Every constructor refuses l < 3 and any other
+    coefficient, zero included; ``monomial`` also checks the factors, whose
+    keys the pushforward builds canonically.
     """
 
     __slots__ = ("l", "_terms")
@@ -65,7 +66,11 @@ class TautExpr:
         if integer(l, "l") < 3:
             raise DomainError("monomials live on a moduli space with l >= 3 points")
         self.l = l
-        self._terms = {key: coeff for key, coeff in (terms or {}).items() if coeff}
+        terms = terms or {}
+        for coeff in terms.values():
+            if type(coeff) is not int and not isinstance(coeff, Fraction):
+                raise DomainError(f"coefficients must be integers or Fractions, got {coeff!r}")
+        self._terms = {key: coeff for key, coeff in terms.items() if coeff}
 
     @classmethod
     def monomial(cls, l: int, psi: Iterable = (), kappa: Iterable = (), coeff=1) -> "TautExpr":
@@ -90,18 +95,6 @@ class TautExpr:
             if a < 1 or p < 1:
                 raise DomainError("kappa factors need index >= 1 and power >= 1")
         return result
-
-    @classmethod
-    def from_exponents(cls, k: int, exponents: Sequence[int]) -> "TautExpr":
-        """Monomial prod_j ((f^*)^(k-j) psi_j)^(e_j) on the k-pointed space.
-
-        ``exponents`` lists (e_4, .., e_k); psi_j carries pull depth k - j.
-        """
-        _check_exponents(k, exponents)
-        return cls.monomial(k, psi=zip(range(k - 4, -1, -1), exponents))
-
-    def scale(self, value) -> "TautExpr":
-        return TautExpr(self.l, {key: value * coeff for key, coeff in self._terms.items()})
 
     def __add__(self, other: "TautExpr") -> "TautExpr":
         if other.l != self.l:
@@ -235,7 +228,7 @@ def integrate(expr: TautExpr) -> Fraction:
 
 def integrate_monomial(k: int, exponents: Sequence[int]) -> Fraction:
     """Integral of the depth-graded psi monomial with the given exponents; level l pushes psi_l^(e_l)."""
-    _check_exponents(k, exponents)  # as ``TautExpr.from_exponents``, building no expression
+    _check_exponents(k, exponents)
     if sum(exponents) != k - 3:
         return Fraction(0)
     root = _node(())

@@ -443,7 +443,7 @@ def test_sizes_at_the_ceilings_are_accepted(runner, monkeypatch):
     monkeypatch.setattr(sgw.cli.point, "sgw_point", lambda k: Invariant.zero())
     monkeypatch.setattr(sgw.cli.localize, "invariant", lambda *args, **kwargs: Invariant.zero())
     monkeypatch.setattr(sgw.cli.quantum, "structure_table", lambda n, seed: {(0, 0): [(0, Invariant.zero())]})
-    monkeypatch.setattr(sgw.cli.quantum, "star", lambda n, x, y, seed: sgw.quantum.QElement.zero(n))
+    monkeypatch.setattr(sgw.cli.quantum, "star", lambda n, x, y, seed: sgw.quantum.QElement(n))
     monkeypatch.setattr(sgw.cli.taut, "integrate_monomial", lambda k, exps: 0)
     for argv in (
         ["point", "--k", str(MAX_POINT_K)],

@@ -2,14 +2,42 @@
 
 import random
 from fractions import Fraction as F
+from typing import Sequence
 
 import pytest
 
 from sgw.errors import DomainError, UnsupportedError
 from sgw.exact import Poly
-from sgw.graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_pullback, odd_weights
+from sgw.graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_pullback
 
 from .test_exact import linear
+
+
+# Reference odd weights, listed one by one: ``localize`` never lists them,
+# but reads their h off the characters and takes a missing flag weight out
+# inline, and its tests compare both against these.
+def pair_weights(n: int, a: int, b: int, tau: Sequence) -> list:
+    """Twice the lam-free odd normal weights of every graph on the pair (a, b), in the ring of ``tau``.
+
+    The list is -u, then 2 tau_m - tau_a - tau_b for m != a, b, then u: a
+    graph with marks at both ends has them all, and one with every mark at
+    one end lacks only the flag weight of its bare end.  As a multiset it
+    is 2 tau_m - tau_a - tau_b for every m: m = a gives -u and m = b gives u.
+    """
+    tau_a, tau_b = tau[a], tau[b]
+    u = tau_b - tau_a
+    return [-u] + [2 * tau[m] - tau_a - tau_b for m in range(n + 1) if m != a and m != b] + [u]
+
+
+def odd_weights(g: FixedGraph, tau: Sequence) -> list:
+    """Twice the lam-free odd normal weights of ``g``, in the ring of the characters ``tau``.
+
+    A slice of ``pair_weights``: -u goes when no mark is over q_a, u when
+    none is over q_b.  The weight 0 of a contracted component is left out:
+    it leaves every h_c unchanged.
+    """
+    weights = pair_weights(g.n, g.a, g.b, tau)
+    return weights[(0 if g.A else 1) : len(weights) - (len(g.A) == g.k)]
 
 
 def characters(num_tau):

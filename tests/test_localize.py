@@ -11,12 +11,13 @@ import pytest
 import sgw.localize as localize
 from sgw.errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
 from sgw.exact import Poly, complete_homogeneous
-from sgw.graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents, odd_weights, pair_weights
+from sgw.graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents
 from sgw.localize import LocalizationJob, graph_contribution, invariant
 from sgw.point import Invariant
 from sgw.tables import ALL_INVARIANT_ENTRIES, DISCREPANT, GOLDEN, SUSPECT, entries_for
 
 from .test_exact import linear
+from .test_graphs import odd_weights, pair_weights
 
 
 def graph(n, k, a, b, members):

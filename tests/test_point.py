@@ -8,7 +8,7 @@ import pytest
 import sgw.point
 import sgw.taut
 from sgw.errors import DomainError
-from sgw.point import MAX_K, Invariant, compositions, mapping_to_point, point_sum, sgw_point
+from sgw.point import MAX_K, Invariant, compositions, point_sum, sgw_point
 from sgw.tables import TAUT_ENTRIES
 from sgw.taut import integrate_monomial
 from .test_taut import oracle_monomial
@@ -153,13 +153,9 @@ def test_pruning_skips_only_zero_terms():
     [
         (sgw_point, (6.0,), "k must be an integer, got 6.0"),
         (sgw_point, (True,), "k must be an integer, got True"),
-        (mapping_to_point, (1, (1.0, 0, 0)), "every class exponent must be an integer, got 1.0"),
-        (mapping_to_point, (2, (1, 1, F(0))), "every class exponent must be an integer, got Fraction(0, 1)"),
-        (mapping_to_point, (True, (1, 0, 0)), "n must be an integer, got True"),
     ],
 )
 def test_non_integers_are_refused(build, args, message):
-    # mapping_to_point(1, (1.0, 0, 0)) used to return the 3-point number.
     with pytest.raises(DomainError) as info:
         build(*args)
     assert type(info.value) is DomainError and str(info.value) == message
@@ -191,16 +187,3 @@ def test_invariant_canonical_zero():
         "coefficient": "-1/2",
         "kappa_exponent": -3,
     }
-
-
-def test_mapping_to_point():
-    assert mapping_to_point(2, (1, 1, 0)) == Invariant.of(1, -1)
-    assert mapping_to_point(2, (2, 2, 2)) == Invariant.zero()
-    assert mapping_to_point(3, (1, 1, 1, 0)) == Invariant.of(F(-1, 2), -3)
-
-
-def test_mapping_to_point_rejects_bad_classes():
-    with pytest.raises(DomainError):
-        mapping_to_point(2, (3, 0, 0))
-    with pytest.raises(DomainError):
-        mapping_to_point(2, (1, 1))

@@ -60,7 +60,7 @@ def test_leading_term_above_the_classical_range():
                 if a + b <= n:
                     continue
                 product = star(n, basis(n, a), basis(n, b))
-                lead = product.coefficient(a + b - n - 1, 1)
+                lead = product.comps.get((a + b - n - 1, 1), {})
                 assert lead.get(0) == 1
                 top = max(e for laurent in product.comps.values() for e in laurent)
                 assert top == 0
@@ -70,9 +70,9 @@ def test_q_squared_unrepresentable():
     n = 1
     q_line = star(n, basis(n, 1), basis(n, 1))
     assert q_line == q_unit(n)
-    assert star(n, q_line, q_line) == QElement.zero(n)
-    assert QElement(n, {(0, 2): {0: F(1)}}) == QElement.zero(n)
-    assert QElement(2, {(3, 0): {0: 1}}) == QElement.zero(2)
+    assert star(n, q_line, q_line) == QElement(n)
+    assert QElement(n, {(0, 2): {0: F(1)}}) == QElement(n)
+    assert QElement(2, {(3, 0): {0: 1}}) == QElement(2)
 
 
 def test_structure_table_entries():
@@ -128,12 +128,12 @@ def test_star_is_bilinear_over_laurent_coefficients():
                 acc[e + ea + eb] = acc.get(e + ea + eb, 0) + c * a * b
     x, y = QElement(n, x_comps), QElement(n, y_comps)
     assert star(n, x, y) == QElement(n, expected)
-    assert star(n, x, y).coefficient(0, 1)  # the q-terms are not all zero
+    assert star(n, x, y).comps.get((0, 1), {})  # the q-terms are not all zero
 
     def times_q(element):
         return QElement(n, {(lam_pow, q_pow + 1): laurent for (lam_pow, q_pow), laurent in element.comps.items()})
 
-    assert star(n, times_q(x), times_q(y)) == QElement.zero(n)
+    assert star(n, times_q(x), times_q(y)) == QElement(n)
 
 
 @pytest.mark.parametrize(
@@ -160,6 +160,22 @@ def test_malformed_powers_refused(comps):
     with pytest.raises(DomainError) as info:
         star(2, QElement(2, comps), basis(2, 1))
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "n,message",
+    [
+        (1.5, "n must be an integer, got 1.5"),
+        (True, "n must be an integer, got True"),
+        (0, "n must be >= 1"),
+        (-1, "n must be >= 1"),
+    ],
+)
+def test_bad_n_refused(n, message):
+    # Refused where the element is built, not at a later ``star``.
+    with pytest.raises(DomainError) as info:
+        QElement(n)
+    assert type(info.value) is DomainError and str(info.value) == message
 
 
 def test_coefficients_stay_exact():

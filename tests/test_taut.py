@@ -78,12 +78,12 @@ def test_linearity():
     rng = random.Random(14)
     for _ in range(20):
         l = rng.randint(4, 7)
-        e1 = expr(l, psi=[(0, rng.randint(1, l - 3))])
-        depth = rng.randint(0, l - 4)
-        e2 = expr(l, psi=[(depth, 1)], kappa=[(1, 1)] if rng.random() < 0.5 else [])
+        psi1 = [(0, rng.randint(1, l - 3))]
+        psi2 = [(rng.randint(0, l - 4), 1)]
+        kappa2 = [(1, 1)] if rng.random() < 0.5 else []
         a, b = F(rng.randint(-3, 3)), F(rng.randint(-3, 3))
-        combined = e1.scale(a) + e2.scale(b)
-        assert integrate(combined) == a * integrate(e1) + b * integrate(e2)
+        combined = expr(l, psi=psi1, coeff=a) + expr(l, psi=psi2, kappa=kappa2, coeff=b)
+        assert integrate(combined) == a * integrate(expr(l, psi=psi1)) + b * integrate(expr(l, psi=psi2, kappa=kappa2))
 
 
 def test_pushforward_keeps_integer_coefficients():
@@ -162,21 +162,13 @@ def test_every_constructor_refuses_fewer_than_three_points():
         TautExpr.monomial(2, psi=[(0, 1)], kappa=[(0, 1)])
 
 
-def test_from_exponents_checks():
-    assert TautExpr.from_exponents(6, (1, 0, 2)) == expr(6, psi=[(2, 1), (0, 2)])
-    with pytest.raises(DomainError, match="k >= 3 required"):
-        TautExpr.from_exponents(2, ())
-    with pytest.raises(DomainError, match="expected 2 exponents for k=5"):
-        TautExpr.from_exponents(5, (1,))
-
-
 def test_integrate_monomial_builds_no_expression(monkeypatch):
-    # integrate_monomial checks its own input: with both TautExpr
-    # constructors broken it still gives the published integrals.
+    # integrate_monomial checks its own input: with every way to build a
+    # TautExpr broken it still gives the published integrals.
     def broken(*args, **kwargs):
         raise AssertionError("integrate_monomial built a TautExpr")
 
-    monkeypatch.setattr(TautExpr, "from_exponents", broken)
+    monkeypatch.setattr(TautExpr, "__init__", broken)
     monkeypatch.setattr(TautExpr, "monomial", broken)
     assert len(TAUT_ENTRIES) == 7
     for entry in TAUT_ENTRIES:
@@ -197,14 +189,11 @@ def test_integrate_monomial_builds_no_expression(monkeypatch):
     ],
 )
 def test_integrate_monomial_checks_as_from_exponents(k, exps, error, message):
-    # integrate_monomial checks its input as TautExpr.from_exponents does:
-    # the same exception type and the same message.
-    for check in (TautExpr.from_exponents, integrate_monomial):
-        with pytest.raises(error) as info:
-            check(k, exps)
-        assert type(info.value) is error
-        if message is not None:
-            assert str(info.value) == message
+    # integrate_monomial refuses bad input with exactly these types and
+    # messages; the name dates from when a TautExpr constructor shared them.
+    with pytest.raises(error) as info:
+        integrate_monomial(k, exps)
+    assert type(info.value) is error and str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -213,18 +202,24 @@ def test_integrate_monomial_checks_as_from_exponents(k, exps, error, message):
         (integrate_monomial, (6, (1.5, 0, 1.5)), {}, "every exponent must be an integer, got 1.5"),
         (integrate_monomial, (6, (True, 1, 1)), {}, "every exponent must be an integer, got True"),
         (integrate_monomial, (6.0, (1, 1, 1)), {}, "k must be an integer, got 6.0"),
-        (TautExpr.from_exponents, (6, (1, 1, 1.0)), {}, "every exponent must be an integer, got 1.0"),
+        (integrate_monomial, (6, (1, 1, 1.0)), {}, "every exponent must be an integer, got 1.0"),
         (TautExpr.monomial, (6,), {"psi": [(0, 1.5)]}, "every power must be an integer, got 1.5"),
         (TautExpr.monomial, (6,), {"psi": [(0.5, 1)]}, "every depth must be an integer, got 0.5"),
         (TautExpr.monomial, (6,), {"psi": [(1, 0.0)]}, "every power must be an integer, got 0.0"),
         (TautExpr.monomial, (6,), {"kappa": [(1.0, 1)]}, "every kappa index must be an integer, got 1.0"),
         (TautExpr.monomial, (6,), {"kappa": [(1, True)]}, "every power must be an integer, got True"),
         (TautExpr, (6.0,), {}, "l must be an integer, got 6.0"),
+        (TautExpr.monomial, (4,), {"psi": [(0, 1)], "coeff": 0.1}, "coefficients must be integers or Fractions, got 0.1"),
+        (TautExpr, (4, {(((0, 1),), ()): 0.0}), {}, "coefficients must be integers or Fractions, got 0.0"),
+        (TautExpr.monomial, (4,), {"psi": [(0, 1)], "coeff": True}, "coefficients must be integers or Fractions, got True"),
+        (TautExpr, (4, {(((0, 1),), ()): "1"}), {}, "coefficients must be integers or Fractions, got '1'"),
     ],
 )
 def test_non_integers_are_refused_not_truncated(build, args, kwargs, message):
     # int() used to truncate: integrate_monomial(6, (1.5, 0, 1.5)) read 1, and
-    # psi=[(0, 1.5)] stored power 1.  A bool is an int to Python, not here.
+    # psi=[(0, 1.5)] stored power 1.  A float coefficient would integrate to its
+    # binary expansion, and 0.0 is refused before zero terms are dropped.  A bool
+    # is an int to Python, not here.
     with pytest.raises(DomainError) as info:
         build(*args, **kwargs)
     assert type(info.value) is DomainError and str(info.value) == message
@@ -313,7 +308,7 @@ def test_integrate_monomial_matches_integrate_and_oracle(case):
     k, exps = case
     value = integrate_monomial(k, exps)
     assert type(value) is F
-    assert value == integrate(TautExpr.from_exponents(k, exps)) == oracle_monomial(k, exps)
+    assert value == integrate(expr(k, psi=zip(range(k - 4, -1, -1), exps))) == oracle_monomial(k, exps)
 
 
 def test_cold_caches_give_the_warm_values():
