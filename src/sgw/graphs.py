@@ -19,7 +19,8 @@ Every locus has the same closed-form Euler denominator
 u^k * prod_{j != a, b} (tau_a - tau_j)(tau_b - tau_j); ``EulerData``
 stores only the numerator over it, which takes one of four values.
 Graphs and their data are named tuples: hashing and comparing a graph,
-as every ``euler_data`` lookup does, runs in C.
+as every ``euler_data`` lookup does, runs in C.  ``check_size`` alone
+refuses sizes other than n >= 1, k in {1, 2, 3}, for every caller.
 """
 
 from __future__ import annotations
@@ -28,10 +29,18 @@ from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, UnsupportedError, integer
 
 if TYPE_CHECKING:
     from .exact import Poly
+
+
+def check_size(n: int, k: int) -> None:
+    """Refuse (n, k) unless n is an integer >= 1 and k is 1, 2 or 3: the sizes degree-one localization takes."""
+    if integer(n, "n") < 1:
+        raise DomainError("n must be >= 1")
+    if integer(k, "k") not in (1, 2, 3):
+        raise UnsupportedError("localization implemented for k in {1, 2, 3}")
 
 
 class _GraphFields(NamedTuple):
@@ -46,6 +55,7 @@ class FixedGraph(_GraphFields):
     __slots__ = ()
 
     def __new__(cls, n: int, a: int, b: int, A: frozenset[int], k: int):
+        check_size(n, k)
         if not 0 <= a < b <= n:
             raise DomainError("need 0 <= a < b <= n")
         if not A <= set(range(1, k + 1)):
@@ -93,10 +103,7 @@ _M04_OVER_B = EulerData(-1, 0, 1, 1)
 
 def enumerate_graphs(n: int, k: int) -> list[FixedGraph]:
     """All degree-one fixed graphs, (a, b) ascending then A by bitmask."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if k not in (1, 2, 3):
-        raise UnsupportedError("localization graphs implemented for k in {1, 2, 3}")
+    check_size(n, k)
     subsets = [frozenset(i + 1 for i in range(k) if mask >> i & 1) for mask in range(2**k)]
     # valid by construction, so built without ``FixedGraph.__new__``'s checks
     return [tuple.__new__(FixedGraph, (n, a, b, A, k)) for a, b in combinations(range(n + 1), 2) for A in subsets]
@@ -105,8 +112,7 @@ def enumerate_graphs(n: int, k: int) -> list[FixedGraph]:
 @lru_cache(maxsize=None)
 def euler_data(g: FixedGraph) -> EulerData:
     """Pure lam weight and inverse Euler class of a degree-one graph: one of the four values above, cached per graph."""
-    if g.k not in (1, 2, 3):
-        raise UnsupportedError("euler data implemented for k in {1, 2, 3}")
+    check_size(g.n, g.k)
     if g.m04:
         return _M04_OVER_A if g.A else _M04_OVER_B
     return _POINT_LOCUS[len(g.A) % 2]

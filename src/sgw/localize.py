@@ -28,8 +28,8 @@ One sum, two point sets.  ``table`` (``invariant`` is its one-tuple case)
 runs ``_sweep``, which adds up each tuple's scaled summands at every
 point once per key (bitmask of A, ev exponents), from the point's own
 powers, so a tuple's value at tau is one integer sum over L * (-2)^c,
-the sign turning 2^c h_c into (-1)^c h_c.  ``_agree`` insists that all
-points agree, as the sum is a constant function of the characters.
+the sign turning 2^c h_c into (-1)^c h_c.  It checks that each point
+agrees with the first as it arrives: the sum is constant in the characters.
 ``_points`` alone chooses them: seeded generic samples for "evaluate",
 or for "symbolic" (n <= 2) the grid built once per (n, k) by
 ``_symbolic_sum``, on which agreement proves the sum constant; the grid
@@ -48,8 +48,8 @@ from math import comb, lcm
 from operator import itemgetter, mul
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError, integer
-from .graphs import FixedGraph, enumerate_graphs, euler_data
+from .errors import DomainError, InconsistencyError, ResampleSignal, integer
+from .graphs import FixedGraph, check_size, enumerate_graphs, euler_data
 from .point import Invariant
 
 DEFAULT_SEED = 1729
@@ -66,10 +66,7 @@ class LocalizationJob(_JobFields):
     __slots__ = ()
 
     def __new__(cls, n: int, k: int, classes: tuple[int, ...]):
-        if integer(n, "n") < 1:
-            raise DomainError("n must be >= 1")
-        if integer(k, "k") not in (1, 2, 3):
-            raise UnsupportedError("localization implemented for k in {1, 2, 3}")
+        check_size(n, k)
         if len(classes) != k:
             raise DomainError(f"expected {k} classes")
         for a in classes:
@@ -225,19 +222,6 @@ def _evaluate_once(
     return powers, common, {c: tuple(map(mul, map(itemgetter(c), rows), scales)) for c in codegrees}
 
 
-def _agree(job: LocalizationJob, values: Sequence[tuple[int, int]]) -> Invariant:
-    """The invariant of ``job`` from its (N, L) at several points, each worth N / (L * (-2)^c): all must agree."""
-    num, den = values[0]
-    sign = (-2) ** job.c
-    for other_num, other_den in values:
-        if other_num * den != num * other_den:
-            raise InconsistencyError(
-                f"evaluations of {job.classes} are not constant: "
-                f"{Fraction(num, den * sign)} and {Fraction(other_num, other_den * sign)}"
-            )
-    return Invariant.of(Fraction(num, den * sign), job.kappa_exp)
-
-
 @lru_cache(maxsize=None)
 def _symbolic_sum(n: int, k: int) -> tuple[tuple[FixedGraph, ...], tuple]:
     """The graphs of (n, k) and ``_evaluate_once`` of every codegree on a grid where agreement is a proof.
@@ -317,7 +301,8 @@ def _sweep(graphs: Sequence[FixedGraph], jobs: list[LocalizationJob], points: It
     job's x on every mask is its ``_subset_sums``.  Each point sums
     tau_a^x tau_b^y times the scaled part over the graphs of m once per key
     (m, x, y), reading the powers from the point's own table, and each job
-    adds up its keys into one integer over L * (-2)^c.
+    adds up its keys into one integer N over L * (-2)^c.  Each later point
+    must give a job the N / L of the first, or it raises as it arrives.
     """
     width = 2 ** jobs[0].k
     indexed = [(g.a, g.b, i) for i, g in enumerate(graphs)]
@@ -328,7 +313,7 @@ def _sweep(graphs: Sequence[FixedGraph], jobs: list[LocalizationJob], points: It
         total = job.total_class_degree
         picks.append([keys.setdefault((m, x, total - x), len(keys)) for m, x in enumerate(_subset_sums(job.classes))])
     d_kd = jobs[0].d_kd
-    values: list[list[tuple[int, int]]] = [[] for _ in jobs]
+    first = None  # per job, its (N, L) at the first point
     for powers, common, columns in points:
         partial = []
         for m, x, y in keys:
@@ -337,9 +322,21 @@ def _sweep(graphs: Sequence[FixedGraph], jobs: list[LocalizationJob], points: It
             for a, b, i in members[m]:
                 total += powers[a][x] * powers[b][y] * column[i]
             partial.append(total)
-        for pick, job_values in zip(picks, values):
-            job_values.append((sum(map(partial.__getitem__, pick)), common))
-    return {job.classes: _agree(job, job_values) for job, job_values in zip(jobs, values)}
+        sums = [sum(map(partial.__getitem__, pick)) for pick in picks]
+        if first is None:
+            first = [(num, common) for num in sums]
+            continue
+        for job, other, (num, den) in zip(jobs, sums, first):
+            if other * den != num * common:
+                sign = (-2) ** job.c
+                raise InconsistencyError(
+                    f"evaluations of {job.classes} are not constant: "
+                    f"{Fraction(num, den * sign)} and {Fraction(other, common * sign)}"
+                )
+    return {
+        job.classes: Invariant(Fraction(num, den * (-2) ** job.c), job.kappa_exp)
+        for job, (num, den) in zip(jobs, first)
+    }
 
 
 def table(
@@ -361,7 +358,7 @@ def table(
     order, maps to its invariant.
     """
     jobs = _jobs(n, k, class_tuples, strategy, samples)
-    result = {classes: Invariant.zero() for classes in jobs}
+    result = {classes: Invariant(0, 0) for classes in jobs}
     live = [job for job in jobs.values() if not job.graded_zero]
     if live:
         graphs, points = _points(n, k, tuple(sorted({job.c for job in live})), strategy, samples, seed)
@@ -389,7 +386,7 @@ def traced_invariant(
     classes = tuple(classes)
     job = _jobs(n, k, [classes], strategy, samples)[classes]
     if job.graded_zero:
-        return Invariant.zero(), []
+        return Invariant(0, 0), []
     graphs, points = _points(n, k, (job.c,), strategy, samples, seed)
     points = iter(points)
     powers, common, columns = first = next(points)

@@ -54,7 +54,8 @@ class QElement:
 
     @classmethod
     def basis(cls, n: int, power: int) -> "QElement":
-        if not 0 <= power <= n:
+        integer(n, "n")
+        if not 0 <= integer(power, "basis power") <= n:
             raise DomainError(f"basis power {power} outside [0, {n}]")
         return cls(n, {(power, 0): {0: Fraction(1)}})
 
@@ -111,7 +112,7 @@ def _cell(values: dict[tuple[int, int, int], Invariant], a: int, b: int, c: int)
 
 def structure_table(n: int, seed: int = DEFAULT_SEED) -> dict[tuple[int, int], list[tuple[int, Invariant]]]:
     """Degree-one three-point invariants <L^a, L^b, L^c> for all a <= b, c."""
-    if n < 1:
+    if integer(n, "n") < 1:
         raise DomainError("n must be >= 1")
     values = _three_point(n, seed)
     return {

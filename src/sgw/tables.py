@@ -37,7 +37,7 @@ class PointEntry(NamedTuple):
 
     @property
     def printed(self) -> Invariant:
-        return Invariant.of(self.coeff, self.kappa_exp)
+        return Invariant(self.coeff, self.kappa_exp)
 
 
 class TautEntry(NamedTuple):
@@ -58,7 +58,7 @@ class InvariantEntry(NamedTuple):
 
     @property
     def printed(self) -> Invariant:
-        return Invariant.of(self.coeff, self.kappa_exp)
+        return Invariant(self.coeff, self.kappa_exp)
 
     @property
     def expected(self) -> Invariant:
@@ -89,7 +89,7 @@ POINT_ENTRIES: tuple[PointEntry, ...] = (
         -7,
         DISCREPANT,
         "printed sum omits the composition (0,2,1), whose integral is 3",
-        Invariant.of(_F(-15, 8), -7),
+        Invariant(_F(-15, 8), -7),
     ),
 )
 
@@ -123,10 +123,10 @@ ONE_POINT_ENTRIES: tuple[InvariantEntry, ...] = (
     InvariantEntry(5, 1, (3,), _F(2205, 32), -11),
     InvariantEntry(5, 1, (2,), _F(1155, 16), -12),
     InvariantEntry(
-        5, 1, (1,), _F(3465, 128), -12, SUSPECT, _EXPONENT_NOTE, Invariant.of(_F(3465, 128), -13)
+        5, 1, (1,), _F(3465, 128), -12, SUSPECT, _EXPONENT_NOTE, Invariant(_F(3465, 128), -13)
     ),
     InvariantEntry(
-        5, 1, (0,), _F(-9009, 128), -12, SUSPECT, _EXPONENT_NOTE, Invariant.of(_F(-9009, 128), -14)
+        5, 1, (0,), _F(-9009, 128), -12, SUSPECT, _EXPONENT_NOTE, Invariant(_F(-9009, 128), -14)
     ),
 )
 
@@ -146,7 +146,7 @@ TWO_POINT_ENTRIES: tuple[InvariantEntry, ...] = (
     InvariantEntry(3, 2, (2, 2), _F(5), -6),
     InvariantEntry(3, 2, (3, 0), _F(-5, 4), -7),
     InvariantEntry(
-        3, 2, (2, 1), _F(-15, 4), -7, DISCREPANT, _VALUE_NOTE, Invariant.of(_F(15, 4), -7)
+        3, 2, (2, 1), _F(-15, 4), -7, DISCREPANT, _VALUE_NOTE, Invariant(_F(15, 4), -7)
     ),
     InvariantEntry(3, 2, (2, 0), _F(-5, 2), -8),
     InvariantEntry(3, 2, (1, 1), _F(15, 8), -8),
@@ -165,10 +165,10 @@ TWO_POINT_ENTRIES: tuple[InvariantEntry, ...] = (
     InvariantEntry(4, 2, (2, 1), _F(105, 8), -10),
     InvariantEntry(4, 2, (2, 0), _F(-315, 32), -11),
     InvariantEntry(
-        4, 2, (1, 1), _F(-525, 64), -11, DISCREPANT, _VALUE_NOTE, Invariant.of(_F(105, 16), -11)
+        4, 2, (1, 1), _F(-525, 64), -11, DISCREPANT, _VALUE_NOTE, Invariant(_F(105, 16), -11)
     ),
     InvariantEntry(
-        4, 2, (1, 0), _F(-35, 16), -12, DISCREPANT, _VALUE_NOTE, Invariant.of(_F(-525, 64), -12)
+        4, 2, (1, 0), _F(-35, 16), -12, DISCREPANT, _VALUE_NOTE, Invariant(_F(-525, 64), -12)
     ),
     InvariantEntry(4, 2, (0, 0), _F(0), 0),
     InvariantEntry(5, 2, (5, 5), _F(1), -6),
@@ -185,17 +185,17 @@ TWO_POINT_ENTRIES: tuple[InvariantEntry, ...] = (
     InvariantEntry(5, 2, (3, 2), _F(1071, 16), -11),
     InvariantEntry(5, 2, (4, 0), _F(-63, 4), -12),
     InvariantEntry(
-        5, 2, (3, 1), _F(1575, 316), -12, SUSPECT, _DENOMINATOR_NOTE, Invariant.of(_F(1575, 32), -12)
+        5, 2, (3, 1), _F(1575, 316), -12, SUSPECT, _DENOMINATOR_NOTE, Invariant(_F(1575, 32), -12)
     ),
     InvariantEntry(5, 2, (2, 2), _F(1365, 16), -12),
     InvariantEntry(5, 2, (3, 0), _F(-2079, 64), -13),
     InvariantEntry(5, 2, (2, 1), _F(3465, 64), -13),
     InvariantEntry(5, 2, (2, 0), _F(-693, 16), -14),
     InvariantEntry(
-        5, 2, (1, 1), _F(-3465, 128), -14, DISCREPANT, _VALUE_NOTE, Invariant.of(_F(3465, 128), -14)
+        5, 2, (1, 1), _F(-3465, 128), -14, DISCREPANT, _VALUE_NOTE, Invariant(_F(3465, 128), -14)
     ),
     InvariantEntry(
-        5, 2, (1, 0), _F(-9009, 2566), -15, SUSPECT, _DENOMINATOR_NOTE, Invariant.of(_F(-9009, 256), -15)
+        5, 2, (1, 0), _F(-9009, 2566), -15, SUSPECT, _DENOMINATOR_NOTE, Invariant(_F(-9009, 256), -15)
     ),
     InvariantEntry(5, 2, (0, 0), _F(0), 0),
 )
@@ -213,7 +213,7 @@ THREE_POINT_ENTRIES: tuple[InvariantEntry, ...] = (
     InvariantEntry(2, 3, (2, 0, 0), _F(-3, 8), -7),
     InvariantEntry(2, 3, (1, 1, 0), _F(-3, 8), -7),
     InvariantEntry(
-        2, 3, (1, 0, 0), _F(-3, 8), -7, SUSPECT, _EXPONENT_NOTE, Invariant.of(_F(-3, 8), -8)
+        2, 3, (1, 0, 0), _F(-3, 8), -7, SUSPECT, _EXPONENT_NOTE, Invariant(_F(-3, 8), -8)
     ),
     InvariantEntry(2, 3, (0, 0, 0), _F(0), 0),
     InvariantEntry(3, 3, (3, 3, 1), _F(1), -5),

@@ -17,12 +17,29 @@ are keyed by interned kappa nodes, one per canonical kappa key, so a push
 hashes no tuple: each node carries its branch expansion, its kappa bumps
 and one push plan per s0, built on first use.  It has three callers:
 ``integrate_monomial`` walks a kappa-only state from k points down to 4,
-taking one psi exponent per level; ``point.point_sum`` does the same for
+taking one psi exponent per level; ``point_sum`` does the same for
 many monomials at once; ``pushforward_step``, behind ``integrate``, groups
 a ``TautExpr`` by psi key and pushes each group, turning its kappa keys
 into nodes and back.
 Coefficients stay in the ring they come in (integers from ``monomial``'s
 default), and the integrals become a ``Fraction`` at their return.
+
+``point_sum`` is the composition sum of ``point.sgw_point``, not taken
+one composition at a time.  Integration pushes forward along the map
+forgetting the last point, and every psi_j with j < l is pulled back
+along that map, so by the projection formula it passes through the
+pushforward unchanged.  Once the points above l are pushed forward, the
+summand is therefore the prefix monomial in psi_4 .. psi_l times a
+kappa-only expression, and the sum of those kappa-only expressions over
+all suffixes (i_(l+1), .., i_k) depends only on the prefix sum
+P = i_4 + .. + i_l.  ``point_sum`` keeps one map from interned kappa
+node to coefficient per (level l, prefix sum P), starting from and
+reading back the node of the empty key: at each level it pushes the map
+of P times psi_l^i forward with ``_push``, the kernel that
+``integrate_monomial`` walks one monomial with, and adds the result into
+the map of P - i one level down, for every i <= P that the pruning of
+``point`` keeps (P - i <= l - 4).  At k = 12 that is 165 kernel calls in
+place of 4862 integrals of nine steps each.
 """
 
 from __future__ import annotations
@@ -236,3 +253,24 @@ def integrate_monomial(k: int, exponents: Sequence[int]) -> Fraction:
     for l, e in zip(range(k, 3, -1), reversed(exponents)):
         kappas = _push(kappas, l, e)
     return Fraction(kappas.get(root, 0))
+
+
+def point_sum(k: int) -> Fraction:
+    """Sum of the composition integrals entering the k-point number.
+
+    ``states[P]`` maps the node of each kappa key of the kappa-only
+    expression on the l-pointed space, summed over the exponents of the
+    points above l, to its coefficient, for prefix sum P.
+    """
+    root = _node(())
+    states: dict[int, dict[_KappaNode, int]] = {k - 3: {root: 1}}
+    for l in range(k, 3, -1):
+        down: dict[int, dict[_KappaNode, int]] = {}
+        for prefix_sum, kappas in states.items():
+            # pruning keeps prefix sums of at most l - 4 one level down
+            low = max(0, prefix_sum - (l - 4))
+            for i in range(low, prefix_sum + 1):
+                _push(kappas, l, i, down.setdefault(prefix_sum - i, {}))
+        states = down
+    # on the 3-pointed space only the empty kappa key has degree zero
+    return Fraction(states.get(0, {}).get(root, 0))

@@ -20,10 +20,10 @@ from itertools import permutations, product
 
 from sgw.exact import complete_homogeneous
 from sgw.localize import LocalizationJob, invariant, table
-from sgw.point import Invariant, point_sum, sgw_point
+from sgw.point import Invariant, sgw_point
 from sgw.quantum import QElement, star
 from sgw.tables import GOLDEN, POINT_ENTRIES, entries_for
-from sgw.taut import integrate_monomial
+from sgw.taut import integrate_monomial, point_sum
 
 from .test_exact import brute_force_h, random_weight
 from .test_point import oracle_point_sum
@@ -143,7 +143,7 @@ def test_criterion_6_property_suites():
         for classes in product(range(n + 1), repeat=3):
             if sum(classes) != 2 * n + 1:
                 continue
-            if invariant(n, 3, classes) != Invariant.of(1, -(n + 2)):
+            if invariant(n, 3, classes) != Invariant(1, -(n + 2)):
                 failures.append(f"(d) n={n} {classes}: extension value differs")
 
     # (e) symbolic and evaluate strategies agree on every n <= 2 job.

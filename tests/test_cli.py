@@ -106,18 +106,18 @@ def test_env_seed_used(runner):
             ["invariant", "--n", "1", "--k", "1", "--classes", "1"],
             sgw.localize,
             "invariant",
-            lambda *args: Invariant.zero(),
+            lambda *args: Invariant(0, 0),
             0,
         ),
         (
             ["quantum", "--n", "1", "--format", "json"],
             sgw.quantum,
             "structure_table",
-            lambda n: {(0, 0): [(0, Invariant.zero())]},
+            lambda n: {(0, 0): [(0, Invariant(0, 0))]},
             0,
         ),
         # every localized entry reads zero, so some FAIL: exit 1
-        (["reproduce-paper"], sgw.localize, "table", lambda n, k, classes: dict.fromkeys(classes, Invariant.zero()), 1),
+        (["reproduce-paper"], sgw.localize, "table", lambda n, k, classes: dict.fromkeys(classes, Invariant(0, 0)), 1),
     ],
     ids=["invariant", "quantum", "reproduce-paper"],
 )
@@ -340,7 +340,6 @@ def _forbid_heavy_paths(monkeypatch):
     monkeypatch.setattr(sgw.localize, "enumerate_graphs", heavy)
     monkeypatch.setattr(sgw.quantum, "structure_table", heavy)
     monkeypatch.setattr(sgw.point, "compositions", heavy)
-    monkeypatch.setattr(sgw.point, "_push", heavy)
     monkeypatch.setattr(sgw.taut, "_push", heavy)
     monkeypatch.setattr(sgw.taut, "pushforward_step", heavy)
 
@@ -440,9 +439,9 @@ def test_bare_group_prints_help(runner):
 
 def test_sizes_at_the_ceilings_are_accepted(runner, monkeypatch):
     # The work itself is replaced: only the argument checks run for real.
-    monkeypatch.setattr(sgw.cli.point, "sgw_point", lambda k: Invariant.zero())
-    monkeypatch.setattr(sgw.cli.localize, "invariant", lambda *args, **kwargs: Invariant.zero())
-    monkeypatch.setattr(sgw.cli.quantum, "structure_table", lambda n, seed: {(0, 0): [(0, Invariant.zero())]})
+    monkeypatch.setattr(sgw.cli.point, "sgw_point", lambda k: Invariant(0, 0))
+    monkeypatch.setattr(sgw.cli.localize, "invariant", lambda *args, **kwargs: Invariant(0, 0))
+    monkeypatch.setattr(sgw.cli.quantum, "structure_table", lambda n, seed: {(0, 0): [(0, Invariant(0, 0))]})
     monkeypatch.setattr(sgw.cli.quantum, "star", lambda n, x, y, seed: sgw.quantum.QElement(n))
     monkeypatch.setattr(sgw.cli.taut, "integrate_monomial", lambda k, exps: 0)
     for argv in (

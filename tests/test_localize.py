@@ -317,13 +317,13 @@ def test_graph_contribution_resample_signal():
 
 
 WORKED_EXAMPLES = [
-    (1, 1, (1,), Invariant.of(1, -1)),
-    (1, 1, (0,), Invariant.of(-1, -2)),
-    (1, 2, (0, 0), Invariant.zero()),
-    (1, 3, (1, 0, 0), Invariant.of(F(-1, 4), -5)),
-    (2, 1, (2,), Invariant.of(2, -3)),
-    (2, 3, (2, 2, 2), Invariant.zero()),
-    (3, 3, (2, 1, 1), Invariant.of(5, -8)),
+    (1, 1, (1,), Invariant(1, -1)),
+    (1, 1, (0,), Invariant(-1, -2)),
+    (1, 2, (0, 0), Invariant(0, 0)),
+    (1, 3, (1, 0, 0), Invariant(F(-1, 4), -5)),
+    (2, 1, (2,), Invariant(2, -3)),
+    (2, 3, (2, 2, 2), Invariant(0, 0)),
+    (3, 3, (2, 1, 1), Invariant(5, -8)),
 ]
 
 
@@ -340,8 +340,8 @@ def test_reference_tables_match_recomputation():
 
 def test_weight_independence_across_seeds():
     for seed in (1, 2, 3):
-        assert invariant(2, 3, (2, 1, 1), seed=seed) == Invariant.of(F(3, 2), -5)
-        assert invariant(3, 2, (2, 1), seed=seed) == Invariant.of(F(15, 4), -7)
+        assert invariant(2, 3, (2, 1, 1), seed=seed) == Invariant(F(3, 2), -5)
+        assert invariant(3, 2, (2, 1), seed=seed) == Invariant(F(15, 4), -7)
 
 
 def test_discrepant_entries_survive_deep_sampling():
@@ -370,7 +370,7 @@ def test_two_point_cells_follow_one_point_relations():
             factor, base = F(1, 2), one_point[entry.n, 0]
         else:
             continue
-        predicted = Invariant.of(factor * base.coeff, base.kappa_exp - 1)
+        predicted = Invariant(factor * base.coeff, base.kappa_exp - 1)
         assert entry.expected == predicted, entry.label
         if entry.status == GOLDEN:
             golden += 1
@@ -398,7 +398,7 @@ def test_divisor_relations_hold_beyond_the_tables():
         two = localize.table(n, 2, [classes for classes, _, _ in relations])
         for classes, factor, base in relations:
             checked += 1
-            if two[classes] != Invariant.of(factor * base.coeff, base.kappa_exp - 1):
+            if two[classes] != Invariant(factor * base.coeff, base.kappa_exp - 1):
                 broken.append((n, classes, str(two[classes])))
     assert checked == 65
     assert not broken
@@ -415,7 +415,7 @@ def test_one_point_columns_empirical():
         v = {n: F(comb(2 * n, n) - comb(2 * n - 2, n - 1), 2 ** (n - 1))}
         for a in range(n - 1, -1, -1):
             v[a] = v[a + 1] * F((3 * a - 2) * (3 * n - a - 2), (6 * a + 2) * (n - a))
-        return {(a,): Invariant.of(v[a], a - 3 * n + 1) for a in range(n + 1)}
+        return {(a,): Invariant(v[a], a - 3 * n + 1) for a in range(n + 1)}
 
     cells, broken = 0, []
     for n in range(1, 15):
@@ -448,8 +448,8 @@ def test_two_point_corner_cells_empirical():
     # each discrepant or suspect one is not.
     def closed_form(n):
         v = F(n + 1, 2) if n >= 2 else F(-1, 2)
-        corner = Invariant.of(v, -(n + 2))
-        return {(n, n): Invariant.of(1, -(n + 1)), (n - 1, n): corner, (n, n - 1): corner}
+        corner = Invariant(v, -(n + 2))
+        return {(n, n): Invariant(1, -(n + 1)), (n - 1, n): corner, (n, n - 1): corner}
 
     def two_point_cells(n):
         cells = {}
@@ -459,7 +459,7 @@ def test_two_point_corner_cells_empirical():
                 value = F(factorial(n + c), factorial(n) * factorial(n - a) * factorial(n - b))
                 if c >= n:
                     value -= F(3 * n * factorial(n + c - 1), factorial(n) ** 2 * factorial(c - n))
-                cells[a, b] = Invariant.of(value / 2**c, a + b - 3 * n - 1)
+                cells[a, b] = Invariant(value / 2**c, a + b - 3 * n - 1)
         return cells
 
     cells, broken, predicted, triangles = 0, [], {}, {}
@@ -467,7 +467,7 @@ def test_two_point_corner_cells_empirical():
         corners = predicted[n] = closed_form(n)
         if n >= 2:
             base = one_point_table(n)[1,]
-            corners[0, 2] = corners[2, 0] = Invariant.of(F(-2 * (n - 1), n) * base.coeff, base.kappa_exp - 1)
+            corners[0, 2] = corners[2, 0] = Invariant(F(-2 * (n - 1), n) * base.coeff, base.kappa_exp - 1)
         triangle = triangles[n] = two_point_cells(n)
         got = localize.table(n, 2, list(corners | triangle))
         for expected in (corners, triangle):
@@ -534,7 +534,7 @@ def test_table_matches_per_graph_fraction_sum(n, k):
         tau = localize.sample_tau(tau_rng, n)
         columns = zip(*(contributions(g, jobs, tau) for g in enumerate_graphs(n, k)))
         for job, column in zip(jobs, columns):
-            assert swept[job.classes] == Invariant.of(sum(column, F(0)), job.kappa_exp), (job.classes, tau)
+            assert swept[job.classes] == Invariant(sum(column, F(0)), job.kappa_exp), (job.classes, tau)
     assert sum(not swept[job.classes].is_zero for job in jobs) >= 4
 
 
@@ -553,7 +553,7 @@ def test_table_permuted_and_repeated_tuples():
     tuples = [(2, 1, 0), (0, 1, 2), (2, 1, 0), [1, 2, 0], (2, 2, 2), (0, 1, 2)]
     swept = localize.table(2, 3, tuples)
     assert list(swept) == [(2, 1, 0), (0, 1, 2), (1, 2, 0), (2, 2, 2)]
-    assert swept[(2, 2, 2)] == Invariant.zero()
+    assert swept[(2, 2, 2)] == Invariant(0, 0)
     assert {swept[c] for c in [(2, 1, 0), (0, 1, 2), (1, 2, 0)]} == {invariant(2, 3, (2, 1, 0))}
 
 
@@ -572,7 +572,7 @@ def test_sweep_reads_graphs_by_the_bitmask_of_a():
 
 def test_table_validation():
     assert localize.table(2, 3, []) == {}
-    assert localize.table(1, 3, [(1, 1, 1)], samples=10) == {(1, 1, 1): Invariant.of(1, -3)}
+    assert localize.table(1, 3, [(1, 1, 1)], samples=10) == {(1, 1, 1): Invariant(1, -3)}
     with pytest.raises(DomainError):
         localize.table(1, 3, [(1, 1, 1)], samples=1)
     with pytest.raises(DomainError):
@@ -748,7 +748,9 @@ def test_disagreeing_samples_raise(monkeypatch):
 
     monkeypatch.setattr(localize, "graph_contribution", fake_contribution)
     with pytest.raises(InconsistencyError):
-        invariant(1, 1, (1,))
+        invariant(1, 1, (1,), samples=10)
+    # the sweep stops at the second sample, the first to disagree: 2 graphs each
+    assert calls["count"] == 4
     with pytest.raises(InconsistencyError, match=r"\(0,\)"):
         localize.table(1, 1, [(0,), (1,)])
 
@@ -797,7 +799,7 @@ def test_per_graph_at_first_sample():
         swept, summands = localize.traced_invariant(n, k, classes, seed=seed)
         assert [g for g, _ in summands] == enumerate_graphs(n, k)
         assert [value for _, value in summands] == [contributions(g, [job], tau)[0] for g in enumerate_graphs(n, k)]
-        assert Invariant.of(sum(value for _, value in summands), job.kappa_exp) == swept
+        assert Invariant(sum(value for _, value in summands), job.kappa_exp) == swept
         assert swept == invariant(n, k, classes, seed=seed)
 
 
@@ -812,13 +814,13 @@ def test_symbolic_per_graph_at_first_grid_point():
         swept, summands = localize.traced_invariant(n, k, classes, strategy="symbolic")
         assert [g for g, _ in summands] == enumerate_graphs(n, k)
         assert [value for _, value in summands] == [contributions(g, [job], tau)[0] for g in enumerate_graphs(n, k)]
-        assert Invariant.of(sum(value for _, value in summands), job.kappa_exp) == swept
+        assert Invariant(sum(value for _, value in summands), job.kappa_exp) == swept
         assert swept == invariant(n, k, classes, strategy="symbolic")
 
 
 def test_per_graph_refuses_as_table():
     for strategy in ("evaluate", "symbolic"):
-        assert localize.traced_invariant(2, 3, (2, 2, 2), strategy=strategy) == (Invariant.zero(), [])
+        assert localize.traced_invariant(2, 3, (2, 2, 2), strategy=strategy) == (Invariant(0, 0), [])
     cases = [
         ((1, 1, (1,)), {"strategy": "bogus"}, DomainError, "unknown strategy 'bogus'"),
         ((3, 1, (1,)), {"strategy": "symbolic"}, DomainError, "symbolic strategy supported for n <= 2"),
@@ -876,7 +878,7 @@ def test_check_extension():
         tuples = [t for t in product(range(n + 1), repeat=3) if sum(t) == 2 * n + 1]
         assert all(LocalizationJob(n=n, k=3, classes=t).c == 0 for t in tuples)
         values = localize.table(n, 3, tuples)
-        assert values == {t: Invariant.of(1, -(n + 2)) for t in tuples}, n
+        assert values == {t: Invariant(1, -(n + 2)) for t in tuples}, n
         checked += len(tuples)
     assert checked == 1 + 3 + 6 + 10
 
@@ -893,7 +895,7 @@ def test_codegree_one_three_point_cells_empirical():
     for n in range(1, 13):
         tuples = [t for t in combinations_with_replacement(range(n + 1), 3) if sum(t) == 2 * n]
         expected = predicted[n] = {
-            t: Invariant.of(F(n + 1, 2) * (sum(a < n for a in t) - 1), -(n + 3)) for t in tuples
+            t: Invariant(F(n + 1, 2) * (sum(a < n for a in t) - 1), -(n + 3)) for t in tuples
         }
         got = localize.table(n, 3, tuples)
         cells += len(expected)
@@ -920,15 +922,15 @@ def test_three_point_boundary_laws_empirical():
         expected = {}
         for b, c in combinations_with_replacement(range(n + 1), 2):
             if b + c > n:
-                expected[0, b, c], law = Invariant.zero(), 0
+                expected[0, b, c], law = Invariant(0, 0), 0
             else:
                 half = two[0, b + c]
-                expected[0, b, c], law = Invariant.of(half.coeff / 2, half.kappa_exp - 2), 1
+                expected[0, b, c], law = Invariant(half.coeff / 2, half.kappa_exp - 2), 1
             counts[law] += 1
         for a, b in combinations_with_replacement(range(1, n + 1), 2):
             e = n + 1 - a - b
             if e >= 0:
-                expected[a, b, n] = Invariant.of(F(comb(n + e, e), 2**e), a + b - 2 * n - 3)
+                expected[a, b, n] = Invariant(F(comb(n + e, e), 2**e), a + b - 2 * n - 3)
                 counts[2] += 1
         got = localize.table(n, 3, list(expected))
         broken += [(n, classes, str(got[classes])) for classes in expected if got[classes] != expected[classes]]
@@ -967,7 +969,7 @@ def test_three_point_closed_form_empirical():
         value = comb(n + e, e) * schubert
         if e > n:
             value -= F((2 * n + 1 - e) * factorial(n + e - 2), factorial(n) ** 2 * factorial(e - n - 1))
-        return Invariant.of(value / 2**e, a + b + c - 3 * n - 3)
+        return Invariant(value / 2**e, a + b + c - 3 * n - 3)
 
     cells, broken = 0, []
     for n in range(1, 13):
@@ -999,7 +1001,7 @@ def test_per_graph_call_counts_in_process(monkeypatch):
     monkeypatch.setattr(localize, "euler_data", counting_data)
     euler_data.cache_clear()
     misses = euler_data.cache_info().misses
-    assert invariant(1, 3, (1, 1, 1)) == Invariant.of(1, -3)
+    assert invariant(1, 3, (1, 1, 1)) == Invariant(1, -3)
     misses = euler_data.cache_info().misses - misses
     assert (calls, misses) == ({"graph_contribution": 24, "euler_data": 24}, 8), (
         f"cold invariant(1, 3, (1, 1, 1)) made {calls} calls with {misses} euler_data misses; "

@@ -8,9 +8,9 @@ import pytest
 import sgw.point
 import sgw.taut
 from sgw.errors import DomainError
-from sgw.point import MAX_K, Invariant, compositions, point_sum, sgw_point
+from sgw.point import MAX_K, Invariant, compositions, sgw_point
 from sgw.tables import TAUT_ENTRIES
-from sgw.taut import integrate_monomial
+from sgw.taut import integrate_monomial, point_sum
 from .test_taut import oracle_monomial
 
 
@@ -28,15 +28,15 @@ def oracle_point_sum(k):
 
 
 def test_low_k_values():
-    assert sgw_point(3) == Invariant.of(1, -1)
-    assert sgw_point(4) == Invariant.of(F(-1, 2), -3)
-    assert sgw_point(5) == Invariant.of(F(3, 4), -5)
+    assert sgw_point(3) == Invariant(1, -1)
+    assert sgw_point(4) == Invariant(F(-1, 2), -3)
+    assert sgw_point(5) == Invariant(F(3, 4), -5)
 
 
 def test_k_six_matches_oracle():
     expected = F(-1, 8) * oracle_point_sum(6)
     assert expected == F(-15, 8)
-    assert sgw_point(6) == Invariant.of(expected, -7)
+    assert sgw_point(6) == Invariant(expected, -7)
 
 
 def test_k_six_sum_includes_dilaton_composition():
@@ -53,7 +53,7 @@ def test_k_six_sum_includes_dilaton_composition():
 def test_k_seven_matches_oracle():
     expected = F(1, 16) * oracle_point_sum(7)
     assert expected == F(105, 16)
-    assert sgw_point(7) == Invariant.of(expected, -9)
+    assert sgw_point(7) == Invariant(expected, -9)
 
 
 def test_closed_form_oracle():
@@ -63,7 +63,7 @@ def test_closed_form_oracle():
         double_factorial = 1
         for odd in range(2 * k - 7, 0, -2):
             double_factorial *= odd
-        assert sgw_point(k) == Invariant.of(F((-1) ** (k - 3) * double_factorial, 2 ** (k - 3)), 5 - 2 * k), k
+        assert sgw_point(k) == Invariant(F((-1) ** (k - 3) * double_factorial, 2 ** (k - 3)), 5 - 2 * k), k
 
 
 def test_sum_matches_per_composition_integrals():
@@ -84,7 +84,7 @@ def test_k_twelve_takes_one_pushforward_per_level_and_split(monkeypatch):
     # sum survives the pruning one level down: 165 steps, where
     # integrating the 4862 compositions one by one takes 9 steps each.
     calls = []
-    push = sgw.point._push
+    push = sgw.taut._push
 
     def counting(kappas, l, s0, down=None):
         calls.append(l)
@@ -93,10 +93,10 @@ def test_k_twelve_takes_one_pushforward_per_level_and_split(monkeypatch):
     def forbidden(*args):
         raise AssertionError("integrate_monomial is not on the point path")
 
-    monkeypatch.setattr(sgw.point, "_push", counting)
+    monkeypatch.setattr(sgw.taut, "_push", counting)
     monkeypatch.setattr(sgw.point, "integrate_monomial", forbidden, raising=False)
     monkeypatch.setattr(sgw.taut, "integrate_monomial", forbidden)
-    assert sgw_point(12) == Invariant.of(F(-1, 512) * 3 * 5 * 7 * 9 * 11 * 13 * 15 * 17, -19)
+    assert sgw_point(12) == Invariant(F(-1, 512) * 3 * 5 * 7 * 9 * 11 * 13 * 15 * 17, -19)
     assert len(calls) == 165
     assert sorted(set(calls)) == list(range(4, 13))
 
@@ -121,7 +121,6 @@ def test_node_table_holds_each_key_once(monkeypatch):
         return pushed[-1][1]
 
     monkeypatch.setattr(sgw.taut, "_push", recording)
-    monkeypatch.setattr(sgw.point, "_push", recording)
     root = nodes[()]
     assert integrate_monomial(6, (1, 1, 1)) == 6 and pushed[-1] == (4, {root: 6})
     assert point_sum(6) == 15
@@ -134,7 +133,7 @@ def test_k_above_ceiling_rejected_before_any_work(monkeypatch, k):
     def heavy(*args):
         raise AssertionError("the pushforward started")
 
-    monkeypatch.setattr(sgw.point, "_push", heavy)
+    monkeypatch.setattr(sgw.taut, "_push", heavy)
     with pytest.raises(DomainError, match=f"k must be at most {MAX_K}, got {k}"):
         sgw_point(k)
 
@@ -174,16 +173,18 @@ def test_k_below_three_rejected():
 
 
 def test_invariant_canonical_zero():
-    assert Invariant.of(0, -5) == Invariant.zero()
+    assert Invariant(0, -5) == Invariant(0, 0)
     # however a zero is built, its exponent is 0, so all zeros are one value
     for exponent in (-5, 0, 3):
-        assert Invariant.of(0, exponent).kappa_exp == 0
-        assert Invariant(F(0), exponent) == Invariant.zero() == (F(0), 0)
-        assert hash(Invariant(F(0), exponent)) == hash(Invariant.zero())
-    assert (Invariant.of(F(3, 4), -5).coeff, Invariant.of(F(3, 4), -5).kappa_exp) == (F(3, 4), -5)
-    assert str(Invariant.zero()) == "0"
-    assert Invariant.zero().to_json() == {"zero": True}
-    assert Invariant.of(F(-1, 2), -3).to_json() == {
+        assert Invariant(0, exponent).kappa_exp == 0
+        assert Invariant(F(0), exponent) == Invariant(0, 0) == (F(0), 0)
+        assert hash(Invariant(F(0), exponent)) == hash(Invariant(0, 0))
+    assert (Invariant(F(3, 4), -5).coeff, Invariant(F(3, 4), -5).kappa_exp) == (F(3, 4), -5)
+    # the one constructor takes every coefficient through Fraction
+    assert type(Invariant(0, 0).coeff) is type(Invariant(3, -1).coeff) is F
+    assert str(Invariant(0, 0)) == "0"
+    assert Invariant(0, 0).to_json() == {"zero": True}
+    assert Invariant(F(-1, 2), -3).to_json() == {
         "coefficient": "-1/2",
         "kappa_exponent": -3,
     }

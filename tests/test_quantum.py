@@ -77,13 +77,13 @@ def test_q_squared_unrepresentable():
 
 def test_structure_table_entries():
     table1 = structure_table(1)
-    assert table1[(1, 1)] == [(0, Invariant.zero()), (1, Invariant.of(1, -3))]
+    assert table1[(1, 1)] == [(0, Invariant(0, 0)), (1, Invariant(1, -3))]
     table2 = structure_table(2)
-    assert table2[(2, 2)][1] == (1, Invariant.of(1, -4))
-    assert table2[(1, 2)][1] == (1, Invariant.of(F(3, 2), -5))
+    assert table2[(2, 2)][1] == (1, Invariant(1, -4))
+    assert table2[(1, 2)][1] == (1, Invariant(F(3, 2), -5))
     table3 = structure_table(3)
-    assert table3[(3, 3)][0] == (0, Invariant.zero())
-    assert table3[(3, 3)][1] == (1, Invariant.of(1, -5))
+    assert table3[(3, 3)][0] == (0, Invariant(0, 0))
+    assert table3[(3, 3)][1] == (1, Invariant(1, -5))
 
 
 @pytest.mark.parametrize("seed", [1729, 5])
@@ -106,11 +106,17 @@ def test_star_rendering():
     assert str(star(1, basis(1, 1), basis(1, 1))) == "q"
     text = str(star(2, basis(2, 1), basis(2, 1)))
     assert text.startswith("L^2 + q*(3/2*kappa^-1)")
+    assert str(QElement(1, {(0, 0): {-1: F(1)}})) == "(kappa^-1)"
 
 
 def test_basis_bounds():
     with pytest.raises(DomainError):
         QElement.basis(2, 3)
+
+
+def test_star_refuses_operands_of_another_target():
+    with pytest.raises(DomainError, match="^operands must live on the same target$"):
+        star(2, QElement.basis(1, 0), QElement.basis(2, 0))
 
 
 def test_star_is_bilinear_over_laurent_coefficients():
@@ -175,6 +181,25 @@ def test_bad_n_refused(n, message):
     # Refused where the element is built, not at a later ``star``.
     with pytest.raises(DomainError) as info:
         QElement(n)
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build,args,message",
+    [
+        (structure_table, ("2",), "n must be an integer, got '2'"),
+        (structure_table, (1.5,), "n must be an integer, got 1.5"),
+        (structure_table, (None,), "n must be an integer, got None"),
+        (QElement.basis, ("2", 0), "n must be an integer, got '2'"),
+        (QElement.basis, (None, 0), "n must be an integer, got None"),
+        (QElement.basis, (2, "1"), "basis power must be an integer, got '1'"),
+        (QElement.basis, (2, True), "basis power must be an integer, got True"),
+    ],
+)
+def test_non_integer_sizes_refused(build, args, message):
+    # Checked before any comparison, which would raise TypeError on a str or None.
+    with pytest.raises(DomainError) as info:
+        build(*args)
     assert type(info.value) is DomainError and str(info.value) == message
 
 

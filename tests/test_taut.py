@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 import sgw.taut
 from sgw.errors import DomainError
-from sgw.point import point_sum
 from sgw.tables import TAUT_ENTRIES
-from sgw.taut import TautExpr, integrate, integrate_monomial, pushforward_step
+from sgw.taut import TautExpr, integrate, integrate_monomial, point_sum, pushforward_step
 
 
 def expr(l, psi=(), kappa=(), coeff=1):
@@ -188,9 +187,8 @@ def test_integrate_monomial_builds_no_expression(monkeypatch):
         (5, (1, [2]), DomainError, "every exponent must be an integer, got [2]"),
     ],
 )
-def test_integrate_monomial_checks_as_from_exponents(k, exps, error, message):
-    # integrate_monomial refuses bad input with exactly these types and
-    # messages; the name dates from when a TautExpr constructor shared them.
+def test_integrate_monomial_refuses_bad_input(k, exps, error, message):
+    # integrate_monomial refuses bad input with exactly these types and messages.
     with pytest.raises(error) as info:
         integrate_monomial(k, exps)
     assert type(info.value) is error and str(info.value) == message
