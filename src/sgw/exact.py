@@ -8,11 +8,6 @@ nilpotent of order two: every product discards terms with lam-exponent
 slot is the lam-exponent); zero coefficients are never stored, so two
 polynomials are equal iff their term maps are equal.
 
-The fixed monomial order is graded lexicographic with
-tau_0 < tau_1 < ... < tau_n < lam.  Serialisation (`Poly.__str__`) lists
-terms in descending order under this order, which makes the text form
-canonical and suitable for golden tests.
-
 Nothing here divides.  ``sgw`` does not import this module: the
 localization sums run on integer characters, and tests use ``Poly`` as
 the reference ring for them.  The tests build the odd weights from
@@ -25,11 +20,6 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, DomainError
-
-
-def _monomial_key(mono: tuple[int, ...]) -> tuple:
-    # graded lex, lam most significant among equal-degree monomials
-    return (sum(mono), mono[::-1])
 
 
 class Poly:
@@ -49,6 +39,9 @@ class Poly:
                 if coeff:
                     clean[tuple(mono)] = coeff
         self.terms = clean
+
+    def __repr__(self) -> str:
+        return f"Poly({self.num_tau}, {dict(sorted(self.terms.items()))})"
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -77,9 +70,6 @@ class Poly:
         return cls(num_tau, {tuple(exp): 1})
 
     # -- predicates ---------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
@@ -164,36 +154,6 @@ class Poly:
                 term *= lambda_value
             total += term
         return total
-
-    # -- rendering ----------------------------------------------------
-    def _var_name(self, index: int) -> str:
-        return "lam" if index == self.num_tau else f"tau{index}"
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono in sorted(self.terms, key=_monomial_key, reverse=True):
-            coeff = self.terms[mono]
-            factors = [
-                self._var_name(i) + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(mono)
-                if e
-            ]
-            if not factors:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(coeff))] + factors)
-            if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"Poly({self.num_tau}, {self})"
 
 
 def complete_homogeneous(c: int, weights: Iterable[Poly], num_tau: int) -> Poly:

@@ -252,8 +252,8 @@ def sample_tau(rng: random.Random, n: int) -> tuple[int, ...]:
 
 
 def sample_taus(n: int, samples: int, seed: int) -> list[tuple[int, ...]]:
-    """The seeded character tuples that ``table`` evaluates at."""
-    rng = random.Random(seed)
+    """The seeded character tuples that ``table`` evaluates at; ``seed`` must be an ``int``."""
+    rng = random.Random(integer(seed, "seed"))
     return [sample_tau(rng, n) for _ in range(samples)]
 
 
@@ -270,16 +270,19 @@ def _points(n: int, k: int, codegrees: tuple[int, ...], strategy: str, samples: 
 
 
 def _jobs(
-    n: int, k: int, class_tuples: Iterable[Sequence[int]], strategy: str, samples: int
+    n: int, k: int, class_tuples: Iterable[Sequence[int]], strategy: str, samples: int, seed: int
 ) -> dict[tuple, LocalizationJob]:
-    """The job of each distinct class tuple, in first-seen order, once ``samples`` and ``strategy`` are valid for n."""
+    """The job of each distinct class tuple, in first-seen order, once ``samples``, ``strategy`` and ``seed``
+    are valid for n; the seed is checked last, so a bad seed never hides another error."""
     if integer(samples, "samples") < 2:
         raise DomainError(f"localization needs at least 2 samples, got {samples}")
     if strategy not in ("evaluate", "symbolic"):
         raise DomainError(f"unknown strategy {strategy!r}")
     if strategy == "symbolic" and n > 2:
         raise DomainError("symbolic strategy supported for n <= 2")
-    return {classes: LocalizationJob(n=n, k=k, classes=classes) for classes in map(tuple, class_tuples)}
+    jobs = {classes: LocalizationJob(n=n, k=k, classes=classes) for classes in map(tuple, class_tuples)}
+    integer(seed, "seed")
+    return jobs
 
 
 def _subset_sums(classes: Sequence[int]) -> list[int]:
@@ -357,7 +360,7 @@ def table(
     codegree are zero and take no part.  Each distinct tuple, in first-seen
     order, maps to its invariant.
     """
-    jobs = _jobs(n, k, class_tuples, strategy, samples)
+    jobs = _jobs(n, k, class_tuples, strategy, samples, seed)
     result = {classes: Invariant(0, 0) for classes in jobs}
     live = [job for job in jobs.values() if not job.graded_zero]
     if live:
@@ -384,7 +387,7 @@ def traced_invariant(
     The summands add up to the invariant; a graded-zero tuple has none.
     """
     classes = tuple(classes)
-    job = _jobs(n, k, [classes], strategy, samples)[classes]
+    job = _jobs(n, k, [classes], strategy, samples, seed)[classes]
     if job.graded_zero:
         return Invariant(0, 0), []
     graphs, points = _points(n, k, (job.c,), strategy, samples, seed)

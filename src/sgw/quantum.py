@@ -114,7 +114,7 @@ def structure_table(n: int, seed: int = DEFAULT_SEED) -> dict[tuple[int, int], l
     """Degree-one three-point invariants <L^a, L^b, L^c> for all a <= b, c."""
     if integer(n, "n") < 1:
         raise DomainError("n must be >= 1")
-    values = _three_point(n, seed)
+    values = _three_point(n, integer(seed, "seed"))
     return {
         (a, b): [(c, _cell(values, a, b, c)) for c in range(n + 1)]
         for a in range(n + 1)
@@ -130,9 +130,11 @@ def star(n: int, x: QElement, y: QElement, seed: int = DEFAULT_SEED) -> QElement
     L^(n-c) q^(qa+qb+1), each times both coefficients, summed into one map;
     the one ``QElement`` built from it drops what the truncation removes.
     """
+    if not (isinstance(x, QElement) and isinstance(y, QElement)):
+        raise DomainError(f"operands must be QElements, got {type(x).__name__} and {type(y).__name__}")
     if x.n != n or y.n != n:
         raise DomainError("operands must live on the same target")
-    values = _three_point(n, seed)
+    values = _three_point(n, integer(seed, "seed"))
     acc: dict[tuple[int, int], Laurent] = {}
     for (la, qa), ca in x.comps.items():
         for (lb, qb), cb in y.comps.items():

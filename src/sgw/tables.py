@@ -61,11 +61,6 @@ class InvariantEntry(NamedTuple):
         return Invariant(self.coeff, self.kappa_exp)
 
     @property
-    def expected(self) -> Invariant:
-        """The value recomputation is pinned to."""
-        return self.recomputed if self.recomputed is not None else self.printed
-
-    @property
     def label(self) -> str:
         body = ",".join(str(a) for a in self.classes)
         return f"{self.k}-point P^{self.n} ({body})"
@@ -237,7 +232,3 @@ THREE_POINT_ENTRIES: tuple[InvariantEntry, ...] = (
 ALL_INVARIANT_ENTRIES: tuple[InvariantEntry, ...] = (
     ONE_POINT_ENTRIES + TWO_POINT_ENTRIES + THREE_POINT_ENTRIES
 )
-
-
-def entries_for(k: int) -> list[InvariantEntry]:
-    return [e for e in ALL_INVARIANT_ENTRIES if e.k == k]

@@ -22,7 +22,7 @@ from sgw.exact import complete_homogeneous
 from sgw.localize import LocalizationJob, invariant, table
 from sgw.point import Invariant, sgw_point
 from sgw.quantum import QElement, star
-from sgw.tables import GOLDEN, POINT_ENTRIES, entries_for
+from sgw.tables import ALL_INVARIANT_ENTRIES, GOLDEN, ONE_POINT_ENTRIES, POINT_ENTRIES, THREE_POINT_ENTRIES, TWO_POINT_ENTRIES
 from sgw.taut import integrate_monomial, point_sum
 
 from .test_exact import brute_force_h, random_weight
@@ -80,7 +80,7 @@ def test_criterion_2_tautological_integrals():
 def test_criterion_3_one_point_tables():
     started = time.monotonic()
     failures: list[str] = []
-    for entry in entries_for(1):
+    for entry in ONE_POINT_ENTRIES:
         _check_entry(failures, entry.label, invariant(entry.n, entry.k, entry.classes), entry)
     grading = {(1,): -13, (0,): -14}
     for classes, exp in grading.items():
@@ -93,7 +93,7 @@ def test_criterion_3_one_point_tables():
 def test_criterion_4_two_point_tables():
     started = time.monotonic()
     failures: list[str] = []
-    for entry in entries_for(2):
+    for entry in TWO_POINT_ENTRIES:
         _check_entry(failures, entry.label, invariant(entry.n, entry.k, entry.classes), entry)
     _finish("4 (two-point tables)", failures, started)
 
@@ -101,7 +101,7 @@ def test_criterion_4_two_point_tables():
 def test_criterion_5_three_point_tables():
     started = time.monotonic()
     failures: list[str] = []
-    for entry in entries_for(3):
+    for entry in THREE_POINT_ENTRIES:
         _check_entry(failures, entry.label, invariant(entry.n, entry.k, entry.classes), entry)
     _finish("5 (three-point tables)", failures, started, budget=60.0)
 
@@ -112,7 +112,7 @@ def test_criterion_6_property_suites():
 
     # One sweep per (n, k, seed) serves every tuple of a group.
     groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for e in entries_for(1) + entries_for(2) + entries_for(3):
+    for e in ALL_INVARIANT_ENTRIES:
         groups.setdefault((e.n, e.k), []).append(e.classes)
 
     for (n, k), tuples in groups.items():

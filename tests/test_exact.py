@@ -31,7 +31,7 @@ def test_monomial_product():
 
 def test_lambda_squares_to_zero():
     lam = Poly.lam(2)
-    assert (lam * lam).is_zero()
+    assert not lam * lam
 
 
 def test_difference_of_squares():
@@ -45,7 +45,7 @@ def test_scalar_times_poly_is_scale():
     p = tau(0) - Poly.lam(2)
     assert F(-1, 2) * p == p.scale(F(-1, 2))
     assert 3 * p == p + p + p
-    assert (0 * p).is_zero()
+    assert not 0 * p
 
 
 def test_mul_dimension_mismatch():
@@ -57,12 +57,6 @@ def test_poly_eval_examples():
     assert (tau(1, 2) - tau(0, 2)).eval([0, 1]) == 1
     assert (tau(0, 2) * tau(1, 2)).eval([F(2, 3), 3]) == 2
     assert Poly.lam(2).eval([5, 7], 0) == 0
-
-
-def test_poly_str_is_canonical():
-    p = tau(1) ** 2 - tau(0).scale(F(1, 2)) + Poly.lam(2) + Poly.one(2)
-    assert str(p) == "tau1^2 + lam - 1/2*tau0 + 1"
-    assert str(Poly.zero(3)) == "0"
 
 
 # -- complete homogeneous ----------------------------------------------
@@ -96,7 +90,7 @@ def test_h_one_is_sum():
 
 def test_h_two_nilpotent_pair_vanishes():
     weights = [Poly.zero(1), linear(1, lam=F(-1, 2))]
-    assert complete_homogeneous(2, weights, 1).is_zero()
+    assert not complete_homogeneous(2, weights, 1)
 
 
 def test_h_two_single_weight_squares():

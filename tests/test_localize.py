@@ -9,12 +9,13 @@ from math import comb, factorial, lcm, prod
 import pytest
 
 import sgw.localize as localize
+import sgw.quantum as quantum
 from sgw.errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
 from sgw.exact import Poly, complete_homogeneous
 from sgw.graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents
 from sgw.localize import LocalizationJob, graph_contribution, invariant
 from sgw.point import Invariant
-from sgw.tables import ALL_INVARIANT_ENTRIES, DISCREPANT, GOLDEN, SUSPECT, entries_for
+from sgw.tables import ALL_INVARIANT_ENTRIES, DISCREPANT, GOLDEN, ONE_POINT_ENTRIES, SUSPECT, THREE_POINT_ENTRIES, TWO_POINT_ENTRIES
 
 from .test_exact import linear
 from .test_graphs import odd_weights, pair_weights
@@ -22,6 +23,11 @@ from .test_graphs import odd_weights, pair_weights
 
 def graph(n, k, a, b, members):
     return FixedGraph(n=n, a=a, b=b, A=frozenset(members), k=k)
+
+
+def pinned(entry):
+    """The value recomputation is pinned to: an entry's recomputed value if it has one, else its printed one."""
+    return entry.recomputed if entry.recomputed is not None else entry.printed
 
 
 def contribution(g, codegrees, tau):
@@ -335,7 +341,7 @@ def test_invariant_examples(n, k, classes, expected):
 def test_reference_tables_match_recomputation():
     for entry in ALL_INVARIANT_ENTRIES:
         got = invariant(entry.n, entry.k, entry.classes)
-        assert got == entry.expected, entry.label
+        assert got == pinned(entry), entry.label
 
 
 def test_weight_independence_across_seeds():
@@ -352,7 +358,7 @@ def test_discrepant_entries_survive_deep_sampling():
             continue
         for seed in (5, 50):
             got = invariant(entry.n, entry.k, entry.classes, samples=10, seed=seed)
-            assert got == entry.expected, entry.label
+            assert got == pinned(entry), entry.label
 
 
 def test_two_point_cells_follow_one_point_relations():
@@ -360,9 +366,9 @@ def test_two_point_cells_follow_one_point_relations():
     #   <H^a, H>_2 = (2a-1)/(3a-2) <H^a>_1 kappa^-1   and   <H, 1>_2 = 1/2 <1>_1 kappa^-1.
     # The pinned recomputed values satisfy them too; the printed values of
     # the non-golden cells do not. Reads the tables only.
-    one_point = {(e.n, e.classes[0]): e.expected for e in entries_for(1)}
+    one_point = {(e.n, e.classes[0]): pinned(e) for e in ONE_POINT_ENTRIES}
     golden = 0
-    for entry in entries_for(2):
+    for entry in TWO_POINT_ENTRIES:
         a, b = entry.classes
         if b == 1:
             factor, base = F(2 * a - 1, 3 * a - 2), one_point[entry.n, a]
@@ -371,7 +377,7 @@ def test_two_point_cells_follow_one_point_relations():
         else:
             continue
         predicted = Invariant(factor * base.coeff, base.kappa_exp - 1)
-        assert entry.expected == predicted, entry.label
+        assert pinned(entry) == predicted, entry.label
         if entry.status == GOLDEN:
             golden += 1
         else:
@@ -425,7 +431,7 @@ def test_one_point_columns_empirical():
         broken += [(n, classes, str(got[classes])) for classes in expected if got[classes] != expected[classes]]
     assert cells == 119
     assert not broken
-    golden = [entry for entry in entries_for(1) if entry.status == GOLDEN]
+    golden = [entry for entry in ONE_POINT_ENTRIES if entry.status == GOLDEN]
     assert len(golden) == 18
     for entry in golden:
         assert entry.printed == closed_form(entry.n)[entry.classes], entry.label
@@ -477,12 +483,12 @@ def test_two_point_corner_cells_empirical():
     assert sum(len(triangles[n]) for n in range(1, 17)) == 968
     assert sum(1 for n in triangles for a, b in triangles[n] if a + b > n) == 825
     assert not broken
-    golden = [e for e in entries_for(2) if e.status == GOLDEN and e.classes in predicted[e.n]]
+    golden = [e for e in TWO_POINT_ENTRIES if e.status == GOLDEN and e.classes in predicted[e.n]]
     assert len(golden) == 14
     for entry in golden:
         assert entry.printed == predicted[entry.n][entry.classes], entry.label
     by_status = {GOLDEN: [], DISCREPANT: [], SUSPECT: []}
-    for entry in entries_for(2):
+    for entry in TWO_POINT_ENTRIES:
         by_status[entry.status].append(entry.printed == triangles[entry.n][tuple(sorted(entry.classes))])
     assert by_status == {GOLDEN: [True] * 49, DISCREPANT: [False] * 4, SUSPECT: [False] * 2}
 
@@ -859,6 +865,33 @@ def test_table_refuses_as_invariant():
             assert type(info.value) is DomainError and str(info.value) == message
 
 
+SEEDED_CALLS = {
+    "table": lambda seed: localize.table(2, 2, [(1, 1)], seed=seed),
+    "table-symbolic": lambda seed: localize.table(2, 2, [(1, 1)], strategy="symbolic", seed=seed),
+    "table-graded-zero": lambda seed: localize.table(2, 3, [(2, 2, 2)], seed=seed),
+    "invariant": lambda seed: invariant(2, 2, (1, 1), seed=seed),
+    "traced_invariant": lambda seed: localize.traced_invariant(2, 2, (1, 1), seed=seed),
+    "sample_taus": lambda seed: localize.sample_taus(2, 3, seed),
+    "structure_table": lambda seed: quantum.structure_table(2, seed=seed),
+    "star": lambda seed: quantum.star(1, quantum.QElement.basis(1, 1), quantum.QElement.basis(1, 1), seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, "x", True, [1]], ids=["None", "float", "str", "bool", "list"])
+@pytest.mark.parametrize("call", list(SEEDED_CALLS))
+def test_non_integer_seed_refused(monkeypatch, call, seed):
+    # Refused before any point is drawn or any sweep is cached: None would draw
+    # from the OS, and a float or str would be a seed no CLI run can repeat.
+    def no_work(*args):
+        raise AssertionError("work began before the seed was checked")
+
+    monkeypatch.setattr(localize, "_points", no_work)
+    monkeypatch.setattr(quantum, "_three_point", no_work)
+    with pytest.raises(DomainError) as info:
+        SEEDED_CALLS[call](seed)
+    assert type(info.value) is DomainError and str(info.value) == f"seed must be an integer, got {seed!r}"
+
+
 def test_symbolic_table_matches_invariant():
     groups = {}
     for entry in ALL_INVARIANT_ENTRIES:
@@ -902,7 +935,7 @@ def test_codegree_one_three_point_cells_empirical():
         broken += [(n, classes, str(got[classes])) for classes in expected if got[classes] != expected[classes]]
     assert cells == 101
     assert not broken
-    golden = [e for e in entries_for(3) if e.status == GOLDEN and tuple(sorted(e.classes)) in predicted[e.n]]
+    golden = [e for e in THREE_POINT_ENTRIES if e.status == GOLDEN and tuple(sorted(e.classes)) in predicted[e.n]]
     assert len(golden) == 5
     for entry in golden:
         assert entry.printed == predicted[entry.n][tuple(sorted(entry.classes))], entry.label

@@ -119,6 +119,18 @@ def test_star_refuses_operands_of_another_target():
         star(2, QElement.basis(1, 0), QElement.basis(2, 0))
 
 
+@pytest.mark.parametrize(
+    "x,y",
+    [(1, 2), (None, QElement.basis(1, 1)), (QElement.basis(1, 1), None), (QElement.basis(1, 1), 0)],
+    ids=["int-int", "None-element", "element-None", "element-int"],
+)
+def test_star_refuses_non_element_operands(x, y):
+    # Checked before either operand's target is read.
+    with pytest.raises(DomainError) as info:
+        star(1, x, y)
+    assert str(info.value) == f"operands must be QElements, got {type(x).__name__} and {type(y).__name__}"
+
+
 def test_star_is_bilinear_over_laurent_coefficients():
     # x = (1 + 2 kappa^-1) L + (-3/2 kappa^-2) q, y = 5 kappa L^2 + (1 + 7 kappa^-3) L^3:
     # star(x, y) is the sum over component pairs of the basis product,
