@@ -251,8 +251,17 @@ def sample_tau(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple(rng.sample(range(-bound, bound + 1), n + 1))
 
 
+def _check_samples(samples: int) -> None:
+    """Refuse ``samples`` unless it is an ``int`` >= 2: agreement needs a second point."""
+    if integer(samples, "samples") < 2:
+        raise DomainError(f"localization needs at least 2 samples, got {samples}")
+
+
 def sample_taus(n: int, samples: int, seed: int) -> list[tuple[int, ...]]:
-    """The seeded character tuples that ``table`` evaluates at; ``seed`` must be an ``int``."""
+    """The seeded character tuples that ``table`` evaluates at; n >= 1, samples >= 2 and seed must be ``int``s."""
+    if integer(n, "n") < 1:
+        raise DomainError("n must be >= 1")
+    _check_samples(samples)
     rng = random.Random(integer(seed, "seed"))
     return [sample_tau(rng, n) for _ in range(samples)]
 
@@ -274,8 +283,7 @@ def _jobs(
 ) -> dict[tuple, LocalizationJob]:
     """The job of each distinct class tuple, in first-seen order, once ``samples``, ``strategy`` and ``seed``
     are valid for n; the seed is checked last, so a bad seed never hides another error."""
-    if integer(samples, "samples") < 2:
-        raise DomainError(f"localization needs at least 2 samples, got {samples}")
+    _check_samples(samples)
     if strategy not in ("evaluate", "symbolic"):
         raise DomainError(f"unknown strategy {strategy!r}")
     if strategy == "symbolic" and n > 2:

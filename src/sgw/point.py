@@ -33,6 +33,9 @@ class Invariant(_InvariantFields):
     __slots__ = ()
 
     def __new__(cls, coeff: int | Fraction, kappa_exp: int):
+        if type(coeff) is not int and not isinstance(coeff, Fraction):
+            raise DomainError(f"coefficients must be integers or Fractions, got {coeff!r}")
+        integer(kappa_exp, "kappa_exp")
         coeff = Fraction(coeff)
         return super().__new__(cls, coeff, 0 if coeff == 0 else kappa_exp)
 
@@ -78,8 +81,6 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def sgw_point(k: int) -> Invariant:
     """k-point super Gromov-Witten number of a point, 3 <= k <= MAX_K."""
-    if integer(k, "k") < 3:
-        raise DomainError("k must be >= 3")
-    if k > MAX_K:
+    if integer(k, "k") > MAX_K:
         raise DomainError(f"k must be at most {MAX_K}, got {k}")
     return Invariant(Fraction((-1) ** (k - 3) * point_sum(k), 2 ** (k - 3)), 5 - 2 * k)

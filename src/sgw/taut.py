@@ -237,6 +237,8 @@ def pushforward_step(expr: TautExpr) -> TautExpr:
 
 def integrate(expr: TautExpr) -> Fraction:
     """Integrate over the moduli space; exact rational.  Monomials of degree other than l - 3 are dropped first."""
+    if not isinstance(expr, TautExpr):
+        raise DomainError(f"integrate needs a TautExpr, got {type(expr).__name__}")
     current = TautExpr(expr.l, {key: c for key, c in expr._terms.items() if _degree(key) == expr.l - 3})
     while current.l > 3:
         current = pushforward_step(current)
@@ -256,12 +258,14 @@ def integrate_monomial(k: int, exponents: Sequence[int]) -> Fraction:
 
 
 def point_sum(k: int) -> Fraction:
-    """Sum of the composition integrals entering the k-point number.
+    """Sum of the composition integrals entering the k-point number, k >= 3.
 
     ``states[P]`` maps the node of each kappa key of the kappa-only
     expression on the l-pointed space, summed over the exponents of the
     points above l, to its coefficient, for prefix sum P.
     """
+    if integer(k, "k") < 3:
+        raise DomainError("k must be >= 3")
     root = _node(())
     states: dict[int, dict[_KappaNode, int]] = {k - 3: {root: 1}}
     for l in range(k, 3, -1):

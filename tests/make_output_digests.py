@@ -1,14 +1,12 @@
-"""Write ``output_digests.txt``: one digest line per CLI command and per ``table`` of the corpus.
+"""Write ``output_digests.txt``: one digest line per CLI command of the corpus.
 
     PYTHONPATH=src python3 tests/make_output_digests.py
 
 Each command runs in process through click's runner at ``SGW_SEED=1729``.
 Its line holds the arguments, the exit code and the SHA-256 of stdout,
-and of stderr too when the exit code is not 0.  Each ``table(n, k, every
-tuple)`` for n <= 8 and k <= 3 gets one line with the SHA-256 of its
-values.  ``test_output_digests.py`` recomputes the lines and names the
-first one that differs.  A change that means to change bytes reruns this
-script and lists the changed lines.
+and of stderr too when the exit code is not 0.  ``test_output_digests.py``
+recomputes the lines and names the first one that differs.  A change that
+means to change bytes reruns this script and lists the changed lines.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from pathlib import Path
 from click.testing import CliRunner
 
 from sgw.cli import main
-from sgw.localize import table
 from sgw.tables import TAUT_ENTRIES
 
 DIGESTS = Path(__file__).with_name("output_digests.txt")
@@ -62,7 +59,7 @@ def _sha(text: str) -> str:
 
 
 def digest_lines() -> list[str]:
-    """``<what> | <digests>`` for every command of ``commands``, then for every table."""
+    """``<command> | <digests>`` for every command of ``commands``."""
     runner = CliRunner(env={"SGW_SEED": SEED})
     lines = []
     for args in commands():
@@ -71,10 +68,6 @@ def digest_lines() -> list[str]:
         if result.exit_code:
             digest += f" stderr={_sha(result.stderr)}"
         lines.append(f"sgw {' '.join(args)} | {digest}")
-    for n, k in product(range(1, 9), range(1, 4)):
-        values = table(n, k, product(range(n + 1), repeat=k))
-        text = "".join(f"{classes} {value}\n" for classes, value in values.items())
-        lines.append(f"table n={n} k={k} | values={_sha(text)}")
     return lines
 
 

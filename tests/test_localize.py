@@ -2,9 +2,8 @@
 
 import random
 from fractions import Fraction as F
-from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import comb, factorial, lcm, prod
+from math import comb, lcm, prod
 
 import pytest
 
@@ -15,8 +14,9 @@ from sgw.exact import Poly, complete_homogeneous
 from sgw.graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents
 from sgw.localize import LocalizationJob, graph_contribution, invariant
 from sgw.point import Invariant
-from sgw.tables import ALL_INVARIANT_ENTRIES, DISCREPANT, GOLDEN, ONE_POINT_ENTRIES, SUSPECT, THREE_POINT_ENTRIES, TWO_POINT_ENTRIES
+from sgw.tables import ALL_INVARIANT_ENTRIES, GOLDEN, ONE_POINT_ENTRIES, TWO_POINT_ENTRIES
 
+from .closed_forms import FORMS, mismatches
 from .test_exact import linear
 from .test_graphs import odd_weights, pair_weights
 
@@ -82,17 +82,27 @@ def test_job_validation():
         ({"n": True}, "n must be an integer, got True"),
         ({"k": 1.0}, "k must be an integer, got 1.0"),
         ({"samples": 3.0}, "samples must be an integer, got 3.0"),
+        ({"samples": 1.5}, "samples must be an integer, got 1.5"),
+        ({"samples": -1}, "localization needs at least 2 samples, got -1"),
+        ({"n": "2"}, "n must be an integer, got '2'"),
+        ({"n": -5}, "n must be >= 1"),
     ],
 )
 def test_non_integers_are_refused(options, message):
-    # invariant(1, 1, (True,)) used to read True as 1, and (1.0,) raised a TypeError.
+    # invariant(1, 1, (True,)) used to read True as 1, and (1.0,) raised a
+    # TypeError.  sample_taus refuses a bad n or samples as table does:
+    # sample_taus(2, -1, 1) used to return [].
+    sampled = options.keys() <= {"n", "samples"}
     options = {"n": 1, "k": 1, "classes": (1,)} | options
     n, k, classes = options.pop("n"), options.pop("k"), options.pop("classes")
-    for call in (
+    calls = [
         lambda: invariant(n, k, classes, **options),
         lambda: localize.table(n, k, [classes], **options),
         lambda: localize.traced_invariant(n, k, classes, **options),
-    ):
+    ]
+    if sampled:
+        calls.append(lambda: localize.sample_taus(n, options.get("samples", 3), localize.DEFAULT_SEED))
+    for call in calls:
         with pytest.raises(DomainError) as info:
             call()
         assert type(info.value) is DomainError and str(info.value) == message
@@ -385,11 +395,6 @@ def test_two_point_cells_follow_one_point_relations():
     assert golden == 14
 
 
-@lru_cache(maxsize=None)
-def one_point_table(n):
-    return localize.table(n, 1, [(a,) for a in range(n + 1)])
-
-
 def test_divisor_relations_hold_beyond_the_tables():
     # The two relations above, computed for every 1 <= a <= n <= 10 rather
     # than read from the table cells: 55 relations <H^a, H>_2 and 10
@@ -397,7 +402,7 @@ def test_divisor_relations_hold_beyond_the_tables():
     # collapses to zero cannot satisfy them by accident.
     checked, broken = 0, []
     for n in range(1, 11):
-        one = one_point_table(n)
+        one = localize.table(n, 1, [(a,) for a in range(n + 1)])
         assert not any(v.is_zero for v in one.values()), n
         relations = [((a, 1), F(2 * a - 1, 3 * a - 2), one[a,]) for a in range(1, n + 1)]
         relations.append(((1, 0), F(1, 2), one[0,]))
@@ -410,87 +415,33 @@ def test_divisor_relations_hold_beyond_the_tables():
     assert not broken
 
 
-def test_one_point_columns_empirical():
-    # An empirical check, fitted to this code's own output: it is neither
-    # derived nor printed in the paper, and it is never a reason to edit
-    # tables.py.  For 0 <= a <= n <= 14, <H^a>_1 = v(n, a) kappa^(a-3n+1) with
-    #   v(n, n) = (C(2n, n) - C(2n-2, n-1)) / 2^(n-1),
-    #   v(n, a) / v(n, a+1) = (3a-2)(3n-a-2) / ((6a+2)(n-a)).
-    # Every golden one-point entry, exactly as printed, is one of these cells.
-    def closed_form(n):
-        v = {n: F(comb(2 * n, n) - comb(2 * n - 2, n - 1), 2 ** (n - 1))}
-        for a in range(n - 1, -1, -1):
-            v[a] = v[a + 1] * F((3 * a - 2) * (3 * n - a - 2), (6 * a + 2) * (n - a))
-        return {(a,): Invariant(v[a], a - 3 * n + 1) for a in range(n + 1)}
-
-    cells, broken = 0, []
-    for n in range(1, 15):
-        expected = closed_form(n)
-        got = one_point_table(n)
-        cells += len(expected)
-        broken += [(n, classes, str(got[classes])) for classes in expected if got[classes] != expected[classes]]
-    assert cells == 119
-    assert not broken
-    golden = [entry for entry in ONE_POINT_ENTRIES if entry.status == GOLDEN]
-    assert len(golden) == 18
-    for entry in golden:
-        assert entry.printed == closed_form(entry.n)[entry.classes], entry.label
+# Every ordered tuple for n <= 8, so permutation invariance and the zeros of
+# negative codegree stay pinned, and every sorted tuple above: k <= 2 up to
+# the CLI's n = 20, k = 3 up to n = 12.  At k = 2 two unsorted cells, (2, 0)
+# and (n, n - 1), keep permutation invariance pinned up to n = 20.
+# tests/closed_forms.py, run as a script, checks k = 3 up to n = 20 too.
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 21) for k in (1, 2, 3) if k < 3 or n <= 12])
+def test_table_matches_the_closed_forms(n, k):
+    if n <= 8:
+        tuples = list(product(range(n + 1), repeat=k))
+    else:
+        tuples = list(combinations_with_replacement(range(n + 1), k)) + ([(2, 0), (n, n - 1)] if k == 2 else [])
+    broken = mismatches(n, k, tuples)
+    assert not broken, broken[:5]
 
 
-def test_two_point_corner_cells_empirical():
-    # An empirical check, fitted to this code's own output: it is neither
-    # derived nor printed in the paper, and it is never a reason to edit
-    # tables.py.  For 1 <= n <= 20, <H^n, H^n>_2 = kappa^-(n+1) and
-    # <H^(n-1), H^n>_2 = v kappa^-(n+2), with v = (n+1)/2 for n >= 2 and
-    # v = -1/2 for n = 1; the exponents are the grading -r - d + deg.  For
-    # 2 <= n <= 20, <1, H^2>_2 = <H^2, 1>_2 = -2(n-1)/n <H>_1 kappa^-1.
-    # Every cell a <= b takes in the first two shapes: with c = 2n - a - b,
-    #   <H^a, H^b>_2 = [(n+c)! / (n! (n-a)! (n-b)!)
-    #                   - 3n (n+c-1)! / (n!^2 (c-n)!)] / 2^c kappa^(a+b-3n-1),
-    # where 1/(c-n)! = 0 for c < n, the upper triangle a + b >= n + 1.  It is
-    # pinned on all 968 cells for n <= 16, whose lower triangle reads h_j up
-    # to j = 2n, and on the 825 upper-triangle cells for n <= 20.  Every
-    # golden two-point entry, exactly as printed, is one of these cells, and
-    # each discrepant or suspect one is not.
-    def closed_form(n):
-        v = F(n + 1, 2) if n >= 2 else F(-1, 2)
-        corner = Invariant(v, -(n + 2))
-        return {(n, n): Invariant(1, -(n + 1)), (n - 1, n): corner, (n, n - 1): corner}
-
-    def two_point_cells(n):
-        cells = {}
-        for a, b in combinations_with_replacement(range(n + 1), 2):
-            c = 2 * n - a - b
-            if c < n or n <= 16:
-                value = F(factorial(n + c), factorial(n) * factorial(n - a) * factorial(n - b))
-                if c >= n:
-                    value -= F(3 * n * factorial(n + c - 1), factorial(n) ** 2 * factorial(c - n))
-                cells[a, b] = Invariant(value / 2**c, a + b - 3 * n - 1)
-        return cells
-
-    cells, broken, predicted, triangles = 0, [], {}, {}
-    for n in range(1, 21):
-        corners = predicted[n] = closed_form(n)
-        if n >= 2:
-            base = one_point_table(n)[1,]
-            corners[0, 2] = corners[2, 0] = Invariant(F(-2 * (n - 1), n) * base.coeff, base.kappa_exp - 1)
-        triangle = triangles[n] = two_point_cells(n)
-        got = localize.table(n, 2, list(corners | triangle))
-        for expected in (corners, triangle):
-            cells += len(expected)
-            broken += [(n, classes, str(got[classes])) for classes in expected if got[classes] != expected[classes]]
-    assert cells == 98 + 968 + sum(len(triangles[n]) for n in range(17, 21))
-    assert sum(len(triangles[n]) for n in range(1, 17)) == 968
-    assert sum(1 for n in triangles for a, b in triangles[n] if a + b > n) == 825
-    assert not broken
-    golden = [e for e in TWO_POINT_ENTRIES if e.status == GOLDEN and e.classes in predicted[e.n]]
-    assert len(golden) == 14
-    for entry in golden:
-        assert entry.printed == predicted[entry.n][entry.classes], entry.label
-    by_status = {GOLDEN: [], DISCREPANT: [], SUSPECT: []}
-    for entry in TWO_POINT_ENTRIES:
-        by_status[entry.status].append(entry.printed == triangles[entry.n][tuple(sorted(entry.classes))])
-    assert by_status == {GOLDEN: [True] * 49, DISCREPANT: [False] * 4, SUSPECT: [False] * 2}
+def test_closed_forms_hold_on_the_golden_entries_only():
+    # Every golden entry equals its form as printed; each of the others
+    # differs from it as printed, and its recomputed value equals it.
+    golden = 0
+    for entry in ALL_INVARIANT_ENTRIES:
+        form = FORMS[entry.k](entry.n, *sorted(entry.classes))
+        if entry.status == GOLDEN:
+            assert entry.printed == form, entry.label
+            golden += 1
+        else:
+            assert entry.printed != form and entry.recomputed == form, entry.label
+    assert (golden, len(ALL_INVARIANT_ENTRIES) - golden) == (95, 9)
 
 
 def test_integer_core_divides_once():
@@ -903,53 +854,13 @@ def test_symbolic_table_matches_invariant():
         assert swept == {classes: invariant(n, k, classes, strategy="symbolic") for classes in tuples}, (n, k)
 
 
-def test_check_extension():
-    # Extension: a three-point value of codegree zero, a + b + c = 2n + 1,
-    # is exactly kappa^-(n+2), for every tuple with n <= 4.
-    checked = 0
-    for n in range(1, 5):
-        tuples = [t for t in product(range(n + 1), repeat=3) if sum(t) == 2 * n + 1]
-        assert all(LocalizationJob(n=n, k=3, classes=t).c == 0 for t in tuples)
-        values = localize.table(n, 3, tuples)
-        assert values == {t: Invariant(1, -(n + 2)) for t in tuples}, n
-        checked += len(tuples)
-    assert checked == 1 + 3 + 6 + 10
-
-
-def test_codegree_one_three_point_cells_empirical():
-    # An empirical check, fitted to this code's own output: it is neither
-    # derived nor printed in the paper, and it is never a reason to edit
-    # tables.py.  One codegree above the cells of test_check_extension, for
-    # a + b + c = 2n, <H^a, H^b, H^c>_3 = (n+1)/2 (m-1) kappa^-(n+3) with m
-    # the number of classes below n, so (n, n, 0) is zero: 101 cells
-    # a <= b <= c for n <= 12.  Every golden three-point entry of this
-    # shape, exactly as printed, is one of these cells.
-    cells, broken, predicted = 0, [], {}
-    for n in range(1, 13):
-        tuples = [t for t in combinations_with_replacement(range(n + 1), 3) if sum(t) == 2 * n]
-        expected = predicted[n] = {
-            t: Invariant(F(n + 1, 2) * (sum(a < n for a in t) - 1), -(n + 3)) for t in tuples
-        }
-        got = localize.table(n, 3, tuples)
-        cells += len(expected)
-        broken += [(n, classes, str(got[classes])) for classes in expected if got[classes] != expected[classes]]
-    assert cells == 101
-    assert not broken
-    golden = [e for e in THREE_POINT_ENTRIES if e.status == GOLDEN and tuple(sorted(e.classes)) in predicted[e.n]]
-    assert len(golden) == 5
-    for entry in golden:
-        assert entry.printed == predicted[entry.n][tuple(sorted(entry.classes))], entry.label
-
-
 def test_three_point_boundary_laws_empirical():
     # An empirical check, fitted to this code's own output: it is neither
     # derived nor printed in the paper, and it is never a reason to edit
-    # tables.py.  For n <= 12, over cells b <= c and a <= b:
+    # tables.py.  For n <= 12, over cells b <= c:
     #   <1, H^b, H^c>_3 = 0                              for b + c >= n + 1,
-    #   <1, H^b, H^c>_3 = 1/2 kappa^-2 <1, H^(b+c)>_2    for b + c <= n,
-    #   <H^a, H^b, H^n>_3 = C(n+e, e) / 2^e kappa^(a+b-2n-3)
-    # for a >= 1 and codegree e = n + 1 - a - b >= 0.
-    counts, broken = [0, 0, 0], []
+    #   <1, H^b, H^c>_3 = 1/2 kappa^-2 <1, H^(b+c)>_2    for b + c <= n.
+    counts, broken = [0, 0], []
     for n in range(1, 13):
         two = localize.table(n, 2, [(0, m) for m in range(n + 1)])
         expected = {}
@@ -960,57 +871,9 @@ def test_three_point_boundary_laws_empirical():
                 half = two[0, b + c]
                 expected[0, b, c], law = Invariant(half.coeff / 2, half.kappa_exp - 2), 1
             counts[law] += 1
-        for a, b in combinations_with_replacement(range(1, n + 1), 2):
-            e = n + 1 - a - b
-            if e >= 0:
-                expected[a, b, n] = Invariant(F(comb(n + e, e), 2**e), a + b - 2 * n - 3)
-                counts[2] += 1
         got = localize.table(n, 3, list(expected))
         broken += [(n, classes, str(got[classes])) for classes in expected if got[classes] != expected[classes]]
-    assert counts == [203, 251, 203]
-    assert not broken
-
-
-def test_three_point_closed_form_empirical():
-    # An empirical check, fitted to this code's own output: it is neither
-    # derived nor printed in the paper, and it is never a reason to edit
-    # tables.py.  For 0 <= a <= b <= c <= n <= 12 and codegree
-    # e = 2n + 1 - a - b - c >= 0,
-    #   2^e <H^a, H^b, H^c>_3 = [C(n+e, e) S - (2n+1-e) (n+e-2)! / (n!^2 (e-n-1)!)]
-    #                           kappa^(a+b+c-3n-3),
-    #   S = -1/2 [x^n y^n] (x - y)^2 h_{a-1} h_{b-1} h_{c-1} (x + y)^e,
-    # with h_j(x, y) = sum_{i <= j} x^i y^(j-i), h_{-1} = 0, and 1/(e-n-1)! = 0
-    # for e <= n.  S is the Schubert number of sigma_{a-1} sigma_{b-1}
-    # sigma_{c-1} sigma_1^e on the Grassmannian G(2, n+1) of lines in P^n.
-    # The polynomial is homogeneous of degree 2n, so [x^n y^n] is [x^n] at
-    # y = 1, and each factor is its list of coefficients of x^0, x^1, ...
-    def times(p, q):
-        out = [0] * (len(p) + len(q) - 1)
-        for i, u in enumerate(p):
-            for j, v in enumerate(q):
-                out[i + j] += u * v
-        return out
-
-    def closed_form(n, a, b, c):
-        e = 2 * n + 1 - a - b - c
-        schubert = 0
-        if min(a, b, c) > 0:
-            poly = [comb(e, i) for i in range(e + 1)]
-            for factor in ([1, -2, 1], [1] * a, [1] * b, [1] * c):
-                poly = times(poly, factor)
-            schubert = F(-poly[n], 2)
-        value = comb(n + e, e) * schubert
-        if e > n:
-            value -= F((2 * n + 1 - e) * factorial(n + e - 2), factorial(n) ** 2 * factorial(e - n - 1))
-        return Invariant(value / 2**e, a + b + c - 3 * n - 3)
-
-    cells, broken = 0, []
-    for n in range(1, 13):
-        triples = [t for t in combinations_with_replacement(range(n + 1), 3) if sum(t) <= 2 * n + 1]
-        got = localize.table(n, 3, triples)
-        cells += len(triples)
-        broken += [(n, t, str(got[t])) for t in triples if got[t] != closed_form(n, *t)]
-    assert cells == 1563
+    assert counts == [203, 251]
     assert not broken
 
 

@@ -1,4 +1,4 @@
-"""Same output: every command and table of the corpus still gives the committed digests."""
+"""Same output: every command of the corpus still gives the committed digests."""
 
 from .make_output_digests import DIGESTS, digest_lines
 

@@ -152,6 +152,13 @@ def test_pruning_skips_only_zero_terms():
     [
         (sgw_point, (6.0,), "k must be an integer, got 6.0"),
         (sgw_point, (True,), "k must be an integer, got True"),
+        (point_sum, (-1,), "k must be >= 3"),
+        (point_sum, (True,), "k must be an integer, got True"),
+        (point_sum, (2,), "k must be >= 3"),
+        (Invariant, (1, "2"), "kappa_exp must be an integer, got '2'"),
+        (Invariant, (1, 1.5), "kappa_exp must be an integer, got 1.5"),
+        (Invariant, (0.1, -1), "coefficients must be integers or Fractions, got 0.1"),
+        (Invariant, ("1/2", -1), "coefficients must be integers or Fractions, got '1/2'"),
     ],
 )
 def test_non_integers_are_refused(build, args, message):

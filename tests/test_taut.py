@@ -211,6 +211,8 @@ def test_integrate_monomial_refuses_bad_input(k, exps, error, message):
         (TautExpr, (4, {(((0, 1),), ()): 0.0}), {}, "coefficients must be integers or Fractions, got 0.0"),
         (TautExpr.monomial, (4,), {"psi": [(0, 1)], "coeff": True}, "coefficients must be integers or Fractions, got True"),
         (TautExpr, (4, {(((0, 1),), ()): "1"}), {}, "coefficients must be integers or Fractions, got '1'"),
+        (integrate, (None,), {}, "integrate needs a TautExpr, got NoneType"),
+        (integrate, (3,), {}, "integrate needs a TautExpr, got int"),
     ],
 )
 def test_non_integers_are_refused_not_truncated(build, args, kwargs, message):
