@@ -288,9 +288,19 @@ def _jobs(
         raise DomainError(f"unknown strategy {strategy!r}")
     if strategy == "symbolic" and n > 2:
         raise DomainError("symbolic strategy supported for n <= 2")
-    jobs = {classes: LocalizationJob(n=n, k=k, classes=classes) for classes in map(tuple, class_tuples)}
+    check_size(n, k)
+    tuples = [_as_tuple(classes, f"{k} classes") for classes in _as_tuple(class_tuples, "a list of class tuples")]
+    jobs = {classes: LocalizationJob(n=n, k=k, classes=classes) for classes in tuples}
     integer(seed, "seed")
     return jobs
+
+
+def _as_tuple(value, what: str) -> tuple:
+    """``value`` as a tuple; a value that is not iterable is refused with ``DomainError``, not ``TypeError``."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise DomainError(f"expected {what}, got {value!r}") from None
 
 
 def _subset_sums(classes: Sequence[int]) -> list[int]:
@@ -381,8 +391,8 @@ def invariant(
     n: int, k: int, classes: Sequence[int], strategy: str = "evaluate", samples: int = 3, seed: int = DEFAULT_SEED
 ) -> Invariant:
     """Degree-one k-point invariant of P^n with hyperplane-power insertions: the one-tuple ``table``."""
-    classes = tuple(classes)
-    return table(n, k, [classes], strategy=strategy, samples=samples, seed=seed)[classes]
+    (value,) = table(n, k, [classes], strategy=strategy, samples=samples, seed=seed).values()
+    return value
 
 
 def traced_invariant(
@@ -394,8 +404,7 @@ def traced_invariant(
     scaled part times tau_a^x tau_b^y, read from the point's powers, is divided by L * (-2)^c.
     The summands add up to the invariant; a graded-zero tuple has none.
     """
-    classes = tuple(classes)
-    job = _jobs(n, k, [classes], strategy, samples, seed)[classes]
+    (job,) = _jobs(n, k, [classes], strategy, samples, seed).values()
     if job.graded_zero:
         return Invariant(0, 0), []
     graphs, points = _points(n, k, (job.c,), strategy, samples, seed)
@@ -408,5 +417,5 @@ def traced_invariant(
         (g, Fraction(powers[g.a][x] * powers[g.b][total - x] * part, den))
         for g, x, part in zip(graphs, xs, columns[job.c])
     ]
-    return _sweep(graphs, [job], chain([first], points))[classes], summands
+    return _sweep(graphs, [job], chain([first], points))[job.classes], summands
 

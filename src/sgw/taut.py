@@ -92,10 +92,10 @@ class TautExpr:
     @classmethod
     def monomial(cls, l: int, psi: Iterable = (), kappa: Iterable = (), coeff=1) -> "TautExpr":
         """One monomial, given as (depth, power) and (index, power) pairs; zero powers are dropped."""
-        factors = [(integer(m, "every depth"), integer(p, "every power")) for m, p in psi]
+        factors = [(integer(m, "every depth"), integer(p, "every power")) for m, p in _pairs(psi, "psi")]
         psi_t = tuple(sorted((m, p) for m, p in factors if p))
         merged: dict[int, int] = {}
-        for a, p in kappa:
+        for a, p in _pairs(kappa, "kappa"):
             a, p = integer(a, "every kappa index"), integer(p, "every power")
             if p:
                 merged[a] = merged.get(a, 0) + p
@@ -126,6 +126,18 @@ class TautExpr:
 
     def __repr__(self) -> str:
         return f"TautExpr({self.l}, {self._terms!r})"
+
+
+def _pairs(factors: Iterable, what: str) -> list:
+    """``factors`` as a list, once each is a tuple or list of two; anything else is refused, not unpacked."""
+    try:
+        pairs = list(factors)
+    except TypeError:  # not iterable: refused below as a factor of its own
+        pairs = [factors]
+    for pair in pairs:
+        if type(pair) not in (tuple, list) or len(pair) != 2:
+            raise DomainError(f"every {what} factor must be a pair, got {pair!r}")
+    return pairs
 
 
 def _degree(key: Key) -> int:

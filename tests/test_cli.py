@@ -554,6 +554,22 @@ def test_sgw_does_not_import_dataclasses():
     assert result.stdout == "False\n", result.stderr
 
 
+def test_no_command_needs_click():
+    # click is a test dependency only: with its import blocked, main(argv) runs a
+    # command and refuses a bad one, with the bytes and codes of the runner.
+    src = Path(sgw.cli.__file__).resolve().parent.parent
+    runner = CliRunner()
+    for argv, exit_code in [(["quantum", "--n", "1"], 0), (["point", "--k", "25"], 2)]:
+        code = (
+            f"import sys; sys.modules['click'] = None; sys.path.insert(0, {str(src)!r}); "
+            f"import sgw.cli; sgw.cli.main({argv!r})"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        expected = runner.invoke(main, argv)
+        assert (result.returncode, result.stdout, result.stderr) == (exit_code, expected.stdout, expected.stderr)
+        assert expected.exit_code == exit_code
+
+
 def test_importing_one_module_loads_only_its_dependencies():
     # The package binds no names, so importing it loads no sgw module, and
     # the point target loads neither the localization sums nor their users.

@@ -213,13 +213,18 @@ def test_integrate_monomial_refuses_bad_input(k, exps, error, message):
         (TautExpr, (4, {(((0, 1),), ()): "1"}), {}, "coefficients must be integers or Fractions, got '1'"),
         (integrate, (None,), {}, "integrate needs a TautExpr, got NoneType"),
         (integrate, (3,), {}, "integrate needs a TautExpr, got int"),
+        (TautExpr.monomial, (4,), {"psi": "2"}, "every psi factor must be a pair, got '2'"),
+        (TautExpr.monomial, (4,), {"kappa": [1]}, "every kappa factor must be a pair, got 1"),
+        (TautExpr.monomial, (5,), {"psi": [(0, 1, 1)]}, "every psi factor must be a pair, got (0, 1, 1)"),
+        (TautExpr.monomial, (5,), {"kappa": None}, "every kappa factor must be a pair, got None"),
     ],
 )
 def test_non_integers_are_refused_not_truncated(build, args, kwargs, message):
     # int() used to truncate: integrate_monomial(6, (1.5, 0, 1.5)) read 1, and
     # psi=[(0, 1.5)] stored power 1.  A float coefficient would integrate to its
     # binary expansion, and 0.0 is refused before zero terms are dropped.  A bool
-    # is an int to Python, not here.
+    # is an int to Python, not here.  A factor that is not a pair used to be
+    # unpacked: psi="2" raised ValueError and kappa=[1] TypeError.
     with pytest.raises(DomainError) as info:
         build(*args, **kwargs)
     assert type(info.value) is DomainError and str(info.value) == message
