@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the one check that a value is an integer."""
+"""Exception types shared across the package, and the argument rules that several modules share."""
+
+from fractions import Fraction
 
 
 class DomainError(ValueError):
@@ -17,10 +19,34 @@ class InconsistencyError(RuntimeError):
     """Internal cross-check failed; indicates an implementation bug, not a zero."""
 
 
-def integer(value, name: str) -> int:
-    """``value`` if its type is ``int``; anything else, a float or a bool included, is refused, not truncated."""
+def integer(value, name: str, low: int | None = None) -> int:
+    """``value`` if it is an ``int``, and at least ``low`` if given; a float or a bool is refused, not truncated."""
     if type(value) is not int:
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be >= {low}")
+    return value
+
+
+def rational(value):
+    """``value`` if it is an ``int`` or a ``Fraction``, a coefficient that stays exact; a float or a bool is refused."""
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise DomainError(f"coefficients must be integers or Fractions, got {value!r}")
+    return value
+
+
+def as_tuple(value, what: str) -> tuple:
+    """``value`` as a tuple; a value that is not iterable is refused with ``DomainError``, not ``TypeError``."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise DomainError(f"expected {what}, got {value!r}") from None
+
+
+def instance(value, kind: type, what: str):
+    """``value`` if it is a ``kind``; anything else is refused by its type's name before an attribute is read."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{what} needs a {kind.__name__}, got {type(value).__name__}")
     return value
 
 

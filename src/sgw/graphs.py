@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import DomainError, UnsupportedError, integer
+from .errors import DomainError, UnsupportedError, as_tuple, instance, integer
 
 if TYPE_CHECKING:
     from .exact import Poly
@@ -37,8 +37,7 @@ if TYPE_CHECKING:
 
 def check_size(n: int, k: int) -> None:
     """Refuse (n, k) unless n is an integer >= 1 and k is 1, 2 or 3: the sizes degree-one localization takes."""
-    if integer(n, "n") < 1:
-        raise DomainError("n must be >= 1")
+    integer(n, "n", 1)
     if integer(k, "k") not in (1, 2, 3):
         raise UnsupportedError("localization implemented for k in {1, 2, 3}")
 
@@ -56,9 +55,9 @@ class FixedGraph(_GraphFields):
 
     def __new__(cls, n: int, a: int, b: int, A: frozenset[int], k: int):
         check_size(n, k)
-        if not 0 <= a < b <= n:
+        if not 0 <= integer(a, "a") < integer(b, "b") <= n:  # b is checked wherever the chain reads it
             raise DomainError("need 0 <= a < b <= n")
-        if not A <= set(range(1, k + 1)):
+        if not instance(A, frozenset, "A") <= set(range(1, k + 1)):
             raise DomainError("A must be a subset of the marked-point labels")
         return super().__new__(cls, n, a, b, A, k)
 
@@ -112,7 +111,7 @@ def enumerate_graphs(n: int, k: int) -> list[FixedGraph]:
 @lru_cache(maxsize=None)
 def euler_data(g: FixedGraph) -> EulerData:
     """Pure lam weight and inverse Euler class of a degree-one graph: one of the four values above, cached per graph."""
-    check_size(g.n, g.k)
+    check_size(instance(g, FixedGraph, "euler_data").n, g.k)  # runs on cache misses only
     if g.m04:
         return _M04_OVER_A if g.A else _M04_OVER_B
     return _POINT_LOCUS[len(g.A) % 2]
@@ -120,6 +119,7 @@ def euler_data(g: FixedGraph) -> EulerData:
 
 def ev_exponents(g: FixedGraph, classes: Sequence[int]) -> tuple[int, int]:
     """Powers of tau_a and tau_b in the evaluation pullback: classes over A go to tau_a."""
+    classes = as_tuple(classes, f"{instance(g, FixedGraph, 'ev_exponents').k} classes")
     if len(classes) != g.k:
         raise DomainError(f"expected {g.k} classes")
     at_a = sum(power for i, power in enumerate(classes, start=1) if i in g.A)
@@ -130,7 +130,7 @@ def ev_pullback(g: FixedGraph, classes: Sequence[int]) -> Poly:
     """Evaluation pullback of hyperplane powers as a ``Poly``: tau_a over A, tau_b elsewhere."""
     from .exact import Poly  # imported here: no runtime path needs exact.py
 
-    at_a, at_b = ev_exponents(g, classes)
+    at_a, at_b = ev_exponents(instance(g, FixedGraph, "ev_pullback"), classes)
     exp = [0] * (g.n + 2)
     exp[g.a] = at_a
     exp[g.b] = at_b

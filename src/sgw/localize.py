@@ -48,7 +48,7 @@ from math import comb, lcm
 from operator import itemgetter, mul
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .errors import DomainError, InconsistencyError, ResampleSignal, integer
+from .errors import DomainError, InconsistencyError, ResampleSignal, as_tuple, integer
 from .graphs import FixedGraph, check_size, enumerate_graphs, euler_data
 from .point import Invariant
 
@@ -67,6 +67,7 @@ class LocalizationJob(_JobFields):
 
     def __new__(cls, n: int, k: int, classes: tuple[int, ...]):
         check_size(n, k)
+        classes = as_tuple(classes, f"{k} classes")
         if len(classes) != k:
             raise DomainError(f"expected {k} classes")
         for a in classes:
@@ -259,8 +260,7 @@ def _check_samples(samples: int) -> None:
 
 def sample_taus(n: int, samples: int, seed: int) -> list[tuple[int, ...]]:
     """The seeded character tuples that ``table`` evaluates at; n >= 1, samples >= 2 and seed must be ``int``s."""
-    if integer(n, "n") < 1:
-        raise DomainError("n must be >= 1")
+    integer(n, "n", 1)
     _check_samples(samples)
     rng = random.Random(integer(seed, "seed"))
     return [sample_tau(rng, n) for _ in range(samples)]
@@ -286,21 +286,12 @@ def _jobs(
     _check_samples(samples)
     if strategy not in ("evaluate", "symbolic"):
         raise DomainError(f"unknown strategy {strategy!r}")
-    if strategy == "symbolic" and n > 2:
+    if strategy == "symbolic" and integer(n, "n") > 2:
         raise DomainError("symbolic strategy supported for n <= 2")
     check_size(n, k)
-    tuples = [_as_tuple(classes, f"{k} classes") for classes in _as_tuple(class_tuples, "a list of class tuples")]
-    jobs = {classes: LocalizationJob(n=n, k=k, classes=classes) for classes in tuples}
+    jobs = [LocalizationJob(n=n, k=k, classes=classes) for classes in as_tuple(class_tuples, "a list of class tuples")]
     integer(seed, "seed")
-    return jobs
-
-
-def _as_tuple(value, what: str) -> tuple:
-    """``value`` as a tuple; a value that is not iterable is refused with ``DomainError``, not ``TypeError``."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise DomainError(f"expected {what}, got {value!r}") from None
+    return {job.classes: job for job in jobs}
 
 
 def _subset_sums(classes: Sequence[int]) -> list[int]:

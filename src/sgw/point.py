@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .errors import DomainError, integer
+from .errors import DomainError, integer, rational
 from .taut import point_sum
 
 # Largest k that ``sgw_point`` accepts: k = 24 takes 0.16-0.30 s (median
@@ -33,10 +33,8 @@ class Invariant(_InvariantFields):
     __slots__ = ()
 
     def __new__(cls, coeff: int | Fraction, kappa_exp: int):
-        if type(coeff) is not int and not isinstance(coeff, Fraction):
-            raise DomainError(f"coefficients must be integers or Fractions, got {coeff!r}")
+        coeff = Fraction(rational(coeff))
         integer(kappa_exp, "kappa_exp")
-        coeff = Fraction(coeff)
         return super().__new__(cls, coeff, 0 if coeff == 0 else kappa_exp)
 
     @property
@@ -57,12 +55,10 @@ class Invariant(_InvariantFields):
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Weak compositions of ``total`` into ``parts`` parts whose prefix sum over the first j parts is at most j.
 
-    The branches dropped are monomials that integrate to zero.
+    The branches dropped are monomials that integrate to zero.  Both arguments are checked at the call.
     """
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
+    integer(total, "total", 0)
+    integer(parts, "parts", 0)
 
     def rec(prefix: tuple[int, ...], remaining: int, slot: int):
         if slot == parts:
@@ -76,7 +72,7 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
                 continue
             yield from rec(prefix + (value,), remaining - value, slot + 1)
 
-    yield from rec((), total, 0)
+    return rec((), total, 0)
 
 
 def sgw_point(k: int) -> Invariant:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .errors import DomainError, integer
+from .errors import DomainError, instance, integer, rational
 from .localize import DEFAULT_SEED, table
 from .point import Invariant
 
@@ -34,18 +34,15 @@ class QElement:
     __slots__ = ("n", "comps")
 
     def __init__(self, n: int, comps: dict[tuple[int, int], Laurent] | None = None):
-        if integer(n, "n") < 1:
-            raise DomainError("n must be >= 1")
-        self.n = n
+        self.n = integer(n, "n", 1)
         self.comps: dict[tuple[int, int], Laurent] = {}
-        for (lam_pow, q_pow), laurent in (comps or {}).items():
+        for (lam_pow, q_pow), laurent in ({} if comps is None else instance(comps, dict, "QElement")).items():
             if not all(type(p) is int and p >= 0 for p in (lam_pow, q_pow)):
                 raise DomainError(f"L- and q-powers must be non-negative integers, got L^{lam_pow} q^{q_pow}")
-            for e, c in laurent.items():
+            for e, c in instance(laurent, dict, "QElement").items():
                 if type(e) is not int:
                     raise DomainError(f"kappa exponents must be integers, got kappa^{e}")
-                if type(c) is not int and not isinstance(c, Fraction):
-                    raise DomainError(f"coefficients must be integers or Fractions, got {c!r}")
+                rational(c)
             if q_pow >= 2 or lam_pow > n:
                 continue
             clean = {e: c if isinstance(c, Fraction) else Fraction(c) for e, c in laurent.items() if c}
@@ -112,9 +109,7 @@ def _cell(values: dict[tuple[int, int, int], Invariant], a: int, b: int, c: int)
 
 def structure_table(n: int, seed: int = DEFAULT_SEED) -> dict[tuple[int, int], list[tuple[int, Invariant]]]:
     """Degree-one three-point invariants <L^a, L^b, L^c> for all a <= b, c."""
-    if integer(n, "n") < 1:
-        raise DomainError("n must be >= 1")
-    values = _three_point(n, integer(seed, "seed"))
+    values = _three_point(integer(n, "n", 1), integer(seed, "seed"))
     return {
         (a, b): [(c, _cell(values, a, b, c)) for c in range(n + 1)]
         for a in range(n + 1)
@@ -132,7 +127,7 @@ def star(n: int, x: QElement, y: QElement, seed: int = DEFAULT_SEED) -> QElement
     """
     if not (isinstance(x, QElement) and isinstance(y, QElement)):
         raise DomainError(f"operands must be QElements, got {type(x).__name__} and {type(y).__name__}")
-    if x.n != n or y.n != n:
+    if x.n != integer(n, "n") or y.n != n:
         raise DomainError("operands must live on the same target")
     values = _three_point(n, integer(seed, "seed"))
     acc: dict[tuple[int, int], Laurent] = {}

@@ -48,24 +48,26 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import DomainError, integer
+from .errors import DomainError, as_tuple, instance, integer, rational
 
 PsiFactors = tuple[tuple[int, int], ...]  # (pull depth, power >= 1), depths ascending and distinct
 KappaFactors = tuple[tuple[int, int], ...]  # (index >= 1, power >= 1), indices ascending
 Key = tuple[PsiFactors, KappaFactors]
 
 
-def _check_exponents(k: int, exponents: Sequence[int]) -> None:
-    """Refuse (e_4, .., e_k) unless k >= 3, there are k - 3 of them and they are integers >= 0."""
-    if integer(k, "k") < 3:
-        raise DomainError("k >= 3 required")
-    if len(exponents) != k - 3:
-        raise DomainError(f"expected {k - 3} exponents for k={k}")
+def _check_exponents(k: int, exponents: Sequence[int]) -> tuple[int, ...]:
+    """(e_4, .., e_k) as a tuple, once k >= 3, there are k - 3 of them and they are integers >= 0."""
+    count = integer(k, "k", 3) - 3
+    if type(exponents) is not tuple:  # ``as_tuple`` and its message off the tuple path: this runs on every call
+        exponents = as_tuple(exponents, f"{count} exponents")
+    if len(exponents) != count:
+        raise DomainError(f"expected {count} exponents for k={k}")
     for e in exponents:
         if type(e) is not int:  # ``integer`` inline: this runs on every call
             integer(e, "every exponent")
         if e < 0:
             raise DomainError("psi factors need depth >= 0 and power >= 1")
+    return exponents
 
 
 class TautExpr:
@@ -83,10 +85,9 @@ class TautExpr:
         if integer(l, "l") < 3:
             raise DomainError("monomials live on a moduli space with l >= 3 points")
         self.l = l
-        terms = terms or {}
+        terms = {} if terms is None else instance(terms, dict, "TautExpr")
         for coeff in terms.values():
-            if type(coeff) is not int and not isinstance(coeff, Fraction):
-                raise DomainError(f"coefficients must be integers or Fractions, got {coeff!r}")
+            rational(coeff)
         self._terms = {key: coeff for key, coeff in terms.items() if coeff}
 
     @classmethod
@@ -114,7 +115,7 @@ class TautExpr:
         return result
 
     def __add__(self, other: "TautExpr") -> "TautExpr":
-        if other.l != self.l:
+        if instance(other, TautExpr, "addition").l != self.l:
             raise DomainError("mixed moduli spaces in one expression")
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
@@ -233,7 +234,7 @@ def _push(
 
 def pushforward_step(expr: TautExpr) -> TautExpr:
     """Push an expression on the l-pointed space down to l - 1 points: one ``_push`` per psi key."""
-    l = expr.l
+    l = instance(expr, TautExpr, "pushforward_step").l
     if l == 3:
         raise DomainError("already on the 3-pointed space")
     by_psi: dict[PsiFactors, dict[_KappaNode, int | Fraction]] = {}
@@ -249,8 +250,7 @@ def pushforward_step(expr: TautExpr) -> TautExpr:
 
 def integrate(expr: TautExpr) -> Fraction:
     """Integrate over the moduli space; exact rational.  Monomials of degree other than l - 3 are dropped first."""
-    if not isinstance(expr, TautExpr):
-        raise DomainError(f"integrate needs a TautExpr, got {type(expr).__name__}")
+    instance(expr, TautExpr, "integrate")
     current = TautExpr(expr.l, {key: c for key, c in expr._terms.items() if _degree(key) == expr.l - 3})
     while current.l > 3:
         current = pushforward_step(current)
@@ -259,7 +259,7 @@ def integrate(expr: TautExpr) -> Fraction:
 
 def integrate_monomial(k: int, exponents: Sequence[int]) -> Fraction:
     """Integral of the depth-graded psi monomial with the given exponents; level l pushes psi_l^(e_l)."""
-    _check_exponents(k, exponents)
+    exponents = _check_exponents(k, exponents)
     if sum(exponents) != k - 3:
         return Fraction(0)
     root = _node(())
@@ -276,8 +276,7 @@ def point_sum(k: int) -> Fraction:
     expression on the l-pointed space, summed over the exponents of the
     points above l, to its coefficient, for prefix sum P.
     """
-    if integer(k, "k") < 3:
-        raise DomainError("k must be >= 3")
+    integer(k, "k", 3)
     root = _node(())
     states: dict[int, dict[_KappaNode, int]] = {k - 3: {root: 1}}
     for l in range(k, 3, -1):

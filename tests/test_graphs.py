@@ -6,10 +6,8 @@ from typing import Sequence
 
 import pytest
 
-from sgw.errors import DomainError, UnsupportedError
 from sgw.exact import Poly
 from sgw.graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_pullback
-from sgw.localize import LocalizationJob
 
 from .test_exact import linear
 
@@ -80,52 +78,8 @@ def test_enumeration_order():
     assert found[-1] == graph(2, 2, 1, 2, [1, 2])
 
 
-def test_enumeration_rejects_large_k():
-    with pytest.raises(UnsupportedError):
-        enumerate_graphs(2, 4)
-
-
-@pytest.mark.parametrize(
-    "n,k,error,message",
-    [
-        ("2", 1, DomainError, "n must be an integer, got '2'"),
-        (1.5, 1, DomainError, "n must be an integer, got 1.5"),
-        (0, 1, DomainError, "n must be >= 1"),
-        (2, True, DomainError, "k must be an integer, got True"),
-        (1, 4, UnsupportedError, "localization implemented for k in {1, 2, 3}"),
-    ],
-)
-def test_every_builder_refuses_bad_sizes(n, k, error, message):
-    # One size check, with one type and message, for enumerate_graphs, a
-    # graph, euler_data of a graph built without the checks, and a job.
-    # euler_data checks on a cache miss: (2, .., True) equals, and hashes
-    # as, a valid graph, so its uncached body is called.
-    unchecked = tuple.__new__(FixedGraph, (n, 0, 1, frozenset(), k))
-    for call in (
-        lambda: enumerate_graphs(n, k),
-        lambda: FixedGraph(n, 0, 1, frozenset(), k),
-        lambda: euler_data.__wrapped__(unchecked),
-        lambda: LocalizationJob(n, k, (0,) * k),
-    ):
-        with pytest.raises(error) as info:
-            call()
-        assert type(info.value) is error and str(info.value) == message
-
-
 def test_graph_label():
     assert graph(3, 3, 0, 1, [1, 3]).label() == "G(k=3,d=1,a=0,b=1,A={1,3})"
-
-
-def test_graph_rejects_bad_pair():
-    for a, b in [(1, 1), (0, 3), (-1, 1), (2, 1)]:
-        with pytest.raises(DomainError, match=r"^need 0 <= a < b <= n$"):
-            graph(2, 2, a, b, [1])
-
-
-def test_graph_rejects_marks_outside_the_labels():
-    for members in ([3], [0, 1]):
-        with pytest.raises(DomainError, match="^A must be a subset of the marked-point labels$"):
-            FixedGraph(2, 0, 1, frozenset(members), 2)
 
 
 def test_graphs_built_separately_are_equal_values():

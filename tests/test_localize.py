@@ -8,7 +8,6 @@ from math import comb, lcm, prod
 import pytest
 
 import sgw.localize as localize
-import sgw.quantum as quantum
 from sgw.errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
 from sgw.exact import Poly, complete_homogeneous
 from sgw.graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents
@@ -55,63 +54,6 @@ def test_job_derived_quantities():
     assert job.kappa_exp == -8
     assert not job.graded_zero
     assert LocalizationJob(n=2, k=3, classes=(2, 2, 2)).graded_zero
-
-
-def test_job_validation():
-    # Each check keeps its exception type and its message.
-    cases = [
-        (0, 1, (0,), DomainError, "n must be >= 1"),
-        (2, 4, (1, 1, 1, 1), UnsupportedError, "localization implemented for k in {1, 2, 3}"),
-        (2, 2, (1,), DomainError, "expected 2 classes"),
-        (2, 2, (3, 0), DomainError, "class exponent 3 outside [0, 2]"),
-        (2, 2, (1, -1), DomainError, "class exponent -1 outside [0, 2]"),
-    ]
-    for n, k, classes, error, message in cases:
-        with pytest.raises(error) as info:
-            LocalizationJob(n=n, k=k, classes=classes)
-        assert type(info.value) is error and str(info.value) == message
-
-
-@pytest.mark.parametrize(
-    "options,message",
-    [
-        ({"classes": (True,)}, "every class exponent must be an integer, got True"),
-        ({"classes": (1.0,)}, "every class exponent must be an integer, got 1.0"),
-        ({"n": 2, "k": 2, "classes": (1, F(1))}, "every class exponent must be an integer, got Fraction(1, 1)"),
-        ({"n": 1.0}, "n must be an integer, got 1.0"),
-        ({"n": True}, "n must be an integer, got True"),
-        ({"k": 1.0}, "k must be an integer, got 1.0"),
-        ({"samples": 3.0}, "samples must be an integer, got 3.0"),
-        ({"samples": 1.5}, "samples must be an integer, got 1.5"),
-        ({"samples": -1}, "localization needs at least 2 samples, got -1"),
-        ({"n": "2"}, "n must be an integer, got '2'"),
-        ({"n": -5}, "n must be >= 1"),
-        ({"n": 2, "k": 2, "classes": 5}, "expected 2 classes, got 5"),
-        ({"n": 2, "k": 2, "classes": None}, "expected 2 classes, got None"),
-        ({"n": 2, "k": 2, "class_tuples": None}, "expected a list of class tuples, got None"),
-    ],
-)
-def test_non_integers_are_refused(options, message):
-    # invariant(1, 1, (True,)) used to read True as 1, and (1.0,) raised a
-    # TypeError.  sample_taus refuses a bad n or samples as table does:
-    # sample_taus(2, -1, 1) used to return [], and a class tuple that is not
-    # iterable, as in invariant(2, 2, 5), raised a TypeError.
-    sampled = options.keys() <= {"n", "samples"}
-    options = {"n": 1, "k": 1, "classes": (1,)} | options
-    n, k, classes = options.pop("n"), options.pop("k"), options.pop("classes")
-    class_tuples = options.pop("class_tuples", [classes])  # a bad list of tuples reaches table alone
-    calls = [lambda: localize.table(n, k, class_tuples, **options)]
-    if class_tuples == [classes]:
-        calls += [
-            lambda: invariant(n, k, classes, **options),
-            lambda: localize.traced_invariant(n, k, classes, **options),
-        ]
-    if sampled:
-        calls.append(lambda: localize.sample_taus(n, options.get("samples", 3), localize.DEFAULT_SEED))
-    for call in calls:
-        with pytest.raises(DomainError) as info:
-            call()
-        assert type(info.value) is DomainError and str(info.value) == message
 
 
 def test_graph_contribution_one_point():
@@ -675,33 +617,6 @@ def test_points_carry_their_power_tables():
                 assert all(type(v) is int and v == row[1] ** e for e, v in enumerate(row)), (n, k, row)
 
 
-# The argument checks come before the shortcut for tuples of negative
-# codegree, such as (2, 2, 2) on P^2 and (4, 4, 4) on P^4.
-def test_symbolic_rejects_large_n():
-    with pytest.raises(DomainError):
-        invariant(3, 2, (1, 1), strategy="symbolic")
-    with pytest.raises(DomainError, match="n <= 2"):
-        invariant(4, 3, (4, 4, 4), strategy="symbolic")
-
-
-def test_evaluate_needs_two_samples():
-    with pytest.raises(DomainError):
-        invariant(1, 1, (1,), samples=1)
-    with pytest.raises(DomainError, match="at least 2 samples"):
-        invariant(2, 3, (2, 2, 2), samples=-4)
-    with pytest.raises(DomainError, match="at least 2 samples"):
-        localize.table(2, 3, [(2, 2, 2)], samples=1)
-    with pytest.raises(DomainError, match="at least 2 samples"):
-        invariant(2, 3, (1, 1, 0), strategy="symbolic", samples=-4)
-
-
-def test_unknown_strategy_rejected():
-    with pytest.raises(DomainError):
-        invariant(1, 1, (1,), strategy="guess")
-    with pytest.raises(DomainError, match="unknown strategy"):
-        invariant(2, 3, (2, 2, 2), strategy="guess")
-
-
 def test_disagreeing_samples_raise(monkeypatch):
     calls = {"count": 0}
 
@@ -764,6 +679,8 @@ def test_per_graph_at_first_sample():
         assert [value for _, value in summands] == [contributions(g, [job], tau)[0] for g in enumerate_graphs(n, k)]
         assert Invariant(sum(value for _, value in summands), job.kappa_exp) == swept
         assert swept == invariant(n, k, classes, seed=seed)
+    for strategy in ("evaluate", "symbolic"):  # a graded-zero tuple has no summands
+        assert localize.traced_invariant(2, 3, (2, 2, 2), strategy=strategy) == (Invariant(0, 0), [])
 
 
 def test_symbolic_per_graph_at_first_grid_point():
@@ -779,74 +696,6 @@ def test_symbolic_per_graph_at_first_grid_point():
         assert [value for _, value in summands] == [contributions(g, [job], tau)[0] for g in enumerate_graphs(n, k)]
         assert Invariant(sum(value for _, value in summands), job.kappa_exp) == swept
         assert swept == invariant(n, k, classes, strategy="symbolic")
-
-
-def test_per_graph_refuses_as_table():
-    for strategy in ("evaluate", "symbolic"):
-        assert localize.traced_invariant(2, 3, (2, 2, 2), strategy=strategy) == (Invariant(0, 0), [])
-    cases = [
-        ((1, 1, (1,)), {"strategy": "bogus"}, DomainError, "unknown strategy 'bogus'"),
-        ((3, 1, (1,)), {"strategy": "symbolic"}, DomainError, "symbolic strategy supported for n <= 2"),
-        ((1, 4, (1, 1, 1, 1)), {}, UnsupportedError, "localization implemented for k in {1, 2, 3}"),
-        ((2, 2, (3, 0)), {"strategy": "symbolic"}, DomainError, "class exponent 3 outside [0, 2]"),
-    ]
-    for (n, k, classes), options, error, message in cases:
-        for call in (
-            lambda: localize.traced_invariant(n, k, classes, **options),
-            lambda: localize.table(n, k, [classes], **options),
-        ):
-            with pytest.raises(error) as info:
-                call()
-            assert type(info.value) is error and str(info.value) == message
-
-
-def test_table_refuses_as_invariant():
-    # Samples first, then the strategy, then the job, for one tuple or many.
-    cases = [
-        ((1, 1, (1,)), {"samples": 1}, "localization needs at least 2 samples, got 1"),
-        ((1, 1, (1,)), {"strategy": "bogus"}, "unknown strategy 'bogus'"),
-        ((3, 1, (1,)), {"strategy": "symbolic"}, "symbolic strategy supported for n <= 2"),
-        ((3, 4, (1,)), {"strategy": "bogus", "samples": 1}, "localization needs at least 2 samples, got 1"),
-        ((3, 4, (1,)), {"strategy": "symbolic"}, "symbolic strategy supported for n <= 2"),
-        ((1, 4, (1,)), {"strategy": "bogus"}, "unknown strategy 'bogus'"),
-    ]
-    for (n, k, classes), options, message in cases:
-        for call in (
-            lambda: invariant(n, k, classes, **options),
-            lambda: localize.traced_invariant(n, k, classes, **options),
-            lambda: localize.table(n, k, [classes], **options),
-            lambda: localize.table(n, k, [classes, classes[::-1]], **options),
-        ):
-            with pytest.raises(DomainError) as info:
-                call()
-            assert type(info.value) is DomainError and str(info.value) == message
-
-
-SEEDED_CALLS = {
-    "table": lambda seed: localize.table(2, 2, [(1, 1)], seed=seed),
-    "table-symbolic": lambda seed: localize.table(2, 2, [(1, 1)], strategy="symbolic", seed=seed),
-    "table-graded-zero": lambda seed: localize.table(2, 3, [(2, 2, 2)], seed=seed),
-    "invariant": lambda seed: invariant(2, 2, (1, 1), seed=seed),
-    "traced_invariant": lambda seed: localize.traced_invariant(2, 2, (1, 1), seed=seed),
-    "sample_taus": lambda seed: localize.sample_taus(2, 3, seed),
-    "structure_table": lambda seed: quantum.structure_table(2, seed=seed),
-    "star": lambda seed: quantum.star(1, quantum.QElement.basis(1, 1), quantum.QElement.basis(1, 1), seed=seed),
-}
-
-
-@pytest.mark.parametrize("seed", [None, 1.5, "x", True, [1]], ids=["None", "float", "str", "bool", "list"])
-@pytest.mark.parametrize("call", list(SEEDED_CALLS))
-def test_non_integer_seed_refused(monkeypatch, call, seed):
-    # Refused before any point is drawn or any sweep is cached: None would draw
-    # from the OS, and a float or str would be a seed no CLI run can repeat.
-    def no_work(*args):
-        raise AssertionError("work began before the seed was checked")
-
-    monkeypatch.setattr(localize, "_points", no_work)
-    monkeypatch.setattr(quantum, "_three_point", no_work)
-    with pytest.raises(DomainError) as info:
-        SEEDED_CALLS[call](seed)
-    assert type(info.value) is DomainError and str(info.value) == f"seed must be an integer, got {seed!r}"
 
 
 def test_symbolic_table_matches_invariant():
