@@ -6,8 +6,10 @@ from typing import Sequence
 
 import pytest
 
+from sgw.errors import DomainError, UnsupportedError
 from sgw.exact import Poly
 from sgw.graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_pullback
+from sgw.localize import LocalizationJob
 
 from .test_exact import linear
 
@@ -76,6 +78,33 @@ def test_enumeration_order():
     assert found[3] == graph(2, 2, 0, 1, [1, 2])
     assert found[4] == graph(2, 2, 0, 2, [])
     assert found[-1] == graph(2, 2, 1, 2, [1, 2])
+
+
+@pytest.mark.parametrize(
+    "n,k,error,message",
+    [
+        ("2", 1, DomainError, "n must be an integer, got '2'"),
+        (1.5, 1, DomainError, "n must be an integer, got 1.5"),
+        (0, 1, DomainError, "n must be >= 1"),
+        (2, True, DomainError, "k must be an integer, got True"),
+        (1, 4, UnsupportedError, "localization implemented for k in {1, 2, 3}"),
+    ],
+)
+def test_every_builder_refuses_bad_sizes(n, k, error, message):
+    # One size check, with one type and message, for enumerate_graphs, a
+    # graph, euler_data of a graph built without the checks, and a job.
+    # euler_data checks on a cache miss: (2, .., True) equals, and hashes
+    # as, a valid graph, so its uncached body is called.
+    unchecked = tuple.__new__(FixedGraph, (n, 0, 1, frozenset(), k))
+    for call in (
+        lambda: enumerate_graphs(n, k),
+        lambda: FixedGraph(n, 0, 1, frozenset(), k),
+        lambda: euler_data.__wrapped__(unchecked),
+        lambda: LocalizationJob(n, k, (0,) * k),
+    ):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
 
 
 def test_graph_label():

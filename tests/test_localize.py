@@ -8,6 +8,7 @@ from math import comb, lcm, prod
 import pytest
 
 import sgw.localize as localize
+import sgw.quantum as quantum
 from sgw.errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
 from sgw.exact import Poly, complete_homogeneous
 from sgw.graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents
@@ -54,6 +55,48 @@ def test_job_derived_quantities():
     assert job.kappa_exp == -8
     assert not job.graded_zero
     assert LocalizationJob(n=2, k=3, classes=(2, 2, 2)).graded_zero
+
+
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        ({"classes": (True,)}, "every class exponent must be an integer, got True"),
+        ({"classes": (1.0,)}, "every class exponent must be an integer, got 1.0"),
+        ({"n": 2, "k": 2, "classes": (1, F(1))}, "every class exponent must be an integer, got Fraction(1, 1)"),
+        ({"n": 1.0}, "n must be an integer, got 1.0"),
+        ({"n": True}, "n must be an integer, got True"),
+        ({"k": 1.0}, "k must be an integer, got 1.0"),
+        ({"samples": 3.0}, "samples must be an integer, got 3.0"),
+        ({"samples": 1.5}, "samples must be an integer, got 1.5"),
+        ({"samples": -1}, "localization needs at least 2 samples, got -1"),
+        ({"n": "2"}, "n must be an integer, got '2'"),
+        ({"n": -5}, "n must be >= 1"),
+        ({"n": 2, "k": 2, "classes": 5}, "expected 2 classes, got 5"),
+        ({"n": 2, "k": 2, "classes": None}, "expected 2 classes, got None"),
+        ({"n": 2, "k": 2, "class_tuples": None}, "expected a list of class tuples, got None"),
+    ],
+)
+def test_non_integers_are_refused(options, message):
+    # invariant(1, 1, (True,)) used to read True as 1, and (1.0,) raised a
+    # TypeError.  sample_taus refuses a bad n or samples as table does:
+    # sample_taus(2, -1, 1) used to return [], and a class tuple that is not
+    # iterable, as in invariant(2, 2, 5), raised a TypeError.
+    sampled = options.keys() <= {"n", "samples"}
+    options = {"n": 1, "k": 1, "classes": (1,)} | options
+    n, k, classes = options.pop("n"), options.pop("k"), options.pop("classes")
+    class_tuples = options.pop("class_tuples", [classes])  # a bad list of tuples reaches table alone
+    calls = [lambda: localize.table(n, k, class_tuples, **options)]
+    if class_tuples == [classes]:
+        calls += [
+            lambda: invariant(n, k, classes, **options),
+            lambda: localize.traced_invariant(n, k, classes, **options),
+        ]
+    if sampled:
+        calls.append(lambda: localize.sample_taus(n, options.get("samples", 3), localize.DEFAULT_SEED))
+    for call in calls:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert type(info.value) is DomainError and str(info.value) == message
 
 
 def test_graph_contribution_one_point():
@@ -696,6 +739,33 @@ def test_symbolic_per_graph_at_first_grid_point():
         assert [value for _, value in summands] == [contributions(g, [job], tau)[0] for g in enumerate_graphs(n, k)]
         assert Invariant(sum(value for _, value in summands), job.kappa_exp) == swept
         assert swept == invariant(n, k, classes, strategy="symbolic")
+
+
+SEEDED_CALLS = {
+    "table": lambda seed: localize.table(2, 2, [(1, 1)], seed=seed),
+    "table-symbolic": lambda seed: localize.table(2, 2, [(1, 1)], strategy="symbolic", seed=seed),
+    "table-graded-zero": lambda seed: localize.table(2, 3, [(2, 2, 2)], seed=seed),
+    "invariant": lambda seed: invariant(2, 2, (1, 1), seed=seed),
+    "traced_invariant": lambda seed: localize.traced_invariant(2, 2, (1, 1), seed=seed),
+    "sample_taus": lambda seed: localize.sample_taus(2, 3, seed),
+    "structure_table": lambda seed: quantum.structure_table(2, seed=seed),
+    "star": lambda seed: quantum.star(1, quantum.QElement.basis(1, 1), quantum.QElement.basis(1, 1), seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, "x", True, [1]], ids=["None", "float", "str", "bool", "list"])
+@pytest.mark.parametrize("call", list(SEEDED_CALLS))
+def test_non_integer_seed_refused(monkeypatch, call, seed):
+    # Refused before any point is drawn or any sweep is cached: None would draw
+    # from the OS, and a float or str would be a seed no CLI run can repeat.
+    def no_work(*args):
+        raise AssertionError("work began before the seed was checked")
+
+    monkeypatch.setattr(localize, "_points", no_work)
+    monkeypatch.setattr(quantum, "_three_point", no_work)
+    with pytest.raises(DomainError) as info:
+        SEEDED_CALLS[call](seed)
+    assert type(info.value) is DomainError and str(info.value) == f"seed must be an integer, got {seed!r}"
 
 
 def test_symbolic_table_matches_invariant():

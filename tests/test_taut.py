@@ -146,6 +146,62 @@ def test_integrate_monomial_builds_no_expression(monkeypatch):
         assert integrate_monomial(entry.k, entry.exps) == entry.value, entry
 
 
+@pytest.mark.parametrize(
+    "k,exps,error,message",
+    [
+        (2, (), DomainError, "k must be >= 3"),
+        (-1, (1,), DomainError, "k must be >= 3"),
+        (5, (1,), DomainError, "expected 2 exponents for k=5"),
+        (4, (), DomainError, "expected 1 exponents for k=4"),
+        (6, (1, -1, 3), DomainError, "psi factors need depth >= 0 and power >= 1"),
+        (5, (-2, 4), DomainError, "psi factors need depth >= 0 and power >= 1"),
+        (5, (1, "x"), DomainError, "every exponent must be an integer, got 'x'"),
+        (5, (1, [2]), DomainError, "every exponent must be an integer, got [2]"),
+    ],
+)
+def test_integrate_monomial_refuses_bad_input(k, exps, error, message):
+    # integrate_monomial refuses bad input with exactly these types and messages.
+    with pytest.raises(error) as info:
+        integrate_monomial(k, exps)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build,args,kwargs,message",
+    [
+        (integrate_monomial, (6, (1.5, 0, 1.5)), {}, "every exponent must be an integer, got 1.5"),
+        (integrate_monomial, (6, (True, 1, 1)), {}, "every exponent must be an integer, got True"),
+        (integrate_monomial, (6.0, (1, 1, 1)), {}, "k must be an integer, got 6.0"),
+        (integrate_monomial, (6, (1, 1, 1.0)), {}, "every exponent must be an integer, got 1.0"),
+        (TautExpr.monomial, (6,), {"psi": [(0, 1.5)]}, "every power must be an integer, got 1.5"),
+        (TautExpr.monomial, (6,), {"psi": [(0.5, 1)]}, "every depth must be an integer, got 0.5"),
+        (TautExpr.monomial, (6,), {"psi": [(1, 0.0)]}, "every power must be an integer, got 0.0"),
+        (TautExpr.monomial, (6,), {"kappa": [(1.0, 1)]}, "every kappa index must be an integer, got 1.0"),
+        (TautExpr.monomial, (6,), {"kappa": [(1, True)]}, "every power must be an integer, got True"),
+        (TautExpr, (6.0,), {}, "l must be an integer, got 6.0"),
+        (TautExpr.monomial, (4,), {"psi": [(0, 1)], "coeff": 0.1}, "coefficients must be integers or Fractions, got 0.1"),
+        (TautExpr, (4, {(((0, 1),), ()): 0.0}), {}, "coefficients must be integers or Fractions, got 0.0"),
+        (TautExpr.monomial, (4,), {"psi": [(0, 1)], "coeff": True}, "coefficients must be integers or Fractions, got True"),
+        (TautExpr, (4, {(((0, 1),), ()): "1"}), {}, "coefficients must be integers or Fractions, got '1'"),
+        (integrate, (None,), {}, "integrate needs a TautExpr, got NoneType"),
+        (integrate, (3,), {}, "integrate needs a TautExpr, got int"),
+        (TautExpr.monomial, (4,), {"psi": "2"}, "every psi factor must be a pair, got '2'"),
+        (TautExpr.monomial, (4,), {"kappa": [1]}, "every kappa factor must be a pair, got 1"),
+        (TautExpr.monomial, (5,), {"psi": [(0, 1, 1)]}, "every psi factor must be a pair, got (0, 1, 1)"),
+        (TautExpr.monomial, (5,), {"kappa": None}, "every kappa factor must be a pair, got None"),
+    ],
+)
+def test_non_integers_are_refused_not_truncated(build, args, kwargs, message):
+    # int() used to truncate: integrate_monomial(6, (1.5, 0, 1.5)) read 1, and
+    # psi=[(0, 1.5)] stored power 1.  A float coefficient would integrate to its
+    # binary expansion, and 0.0 is refused before zero terms are dropped.  A bool
+    # is an int to Python, not here.  A factor that is not a pair used to be
+    # unpacked: psi="2" raised ValueError and kappa=[1] TypeError.
+    with pytest.raises(DomainError) as info:
+        build(*args, **kwargs)
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
 # -- independent oracle --------------------------------------------------
 # A from-scratch recursion over explicit dictionaries, no TautExpr machinery.
 
