@@ -36,7 +36,10 @@ class QElement:
     def __init__(self, n: int, comps: dict[tuple[int, int], Laurent] | None = None):
         self.n = integer(n, "n", 1)
         self.comps: dict[tuple[int, int], Laurent] = {}
-        for (lam_pow, q_pow), laurent in ({} if comps is None else instance(comps, dict, "QElement")).items():
+        for key, laurent in ({} if comps is None else instance(comps, dict, "QElement")).items():
+            if type(key) is not tuple or len(key) != 2:
+                raise DomainError(f"every QElement key must be an (L-power, q-power) pair, got {key!r}")
+            lam_pow, q_pow = key
             if not all(type(p) is int and p >= 0 for p in (lam_pow, q_pow)):
                 raise DomainError(f"L- and q-powers must be non-negative integers, got L^{lam_pow} q^{q_pow}")
             for e, c in instance(laurent, dict, "QElement").items():

@@ -74,9 +74,9 @@ class TautExpr:
     """Linear combination of monomials over a common l.
 
     ``_terms`` maps a canonical (psi, kappa) key to its nonzero coefficient,
-    an int or a ``Fraction``.  Every constructor refuses l < 3 and any other
-    coefficient, zero included; ``monomial`` also checks the factors, whose
-    keys the pushforward builds canonically.
+    an int or a ``Fraction``.  The constructor refuses l < 3, a key that
+    ``monomial`` could not have built and any other coefficient, zero
+    included; sums and pushforwards build from checked keys, via ``_raw``.
     """
 
     __slots__ = ("l", "_terms")
@@ -84,35 +84,29 @@ class TautExpr:
     def __init__(self, l: int, terms: dict[Key, int | Fraction] | None = None):
         if integer(l, "l") < 3:
             raise DomainError("monomials live on a moduli space with l >= 3 points")
-        self.l = l
         terms = {} if terms is None else instance(terms, dict, "TautExpr")
-        for coeff in terms.values():
+        for key, coeff in terms.items():
+            _check_key(key, l)
             rational(coeff)
-        self._terms = {key: coeff for key, coeff in terms.items() if coeff}
+        self.l, self._terms = l, {key: coeff for key, coeff in terms.items() if coeff}
+
+    @classmethod
+    def _raw(cls, l: int, terms: dict[Key, int | Fraction]) -> "TautExpr":
+        """An expression from keys and coefficients already checked on the l-pointed space; zeros are dropped."""
+        expr = cls.__new__(cls)
+        expr.l, expr._terms = l, {key: coeff for key, coeff in terms.items() if coeff}
+        return expr
 
     @classmethod
     def monomial(cls, l: int, psi: Iterable = (), kappa: Iterable = (), coeff=1) -> "TautExpr":
         """One monomial, given as (depth, power) and (index, power) pairs; zero powers are dropped."""
         factors = [(integer(m, "every depth"), integer(p, "every power")) for m, p in _pairs(psi, "psi")]
-        psi_t = tuple(sorted((m, p) for m, p in factors if p))
         merged: dict[int, int] = {}
         for a, p in _pairs(kappa, "kappa"):
             a, p = integer(a, "every kappa index"), integer(p, "every power")
             if p:
                 merged[a] = merged.get(a, 0) + p
-        kappa_t = tuple(sorted(merged.items()))
-        result = cls(l, {(psi_t, kappa_t): coeff})  # refuses l < 3 before the range checks of the factors
-        if len({m for m, _ in psi_t}) != len(psi_t):
-            raise DomainError("pull depths must be pairwise distinct")
-        for m, p in psi_t:
-            if p < 1 or m < 0:
-                raise DomainError("psi factors need depth >= 0 and power >= 1")
-            if l - m < 4:
-                raise DomainError(f"depth {m} names a psi-class missing from the {l}-pointed space")
-        for a, p in kappa_t:
-            if a < 1 or p < 1:
-                raise DomainError("kappa factors need index >= 1 and power >= 1")
-        return result
+        return cls(l, {(tuple(sorted((m, p) for m, p in factors if p)), tuple(sorted(merged.items()))): coeff})
 
     def __add__(self, other: "TautExpr") -> "TautExpr":
         if instance(other, TautExpr, "addition").l != self.l:
@@ -120,13 +114,41 @@ class TautExpr:
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
             terms[key] = terms.get(key, 0) + coeff
-        return TautExpr(self.l, terms)
+        return self._raw(self.l, terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TautExpr) and self.l == other.l and self._terms == other._terms
 
     def __repr__(self) -> str:
         return f"TautExpr({self.l}, {self._terms!r})"
+
+
+_UNSORTED = "depths must be ascending and kappa indices strictly ascending, got {!r}"
+
+
+def _check_key(key, l: int) -> None:
+    """Refuse a key that ``monomial`` could not have built on the l-pointed space, before it is unpacked."""
+    psi, kappa = key if type(key) is tuple and len(key) == 2 else (None, None)
+    if not (type(psi) is type(kappa) is tuple and all(type(f) is tuple and len(f) == 2 for f in psi + kappa)):
+        raise DomainError(f"a TautExpr key must be a pair of tuples of (int, int) pairs, got {key!r}")
+    if not all(type(m) is int and type(p) is int for m, p in psi + kappa):
+        raise DomainError(f"every depth, kappa index and power must be an integer, got {key!r}")
+    last = -1
+    for m, p in psi:
+        if p < 1 or m < 0:
+            raise DomainError("psi factors need depth >= 0 and power >= 1")
+        if l - m < 4:
+            raise DomainError(f"depth {m} names a psi-class missing from the {l}-pointed space")
+        if m <= last:
+            raise DomainError("pull depths must be pairwise distinct" if m == last else _UNSORTED.format(key))
+        last = m
+    last = 0
+    for a, p in kappa:
+        if a < 1 or p < 1:
+            raise DomainError("kappa factors need index >= 1 and power >= 1")
+        if a <= last:
+            raise DomainError(_UNSORTED.format(key))
+        last = a
 
 
 def _pairs(factors: Iterable, what: str) -> list:
@@ -245,13 +267,13 @@ def pushforward_step(expr: TautExpr) -> TautExpr:
         # depths are ascending, so a psi_l factor (depth 0) comes first
         s0 = psi[0][1] if psi and psi[0][0] == 0 else 0
         _push(kappas, l, s0, by_down.setdefault(tuple((m - 1, p) for m, p in psi if m), {}))
-    return TautExpr(l - 1, {(psi, node.key): c for psi, nodes in by_down.items() for node, c in nodes.items()})
+    return TautExpr._raw(l - 1, {(psi, node.key): c for psi, nodes in by_down.items() for node, c in nodes.items()})
 
 
 def integrate(expr: TautExpr) -> Fraction:
     """Integrate over the moduli space; exact rational.  Monomials of degree other than l - 3 are dropped first."""
     instance(expr, TautExpr, "integrate")
-    current = TautExpr(expr.l, {key: c for key, c in expr._terms.items() if _degree(key) == expr.l - 3})
+    current = TautExpr._raw(expr.l, {key: c for key, c in expr._terms.items() if _degree(key) == expr.l - 3})
     while current.l > 3:
         current = pushforward_step(current)
     return Fraction(sum(current._terms.values()))

@@ -150,6 +150,8 @@ ROWS = [
         ({(1, 0): {0: True}}, f"{COEFF}True"), ({(1, 0): {0: False}}, f"{COEFF}False"),
         (1.5, "QElement needs a dict, got float"), ({(0, 0): 5}, "QElement needs a dict, got int"),
     ]],
+    *[refused(f"every QElement key must be an (L-power, q-power) pair, got {key!r}", QElement, 1, {key: {0: 1}})
+      for key in (5, (1,), (0, 0, 0))],
     refused("basis power 3 outside [0, 2]", QElement.basis, 2, 3),
     *[refused(f"n must be an integer, got {args[0]!r}", call, *args) for call, args in [
         (structure_table, ("2",)), (structure_table, (1.5,)), (structure_table, (None,)),
@@ -173,6 +175,13 @@ ROWS = [
     *[refused(f"every {what} factor must be a pair, got {bad!r}", TautExpr.monomial, l, **{what: factors})
       for l, what, bad, factors in [(4, "psi", "2", "2"), (4, "kappa", 1, [1]), (5, "psi", (0, 1, 1), [(0, 1, 1)]),
                                     (5, "kappa", None, None)]],
+    *[refused(f"a TautExpr key must be a pair of tuples of (int, int) pairs, got {key!r}", TautExpr, 4, {key: 1})
+      for key in (5, (1, 2))],
+    *[refused(f"depths must be ascending and kappa indices strictly ascending, got {key!r}", TautExpr, 5, {key: 1})
+      for key in [(((1, 1), (0, 1)), ()), (((0, 1),), ((2, 1), (1, 1)))]],
+    refused("pull depths must be pairwise distinct", TautExpr, 5, {(((0, 1), (0, 1)), ()): 1}),
+    refused("every depth, kappa index and power must be an integer, got (((0, 1.0),), ())", TautExpr, 4,
+            {(((0, 1.0),), ()): 1}),
     refused("l must be an integer, got 6.0", TautExpr, 6.0),
     *[refused(f"{COEFF}{coeff!r}", TautExpr.monomial, 4, psi=[(0, 1)], coeff=coeff) for coeff in (0.1, True)],
     *[refused(f"{COEFF}{coeff!r}", TautExpr, 4, {(((0, 1),), ()): coeff}) for coeff in (0.0, "1")],

@@ -11,18 +11,14 @@ import sgw.localize as localize
 import sgw.quantum as quantum
 from sgw.errors import DomainError, InconsistencyError, ResampleSignal, UnsupportedError
 from sgw.exact import Poly, complete_homogeneous
-from sgw.graphs import EulerData, FixedGraph, enumerate_graphs, euler_data, ev_exponents
+from sgw.graphs import EulerData, enumerate_graphs, euler_data, ev_exponents
 from sgw.localize import LocalizationJob, graph_contribution, invariant
 from sgw.point import Invariant
 from sgw.tables import ALL_INVARIANT_ENTRIES, GOLDEN, ONE_POINT_ENTRIES, TWO_POINT_ENTRIES
 
 from .closed_forms import FORMS, mismatches
 from .test_exact import linear
-from .test_graphs import odd_weights, pair_weights
-
-
-def graph(n, k, a, b, members):
-    return FixedGraph(n=n, a=a, b=b, A=frozenset(members), k=k)
+from .test_graphs import graph, odd_weights, pair_weights
 
 
 def pinned(entry):
@@ -337,12 +333,6 @@ WORKED_EXAMPLES = [
 @pytest.mark.parametrize("n,k,classes,expected", WORKED_EXAMPLES)
 def test_invariant_examples(n, k, classes, expected):
     assert invariant(n, k, classes) == expected
-
-
-def test_reference_tables_match_recomputation():
-    for entry in ALL_INVARIANT_ENTRIES:
-        got = invariant(entry.n, entry.k, entry.classes)
-        assert got == pinned(entry), entry.label
 
 
 def test_weight_independence_across_seeds():

@@ -6,7 +6,6 @@ from math import comb
 
 import pytest
 
-from sgw.errors import DomainError
 from sgw.localize import table
 from sgw.point import Invariant
 from sgw.quantum import QElement, _three_point, star, structure_table
@@ -51,6 +50,18 @@ def test_star_is_associative():
             assert star(n, star(n, x, y), z) == star(n, x, star(n, y, z)), (n, a, b, c)
             triples += 1
     assert triples == 2024
+
+
+def test_two_minus_e_is_the_unit():
+    # L^0 is not the unit: e = L^0 * L^0 = 1 + q*(...).  The unit is u = 2 - e, on either side of every L^a.
+    for n in (1, 2, 3):
+        e = star(n, basis(n, 0), basis(n, 0))
+        assert e != basis(n, 0) and e.comps[(0, 0)] == {0: 1}
+        comps = {key: {exp: -c for exp, c in laurent.items()} for key, laurent in e.comps.items()}
+        comps[(0, 0)] = {0: F(1)}
+        u = QElement(n, comps)
+        for a in range(n + 1):
+            assert star(n, u, basis(n, a)) == basis(n, a) == star(n, basis(n, a), u), (n, a)
 
 
 def test_leading_term_above_the_classical_range():
@@ -130,67 +141,6 @@ def test_star_is_bilinear_over_laurent_coefficients():
         return QElement(n, {(lam_pow, q_pow + 1): laurent for (lam_pow, q_pow), laurent in element.comps.items()})
 
     assert star(n, times_q(x), times_q(y)) == QElement(n)
-
-
-@pytest.mark.parametrize(
-    "comps",
-    [
-        {(-1, 0): {0: 1}},
-        {(1.5, 0): {0: 1}},
-        {(0, -1): {0: 1}},
-        {(True, 0): {0: 1}},
-        {(0, False): {0: 1}},
-        {(1, 0): {0.5: 1}},
-        {(1, 0): {0: 0.1}},
-        {(1, 0): {0: 0.0}},
-        {(1, 0): {0: "1/3"}},
-        {(1, 0): {0: True}},
-        {(1, 0): {0: False}},
-    ],
-    ids=[
-        "negative-L", "fractional-L", "negative-q", "bool-L", "bool-q", "fractional-kappa",
-        "float-coefficient", "float-zero-coefficient", "str-coefficient", "bool-coefficient", "bool-zero-coefficient",
-    ],
-)
-def test_malformed_powers_refused(comps):
-    with pytest.raises(DomainError) as info:
-        star(2, QElement(2, comps), basis(2, 1))
-    assert "\n" not in str(info.value)
-
-
-@pytest.mark.parametrize(
-    "n,message",
-    [
-        (1.5, "n must be an integer, got 1.5"),
-        (True, "n must be an integer, got True"),
-        (0, "n must be >= 1"),
-        (-1, "n must be >= 1"),
-    ],
-)
-def test_bad_n_refused(n, message):
-    # Refused where the element is built, not at a later ``star``.
-    with pytest.raises(DomainError) as info:
-        QElement(n)
-    assert type(info.value) is DomainError and str(info.value) == message
-
-
-@pytest.mark.parametrize(
-    "build,args,message",
-    [
-        (structure_table, ("2",), "n must be an integer, got '2'"),
-        (structure_table, (1.5,), "n must be an integer, got 1.5"),
-        (structure_table, (None,), "n must be an integer, got None"),
-        (QElement.basis, ("2", 0), "n must be an integer, got '2'"),
-        (QElement.basis, (None, 0), "n must be an integer, got None"),
-        (QElement.basis, (2, "1"), "basis power must be an integer, got '1'"),
-        (QElement.basis, (2, True), "basis power must be an integer, got True"),
-    ],
-)
-def test_non_integer_sizes_refused(build, args, message):
-    # Checked before any comparison, which would raise TypeError on a str or None.
-    with pytest.raises(DomainError) as info:
-        build(*args)
-    assert type(info.value) is DomainError and str(info.value) == message
 
 
 def test_coefficients_stay_exact():
