@@ -117,11 +117,19 @@ def euler_data(g: FixedGraph) -> EulerData:
     return _POINT_LOCUS[len(g.A) % 2]
 
 
+def check_classes(n: int, k: int, classes: Sequence[int]) -> tuple[int, ...]:
+    """``classes`` as a tuple of k class exponents, each an integer in [0, n]: the rule of a job and of a pullback."""
+    if len(classes := as_tuple(classes, f"{k} classes")) != k:
+        raise DomainError(f"expected {k} classes")
+    for a in classes:
+        if not 0 <= integer(a, "every class exponent") <= n:
+            raise DomainError(f"class exponent {a} outside [0, {n}]")
+    return classes
+
+
 def ev_exponents(g: FixedGraph, classes: Sequence[int]) -> tuple[int, int]:
     """Powers of tau_a and tau_b in the evaluation pullback: classes over A go to tau_a."""
-    classes = as_tuple(classes, f"{instance(g, FixedGraph, 'ev_exponents').k} classes")
-    if len(classes) != g.k:
-        raise DomainError(f"expected {g.k} classes")
+    classes = check_classes(instance(g, FixedGraph, "ev_exponents").n, g.k, classes)
     at_a = sum(power for i, power in enumerate(classes, start=1) if i in g.A)
     return at_a, sum(classes) - at_a
 
@@ -130,8 +138,6 @@ def ev_pullback(g: FixedGraph, classes: Sequence[int]) -> Poly:
     """Evaluation pullback of hyperplane powers as a ``Poly``: tau_a over A, tau_b elsewhere."""
     from .exact import Poly  # imported here: no runtime path needs exact.py
 
-    at_a, at_b = ev_exponents(instance(g, FixedGraph, "ev_pullback"), classes)
-    exp = [0] * (g.n + 2)
-    exp[g.a] = at_a
-    exp[g.b] = at_b
+    exp = [0] * (instance(g, FixedGraph, "ev_pullback").n + 2)
+    exp[g.a], exp[g.b] = ev_exponents(g, classes)
     return Poly(g.n + 1, {tuple(exp): 1})

@@ -49,7 +49,7 @@ from operator import itemgetter, mul
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InconsistencyError, ResampleSignal, as_tuple, integer
-from .graphs import FixedGraph, check_size, enumerate_graphs, euler_data
+from .graphs import FixedGraph, check_classes, check_size, enumerate_graphs, euler_data
 from .point import Invariant
 
 DEFAULT_SEED = 1729
@@ -67,13 +67,7 @@ class LocalizationJob(_JobFields):
 
     def __new__(cls, n: int, k: int, classes: tuple[int, ...]):
         check_size(n, k)
-        classes = as_tuple(classes, f"{k} classes")
-        if len(classes) != k:
-            raise DomainError(f"expected {k} classes")
-        for a in classes:
-            if not 0 <= integer(a, "every class exponent") <= n:
-                raise DomainError(f"class exponent {a} outside [0, {n}]")
-        return super().__new__(cls, n, k, classes)
+        return super().__new__(cls, n, k, check_classes(n, k, classes))
 
     # dimension n + d(n + 1) + k - 3 and odd rank d(n + 1) + k - 2 at degree d = 1
     @property

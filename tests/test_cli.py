@@ -28,28 +28,6 @@ def runner():
     return CliRunner()
 
 
-def test_point_text(runner):
-    result = runner.invoke(main, ["point", "--k", "4"])
-    assert result.exit_code == 0
-    assert result.output.strip() == "-1/2 * kappa^-3"
-
-
-def test_point_json(runner):
-    result = runner.invoke(main, ["point", "--k", "3", "--format", "json"])
-    assert result.exit_code == 0
-    record = json.loads(result.output)
-    assert record["coefficient"] == "1"
-    assert record["kappa_exponent"] == -1
-    assert record["command"] == "point"
-    assert record["inputs"] == {"k": 3}
-
-
-def test_point_domain_error(runner):
-    result = runner.invoke(main, ["point", "--k", "2"])
-    assert result.exit_code == 2
-    assert "k must be >= 3" in result.output
-
-
 def test_invariant_text(runner):
     result = runner.invoke(main, ["invariant", "--n", "1", "--k", "3", "--classes", "1,1,1"])
     assert result.exit_code == 0
@@ -60,15 +38,6 @@ def test_invariant_text(runner):
 
     result = runner.invoke(main, ["invariant", "--n", "1", "--k", "3", "--classes", "0,0,0"])
     assert result.output.strip() == "0"
-
-
-def test_invariant_symbolic(runner):
-    result = runner.invoke(
-        main,
-        ["invariant", "--n", "2", "--k", "3", "--classes", "2,1,1", "--strategy", "symbolic"],
-    )
-    assert result.exit_code == 0
-    assert result.output.strip() == "3/2 * kappa^-5"
 
 
 def test_invariant_json_deterministic(runner):
@@ -180,45 +149,6 @@ GOLDEN_TRACE = (
     '"inputs":{"classes":[1,1,1],"d":1,"k":3,"n":1},"kappa_exponent":-3}'
     "\n"
 )
-GOLDEN_SYMBOLIC_TRACE = (
-    '{"coefficient":"1","command":"invariant","diagnostics":{"per_graph":['
-    '{"graph":"G(k=3,d=1,a=0,b=1,A={})","value":"8"},'
-    '{"graph":"G(k=3,d=1,a=0,b=1,A={1})","value":"-4"},'
-    '{"graph":"G(k=3,d=1,a=0,b=1,A={2})","value":"-4"},'
-    '{"graph":"G(k=3,d=1,a=0,b=1,A={1,2})","value":"2"},'
-    '{"graph":"G(k=3,d=1,a=0,b=1,A={3})","value":"-4"},'
-    '{"graph":"G(k=3,d=1,a=0,b=1,A={1,3})","value":"2"},'
-    '{"graph":"G(k=3,d=1,a=0,b=1,A={2,3})","value":"2"},'
-    '{"graph":"G(k=3,d=1,a=0,b=1,A={1,2,3})","value":"-1"}],'
-    '"seed":1729,"strategy":"symbolic"},'
-    '"inputs":{"classes":[1,1,1],"d":1,"k":3,"n":1},"kappa_exponent":-3}'
-    "\n"
-)
-GOLDEN_SYMBOLIC = (
-    '{"coefficient":"3/2","command":"invariant","diagnostics":{"seed":1729,"strategy":"symbolic"},'
-    '"inputs":{"classes":[2,1],"d":1,"k":2,"n":2},"kappa_exponent":-4}'
-    "\n"
-)
-
-
-def test_invariant_records_are_byte_identical(runner):
-    base = ["invariant", "--format", "json", "--seed", "1729"]
-    traced = runner.invoke(main, base + ["--n", "1", "--k", "3", "--classes", "1,1,1", "--trace"])
-    assert traced.exit_code == 0
-    assert traced.stdout == GOLDEN_TRACE
-    symbolic = runner.invoke(main, base + ["--n", "2", "--k", "2", "--classes", "2,1", "--strategy", "symbolic"])
-    assert symbolic.exit_code == 0
-    assert symbolic.stdout == GOLDEN_SYMBOLIC
-    symbolic_trace = runner.invoke(
-        main, base + ["--n", "1", "--k", "3", "--classes", "1,1,1", "--strategy", "symbolic", "--trace"]
-    )
-    assert symbolic_trace.exit_code == 0
-    assert symbolic_trace.stdout == GOLDEN_SYMBOLIC_TRACE
-
-
-def test_invariant_domain_error(runner):
-    result = runner.invoke(main, ["invariant", "--n", "1", "--k", "3", "--classes", "2,0,0"])
-    assert result.exit_code == 2
 
 
 def test_invariant_inconsistency_exit_code(runner, monkeypatch):
@@ -280,13 +210,6 @@ def test_taut(runner):
     assert result.output.strip() == "1"
 
 
-def test_taut_domain_error_is_one_line(runner):
-    result = runner.invoke(main, ["taut", "--k", "5", "--exps", "-1,3"])
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert result.stderr == "psi factors need depth >= 0 and power >= 1\n"
-
-
 def test_taut_skips_monomials_of_the_wrong_degree(runner, monkeypatch):
     # Exponents summing to 231 on the 24-pointed space, of dimension 21,
     # integrate to zero: the monomial may not reach the pushforward kernel,
@@ -298,22 +221,6 @@ def test_taut_skips_monomials_of_the_wrong_degree(runner, monkeypatch):
     result = runner.invoke(main, ["taut", "--k", "24", "--exps", ",".join(str(e) for e in range(1, 22))])
     assert result.exit_code == 0
     assert result.output.strip() == "0"
-
-
-def test_quantum_text(runner):
-    result = runner.invoke(main, ["quantum", "--n", "1"])
-    assert result.exit_code == 0
-    assert "L^1 * L^1 = q" in result.output
-
-
-def test_quantum_json(runner):
-    result = runner.invoke(main, ["quantum", "--n", "1", "--format", "json"])
-    assert result.exit_code == 0
-    lines = [json.loads(line) for line in result.output.splitlines()]
-    assert len(lines) == 6  # three (a, b) pairs, two c-values each
-    entry = next(l for l in lines if l["inputs"] == {"a": 1, "b": 1, "c": 1, "n": 1})
-    assert entry["coefficient"] == "1"
-    assert entry["kappa_exponent"] == -3
 
 
 def test_quantum_sweeps_each_graph_once_per_sample(runner, monkeypatch):
@@ -536,13 +443,6 @@ def test_output_matches_the_benchmark_golden_text(runner, argv, golden, exit_cod
     result = runner.invoke(main, argv + ["--seed", "1729"])
     assert result.exit_code == exit_code
     assert result.stdout == (GOLDEN_DIR / golden).read_text()
-
-
-def test_reproduce_paper_skips_name_recomputed_values(runner):
-    result = runner.invoke(main, ["reproduce-paper"])
-    skips = [line for line in result.output.splitlines() if line.startswith("SKIP")]
-    assert any("recomputed 1575/32 * kappa^-12" in line for line in skips)
-    assert any("recomputed -9009/256 * kappa^-15" in line for line in skips)
 
 
 def test_sgw_does_not_import_dataclasses():

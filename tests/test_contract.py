@@ -29,7 +29,7 @@ EXEMPT = {  # public callables without a row, and why
     "localize.graph_contribution": "the per-graph kernel: its arguments come from _evaluate_once",
     "localize.sample_tau": "the tracer's sample counter: its arguments come from _points",
     "graphs.EulerData": "a record that euler_data returns",
-    **dict.fromkeys(["errors.integer", "errors.rational", "errors.as_tuple", "errors.instance"],
+    **dict.fromkeys(["errors.integer", "errors.rational", "errors.as_tuple", "errors.instance", "graphs.check_classes"],
                     "an argument rule: the rows of the callables that apply it pin its messages"),
     **dict.fromkeys([f"errors.{name}" for name in ("DomainError", "UnsupportedError", "DimensionError",
                                                     "InconsistencyError", "ResampleSignal")], "an exception class"),
@@ -87,6 +87,9 @@ ROWS = [
         refused(f"{call.__name__} needs a FixedGraph, got NoneType", call, None, (1,)),
         refused("expected 1 classes, got 5", call, GRAPH, 5)]],
     refused("expected 1 classes", ev_exponents, GRAPH, (1, 1)),
+    *[refused(f"every class exponent must be an integer, got {a!r}", call, GRAPH, (a,))
+      for call, a in [(ev_exponents, 1.5), (ev_exponents, True), (ev_exponents, "1"), (ev_pullback, 1.5)]],
+    *[refused(f"class exponent {a} outside [0, 1]", ev_exponents, GRAPH, (a,)) for a in (-1, 2)],
     # localize
     refused("n must be >= 1", LocalizationJob, 0, 1, (0,)),
     refused(K_SET, LocalizationJob, 2, 4, (1, 1, 1, 1), error=UnsupportedError),

