@@ -18,9 +18,8 @@ from . import localize, point, quantum, tables, taut
 from .errors import DomainError, InconsistencyError
 from .point import Invariant
 
-# Whole processes on a shared 2-core Xeon, start-up (about 65 ms) included: point --k 24 takes
-# 0.13-0.17 s and grows about 1.5x per k, taut --k 24 shares its ceiling at 0.06-0.11 s,
-# invariant --n 20 --k 3 takes 0.09-0.12 s and quantum --n 10 0.13-0.19 s, growing about n^4.
+# Each ceiling keeps a whole process at the ceiling within a fraction of a second (README lists the
+# timings): point --k grows about 1.5x per k, quantum --n about n^4, and taut --k shares point's ceiling.
 # A larger value is refused up front instead of running for hours or out of memory.
 MAX_POINT_K = point.MAX_K
 MAX_N = 20

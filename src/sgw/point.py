@@ -16,9 +16,8 @@ from typing import Iterator, NamedTuple
 from .errors import DomainError, integer, rational
 from .taut import point_sum
 
-# Largest k that ``sgw_point`` accepts: k = 24 takes 0.16-0.30 s (median
-# 0.17-0.19 s) and 21 MB as a whole process on a shared 2-core Xeon, 0.06-0.10 s
-# of it in ``point_sum`` with a cold node table, and each further k about 1.5x longer.
+# Largest k that ``sgw_point`` accepts: each further k takes about 1.5x longer,
+# and k = 24 still runs within a fraction of a second (README lists the timings).
 MAX_K = 24
 
 

@@ -41,10 +41,10 @@ class QElement:
                 raise DomainError(f"every QElement key must be an (L-power, q-power) pair, got {key!r}")
             lam_pow, q_pow = key
             if not all(type(p) is int and p >= 0 for p in (lam_pow, q_pow)):
-                raise DomainError(f"L- and q-powers must be non-negative integers, got L^{lam_pow} q^{q_pow}")
+                raise DomainError(f"L- and q-powers must be non-negative integers, got L^{lam_pow!r} q^{q_pow!r}")
             for e, c in instance(laurent, dict, "QElement").items():
                 if type(e) is not int:
-                    raise DomainError(f"kappa exponents must be integers, got kappa^{e}")
+                    raise DomainError(f"kappa exponents must be integers, got kappa^{e!r}")
                 rational(c)
             if q_pow >= 2 or lam_pow > n:
                 continue

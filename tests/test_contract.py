@@ -126,6 +126,7 @@ ROWS = [
                                                         strategy="symbolic")],
     *localized(K_SET, 1, 4, (1, 1, 1, 1), error=UnsupportedError),
     *localized("class exponent 3 outside [0, 2]", 2, 2, (3, 0), strategy="symbolic"),
+    # A seed of None would draw from the OS, and a float or a str is a seed that no CLI run can repeat.
     *[refused(f"seed must be an integer, got {seed!r}", call, *args, seed=seed, **options) for call, args, options in [
         (table, (2, 2, [(1, 1)]), {}), (table, (2, 2, [(1, 1)]), {"strategy": "symbolic"}),
         (table, (2, 3, [(2, 2, 2)]), {}), (invariant, (2, 2, (1, 1)), {}), (traced_invariant, (2, 2, (1, 1)), {}),
@@ -153,6 +154,9 @@ ROWS = [
         ({(1, 0): {0: True}}, f"{COEFF}True"), ({(1, 0): {0: False}}, f"{COEFF}False"),
         (1.5, "QElement needs a dict, got float"), ({(0, 0): 5}, "QElement needs a dict, got int"),
     ]],
+    *[refused(message, QElement, 1, comps) for comps, message in [
+        ({(0, "0"): {0: 1}}, f"{POWERS}L^0 q^'0'"),
+        ({(0, 0): {F(1): 1}}, "kappa exponents must be integers, got kappa^Fraction(1, 1)")]],
     *[refused(f"every QElement key must be an (L-power, q-power) pair, got {key!r}", QElement, 1, {key: {0: 1}})
       for key in (5, (1,), (0, 0, 0))],
     refused("basis power 3 outside [0, 2]", QElement.basis, 2, 3),

@@ -8,7 +8,6 @@ from math import comb, lcm, prod
 import pytest
 
 import sgw.localize as localize
-import sgw.quantum as quantum
 from sgw.errors import DomainError, InconsistencyError, ResampleSignal
 from sgw.exact import Poly, complete_homogeneous
 from sgw.graphs import EulerData, enumerate_graphs, euler_data, ev_exponents
@@ -685,33 +684,6 @@ def test_symbolic_per_graph_at_first_grid_point():
         assert [value for _, value in summands] == [contributions(g, [job], tau)[0] for g in enumerate_graphs(n, k)]
         assert Invariant(sum(value for _, value in summands), job.kappa_exp) == swept
         assert swept == invariant(n, k, classes, strategy="symbolic")
-
-
-SEEDED_CALLS = {
-    "table": lambda seed: localize.table(2, 2, [(1, 1)], seed=seed),
-    "table-symbolic": lambda seed: localize.table(2, 2, [(1, 1)], strategy="symbolic", seed=seed),
-    "table-graded-zero": lambda seed: localize.table(2, 3, [(2, 2, 2)], seed=seed),
-    "invariant": lambda seed: invariant(2, 2, (1, 1), seed=seed),
-    "traced_invariant": lambda seed: localize.traced_invariant(2, 2, (1, 1), seed=seed),
-    "sample_taus": lambda seed: localize.sample_taus(2, 3, seed),
-    "structure_table": lambda seed: quantum.structure_table(2, seed=seed),
-    "star": lambda seed: quantum.star(1, quantum.QElement.basis(1, 1), quantum.QElement.basis(1, 1), seed=seed),
-}
-
-
-@pytest.mark.parametrize("seed", [None, 1.5, "x", True, [1]], ids=["None", "float", "str", "bool", "list"])
-@pytest.mark.parametrize("call", list(SEEDED_CALLS))
-def test_non_integer_seed_refused(monkeypatch, call, seed):
-    # Refused before any point is drawn or any sweep is cached: None would draw
-    # from the OS, and a float or str would be a seed no CLI run can repeat.
-    def no_work(*args):
-        raise AssertionError("work began before the seed was checked")
-
-    monkeypatch.setattr(localize, "_points", no_work)
-    monkeypatch.setattr(quantum, "_three_point", no_work)
-    with pytest.raises(DomainError) as info:
-        SEEDED_CALLS[call](seed)
-    assert type(info.value) is DomainError and str(info.value) == f"seed must be an integer, got {seed!r}"
 
 
 def test_symbolic_table_matches_invariant():
