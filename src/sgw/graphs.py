@@ -57,7 +57,7 @@ class FixedGraph(_GraphFields):
         check_size(n, k)
         if not 0 <= integer(a, "a") < integer(b, "b") <= n:  # b is checked wherever the chain reads it
             raise DomainError("need 0 <= a < b <= n")
-        if not instance(A, frozenset, "A") <= set(range(1, k + 1)):
+        if not {integer(i, "every mark in A") for i in instance(A, frozenset, "A")} <= set(range(1, k + 1)):
             raise DomainError("A must be a subset of the marked-point labels")
         return super().__new__(cls, n, a, b, A, k)
 

@@ -54,24 +54,27 @@ class Invariant(_InvariantFields):
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Weak compositions of ``total`` into ``parts`` parts whose prefix sum over the first j parts is at most j.
 
-    The branches dropped are monomials that integrate to zero.  Both arguments are checked at the call.
+    The branches dropped are monomials that integrate to zero.  Both arguments are checked at the call.  The
+    compositions come in lexicographic order; the walk keeps its own stack, so no ``parts`` meets the recursion limit.
     """
     integer(total, "total", 0)
     integer(parts, "parts", 0)
 
-    def rec(prefix: tuple[int, ...], remaining: int, slot: int):
-        if slot == parts:
-            if remaining == 0:
-                yield prefix
-            return
-        for value in range(remaining + 1):
-            if sum(prefix) + value > slot + 1:
+    def walk():
+        stack = [((), 0)]  # (prefix, its sum); the prefix to extend next on top
+        while stack:
+            prefix, used = stack.pop()
+            slot = len(prefix)
+            if slot == parts:
+                if used == total:
+                    yield prefix
                 continue
-            if slot == parts - 1 and value != remaining:
-                continue
-            yield from rec(prefix + (value,), remaining - value, slot + 1)
+            # the last part takes what is left; every part keeps the prefix sum at most slot + 1
+            low = total - used if slot == parts - 1 else 0
+            high = min(total - used, slot + 1 - used)
+            stack.extend((prefix + (value,), used + value) for value in range(high, low - 1, -1))
 
-    return rec((), total, 0)
+    return walk()
 
 
 def sgw_point(k: int) -> Invariant:

@@ -99,11 +99,19 @@ class TautExpr:
 
     @classmethod
     def monomial(cls, l: int, psi: Iterable = (), kappa: Iterable = (), coeff=1) -> "TautExpr":
-        """One monomial, given as (depth, power) and (index, power) pairs; zero powers are dropped."""
+        """One monomial, given as (depth, power) and (index, power) pairs.
+
+        Each factor is checked on its own, a zero power included; then zero powers are dropped and the powers of
+        a repeated kappa index are added.
+        """
+        cls(l)  # a bad l is refused before any factor is read
         factors = [(integer(m, "every depth"), integer(p, "every power")) for m, p in _pairs(psi, "psi")]
+        for m, p in factors:
+            _check_key((((m, p or 1),), ()), l)  # a zero power is read as 1, so its depth is still checked
         merged: dict[int, int] = {}
         for a, p in _pairs(kappa, "kappa"):
             a, p = integer(a, "every kappa index"), integer(p, "every power")
+            _check_key(((), ((a, p or 1),)), l)
             if p:
                 merged[a] = merged.get(a, 0) + p
         return cls(l, {(tuple(sorted((m, p) for m, p in factors if p)), tuple(sorted(merged.items()))): coeff})

@@ -80,6 +80,8 @@ ROWS = [
       for a, b in [(1, 1), (0, 3), (-1, 1), (2, 1)]],
     *[refused("A must be a subset of the marked-point labels", FixedGraph, 2, 0, 1, frozenset(A), 2)
       for A in ([3], [0, 1])],
+    *[refused(f"every mark in A must be an integer, got {i!r}", FixedGraph, 2, 0, 1, frozenset({i}), 2)
+      for i in (1.0, True)],
     *[refused(f"A needs a frozenset, got {type(A).__name__}", FixedGraph, 2, 0, 1, A, 1) for A in (None, [2])],
     refused("euler_data needs a FixedGraph, got NoneType", euler_data, None),
     refused("unhashable type: 'list'", euler_data, [2], error=TypeError),
@@ -172,8 +174,11 @@ ROWS = [
     refused(L3, TautExpr.monomial, 2, psi=[(0, 1)], kappa=[(0, 1)]),
     *[refused(L3, TautExpr, 2, *terms) for terms in [(), ({((), ((1, 1),)): 1},), ({((), ()): 5},)]],
     *[refused(PSI, TautExpr.monomial, 6, psi=psi) for psi in ([(-1, 1)], [(0, 3), (1, -1)])],
-    refused("depth 3 names a psi-class missing from the 6-pointed space", TautExpr.monomial, 6, psi=[(3, 1)]),
-    *[refused(KAPPA, TautExpr.monomial, 5, kappa=kappa) for kappa in ([(1, 2), (1, -2)], [(0, 1)])],
+    # monomial checks each factor before it drops zero powers and adds the powers of a repeated kappa index
+    *[refused(f"depth {m} names a psi-class missing from the {l}-pointed space", TautExpr.monomial, l, psi=[(m, p)])
+      for l, m, p in [(6, 3, 1), (5, 9, 0)]],
+    *[refused(KAPPA, TautExpr.monomial, 5, kappa=kappa)
+      for kappa in ([(1, 2), (1, -2)], [(0, 1)], [(1, 2), (1, -1)], [(0, 0)])],
     refused("pull depths must be pairwise distinct", TautExpr.monomial, 6, psi=[(1, 1), (1, 2)]),
     *[refused(f"every {what} must be an integer, got {bad!r}", TautExpr.monomial, 6, **factors)
       for what, bad, factors in [
@@ -195,6 +200,7 @@ ROWS = [
     refused("TautExpr needs a dict, got list", TautExpr, 4, [2]),
     refused("addition needs a TautExpr, got int", operator.add, TautExpr(4), 3),
     refused("pushforward_step needs a TautExpr, got NoneType", pushforward_step, None),
+    refused("already on the 3-pointed space", pushforward_step, TautExpr.monomial(3)),
     *[refused(f"integrate needs a TautExpr, got {type(x).__name__}", integrate, x) for x in (None, 3)],
     *[refused(message, integrate_monomial, k, exps) for k, exps, message in [
         (2, (), "k must be >= 3"), (-1, (1,), "k must be >= 3"), (6.0, (1, 1, 1), "k must be an integer, got 6.0"),

@@ -8,7 +8,7 @@ from math import comb, lcm, prod
 import pytest
 
 import sgw.localize as localize
-from sgw.errors import DomainError, InconsistencyError, ResampleSignal
+from sgw.errors import InconsistencyError, ResampleSignal
 from sgw.exact import Poly, complete_homogeneous
 from sgw.graphs import EulerData, enumerate_graphs, euler_data, ev_exponents
 from sgw.localize import LocalizationJob, graph_contribution, invariant
@@ -50,48 +50,6 @@ def test_job_derived_quantities():
     assert job.kappa_exp == -8
     assert not job.graded_zero
     assert LocalizationJob(n=2, k=3, classes=(2, 2, 2)).graded_zero
-
-
-@pytest.mark.parametrize(
-    "options,message",
-    [
-        ({"classes": (True,)}, "every class exponent must be an integer, got True"),
-        ({"classes": (1.0,)}, "every class exponent must be an integer, got 1.0"),
-        ({"n": 2, "k": 2, "classes": (1, F(1))}, "every class exponent must be an integer, got Fraction(1, 1)"),
-        ({"n": 1.0}, "n must be an integer, got 1.0"),
-        ({"n": True}, "n must be an integer, got True"),
-        ({"k": 1.0}, "k must be an integer, got 1.0"),
-        ({"samples": 3.0}, "samples must be an integer, got 3.0"),
-        ({"samples": 1.5}, "samples must be an integer, got 1.5"),
-        ({"samples": -1}, "localization needs at least 2 samples, got -1"),
-        ({"n": "2"}, "n must be an integer, got '2'"),
-        ({"n": -5}, "n must be >= 1"),
-        ({"n": 2, "k": 2, "classes": 5}, "expected 2 classes, got 5"),
-        ({"n": 2, "k": 2, "classes": None}, "expected 2 classes, got None"),
-        ({"n": 2, "k": 2, "class_tuples": None}, "expected a list of class tuples, got None"),
-    ],
-)
-def test_non_integers_are_refused(options, message):
-    # invariant(1, 1, (True,)) used to read True as 1, and (1.0,) raised a
-    # TypeError.  sample_taus refuses a bad n or samples as table does:
-    # sample_taus(2, -1, 1) used to return [], and a class tuple that is not
-    # iterable, as in invariant(2, 2, 5), raised a TypeError.
-    sampled = options.keys() <= {"n", "samples"}
-    options = {"n": 1, "k": 1, "classes": (1,)} | options
-    n, k, classes = options.pop("n"), options.pop("k"), options.pop("classes")
-    class_tuples = options.pop("class_tuples", [classes])  # a bad list of tuples reaches table alone
-    calls = [lambda: localize.table(n, k, class_tuples, **options)]
-    if class_tuples == [classes]:
-        calls += [
-            lambda: invariant(n, k, classes, **options),
-            lambda: localize.traced_invariant(n, k, classes, **options),
-        ]
-    if sampled:
-        calls.append(lambda: localize.sample_taus(n, options.get("samples", 3), localize.DEFAULT_SEED))
-    for call in calls:
-        with pytest.raises(DomainError) as info:
-            call()
-        assert type(info.value) is DomainError and str(info.value) == message
 
 
 def test_graph_contribution_one_point():

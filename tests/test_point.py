@@ -3,11 +3,8 @@
 from fractions import Fraction as F
 from itertools import product
 
-import pytest
-
 import sgw.point
 import sgw.taut
-from sgw.errors import DomainError
 from sgw.point import MAX_K, Invariant, compositions, sgw_point
 from sgw.tables import TAUT_ENTRIES
 from sgw.taut import integrate_monomial, point_sum
@@ -112,26 +109,8 @@ def test_pruning_skips_only_zero_terms():
         for comp in unpruned(k - 3, k - 3):
             if comp not in pruned:
                 assert oracle_monomial(k, comp) == 0
-
-
-@pytest.mark.parametrize(
-    "build,args,message",
-    [
-        (sgw_point, (6.0,), "k must be an integer, got 6.0"),
-        (sgw_point, (True,), "k must be an integer, got True"),
-        (point_sum, (-1,), "k must be >= 3"),
-        (point_sum, (True,), "k must be an integer, got True"),
-        (point_sum, (2,), "k must be >= 3"),
-        (Invariant, (1, "2"), "kappa_exp must be an integer, got '2'"),
-        (Invariant, (1, 1.5), "kappa_exp must be an integer, got 1.5"),
-        (Invariant, (0.1, -1), "coefficients must be integers or Fractions, got 0.1"),
-        (Invariant, ("1/2", -1), "coefficients must be integers or Fractions, got '1/2'"),
-    ],
-)
-def test_non_integers_are_refused(build, args, message):
-    with pytest.raises(DomainError) as info:
-        build(*args)
-    assert type(info.value) is DomainError and str(info.value) == message
+    # one part per level: a walk that recursed once per part would stop at the recursion limit
+    assert list(compositions(0, 1200)) == [(0,) * 1200]
 
 
 def test_invariant_canonical_zero():
