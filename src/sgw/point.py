@@ -59,6 +59,8 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """
     integer(total, "total", 0)
     integer(parts, "parts", 0)
+    if total > parts:  # the prefix sum over all the parts is at most parts
+        return iter(())
 
     def walk():
         stack = [((), 0)]  # (prefix, its sum); the prefix to extend next on top

@@ -1,6 +1,6 @@
 import pytest
 
-from sgw import localize
+from sgw import localize, quantum, taut
 
 
 @pytest.fixture(autouse=True)
@@ -9,3 +9,13 @@ def cold_symbolic_grid():
     localize._symbolic_sum.cache_clear()
     yield
     localize._symbolic_sum.cache_clear()
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """The localization points, the quantum sweep and the pushforward kernel raise: a refusal comes before any work."""
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the input was refused")
+
+    for module, name in [(localize, "_points"), (quantum, "_three_point"), (taut, "_push")]:
+        monkeypatch.setattr(module, name, work)

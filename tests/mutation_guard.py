@@ -1,4 +1,4 @@
-"""Seven known bugs, each planted in a copy of the tree, and the tier-1 failures each causes.
+"""Nine known bugs, each planted in a copy of the tree, and the tier-1 failures each causes.
 
     python3 tests/mutation_guard.py
 
@@ -10,15 +10,18 @@ Each mutation is one exact substitution in one file of ``src/sgw``:
   kappa0-scalar      taut.py      ``_push`` reads kappa_0 on l - 1 points as l - 2, not l - 3;
   negative-exponent  taut.py      ``integrate_monomial`` takes an exponent of -1;
   one-sample         localize.py  localization takes a single sample, so no second point checks the first;
-  kappa-exp-check    point.py     ``Invariant`` takes a kappa exponent that is not an int.
+  kappa-exp-check    point.py     ``Invariant`` takes a kappa exponent that is not an int;
+  flag-value         cli.py       the parser takes ``--trace=1``, a value for a flag;
+  extra-args         cli.py       the parser drops arguments left over after a command's options.
 
-The first four are kernel bugs; the last three are refusals whose only tests are rows of ``test_contract.py``.
+The first four are kernel bugs; the next three are refusals whose only tests are rows of ``test_contract.py``,
+and the last two are parser refusals whose only tests are rows of ``REFUSALS`` in ``test_cli.py``.
 The script copies the tree (without ``.git`` and caches) to a temporary directory, plants one mutation at a
 time there, runs the tier-1 suite on the copy and restores the file; the tree it was started from is never
-written.  It prints the number of failed tests of each mutation, exits 2 if a target text does not occur
-exactly once in its file (the mutation would test nothing), and exits 1 if some mutation fails no test.  A test
-deleted as a duplicate may lower a count, but no count may reach 0: that bug would then pass unseen.  The
-counts assume an unmutated tree that passes.
+written.  It prints the number of failed tests of each mutation and then the names of the mutations no test
+caught, exits 2 if a target text does not occur exactly once in its file (the mutation would test nothing), and
+exits 1 if some mutation fails no test.  A test deleted as a duplicate may lower a count, but no count may reach
+0: that bug would then pass unseen.  The counts assume an unmutated tree that passes.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ MUTATIONS = [
     ("negative-exponent", "taut.py", "        if e < 0:\n", "        if e < -1:\n"),
     ("one-sample", "localize.py", 'if integer(samples, "samples") < 2:', 'if integer(samples, "samples") < 1:'),
     ("kappa-exp-check", "point.py", '        integer(kappa_exp, "kappa_exp")\n', ""),
+    ("flag-value", "cli.py", "            if flag and eq:", "            if False:"),
+    ("extra-args", "cli.py", "        if extra:", "        if False:"),
 ]
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks")
 
@@ -72,5 +77,5 @@ if __name__ == "__main__":
             print(f"{name}: {count} failed", flush=True)
             if not count:
                 uncaught.append(name)
-    print(f"{len(MUTATIONS)} mutations, {len(uncaught)} caught by no test")
+    print(f"{len(MUTATIONS)} mutations, caught by no test: {', '.join(uncaught) or 'none'}")
     sys.exit(1 if uncaught else 0)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 import sgw.cli
 import sgw.graphs
 import sgw.localize
-import sgw.point
 import sgw.quantum
 import sgw.taut
 from sgw.cli import MAX_N, MAX_POINT_K, MAX_QUANTUM_N, MAX_SAMPLES, main
@@ -240,35 +240,74 @@ def test_quantum_sweeps_each_graph_once_per_sample(runner, monkeypatch):
     assert len(calls) == 144
 
 
-def _forbid_heavy_paths(monkeypatch):
-    def heavy(*args, **kwargs):
-        raise AssertionError("the heavy computation started")
+_RANGE = "Error: Invalid value for '--{}': {} is not in the range x<={}."
+_NOT_INT = "Error: Invalid value for {}: {!r} is not a valid integer."
+# Every refusal of the command line: (argv, env, the one stderr line).  Each row exits 2 with an empty stdout,
+# and the no_work fixture shows that the input is refused before any localization point, quantum sweep or
+# pushforward is formed.
+REFUSALS = [
+    # the parser, branch by branch
+    (["--bogus"], {}, "Error: No such option '--bogus'."),
+    (["-x"], {}, "Error: No such option '-x'."),
+    (["point", "-k", "3"], {}, "Error: No such option '-k'."),
+    (["--", "--bogus"], {}, "Error: No such option '--bogus'."),
+    (["--"], {}, "Error: Missing command."),
+    (["poin", "--k", "3"], {}, "Error: No such command 'poin'. Did you mean 'point'?"),
+    (["point"], {}, "Error: Missing option '--k'."),
+    (["point", "--k"], {}, "Error: Option '--k' requires an argument."),
+    (["invariant", "--n", "1", "--k", "1", "--classes", "1", "--trace=1"], {},
+     "Error: Option '--trace' does not take a value."),
+    (["point", "--k", "3", "--format", "xml"], {},
+     "Error: Invalid value for '--format': 'xml' is not one of 'text', 'json'."),
+    (["point", "--k", "3", "extra"], {}, "Error: Got unexpected extra argument (extra)"),
+    (["point", "--k", "3", "a", "b"], {}, "Error: Got unexpected extra arguments (a b)"),
+    # values that are not integers, from a flag or from SGW_SEED
+    (["invariant", "--n", "x", "--k", "1", "--classes", "1"], {}, _NOT_INT.format("'--n'", "x")),
+    (["invariant", "--n", "1", "--k", "1.5", "--classes", "1"], {}, _NOT_INT.format("'--k'", "1.5")),
+    (["invariant", "--n", "1", "--k", "1", "--classes", "1", "--samples", "s"], {},
+     _NOT_INT.format("'--samples'", "s")),
+    (["point", "--k", "twelve"], {}, _NOT_INT.format("'--k'", "twelve")),
+    # a capped option words a non-integer as type=int does
+    (["quantum", "--n", "x"], {}, _NOT_INT.format("'--n'", "x")),
+    (["invariant", "--n", "1", "--k", "1", "--classes", "1"], {"SGW_SEED": "abc"},
+     _NOT_INT.format("'--seed' (env var: 'SGW_SEED')", "abc")),
+    (["quantum", "--n", "1"], {"SGW_SEED": "1e3"}, _NOT_INT.format("'--seed' (env var: 'SGW_SEED')", "1e3")),
+    (["invariant", "--n", "1", "--k", "1", "--classes", "a"], {},
+     "Error: --classes must be a comma-separated integer list, got 'a'"),
+    (["invariant", "--n", "2", "--k", "2", "--classes", "1,x"], {},
+     "Error: --classes must be a comma-separated integer list, got '1,x'"),
+    # sizes above their ceilings
+    (["point", "--k", "25"], {}, _RANGE.format("k", 25, MAX_POINT_K)),
+    (["point", "--k", "1500"], {}, _RANGE.format("k", 1500, MAX_POINT_K)),
+    (["taut", "--k", "60", "--exps", ""], {}, _RANGE.format("k", 60, MAX_POINT_K)),
+    (["invariant", "--n", "100000", "--k", "1", "--classes", "0"], {}, _RANGE.format("n", 100000, MAX_N)),
+    (["invariant", "--n", "2", "--k", "1", "--classes", "0", "--samples", "100000000"], {},
+     _RANGE.format("samples", 100000000, MAX_SAMPLES)),
+    (["quantum", "--n", "40"], {}, _RANGE.format("n", 40, MAX_QUANTUM_N)),
+    # the library's refusals, printed without a prefix
+    (["point", "--k", "2"], {}, "k must be >= 3"),
+    (["taut", "--k", "5", "--exps", "-1,3"], {}, "psi factors need depth >= 0 and power >= 1"),
+    (["taut", "--k", "5", "--exps", "1"], {}, "expected 2 exponents for k=5"),
+    (["quantum", "--n", "0"], {}, "n must be >= 1"),
+    (["invariant", "--n", "1", "--k", "4", "--classes", "1,1,1,1"], {}, "localization implemented for k in {1, 2, 3}"),
+    (["invariant", "--n", "2", "--k", "2", "--classes", "3,0"], {}, "class exponent 3 outside [0, 2]"),
+    (["invariant", "--n", "3", "--k", "2", "--classes", "1,1", "--strategy", "symbolic"], {},
+     "symbolic strategy supported for n <= 2"),
+    (["invariant", "--n", "2", "--k", "2", "--classes", "1,1", "--samples", "1"], {},
+     "localization needs at least 2 samples, got 1"),
+    # (2, 2, 2) has negative codegree on P^2, so its value is zero without a sweep; the samples are still checked
+    (["invariant", "--n", "2", "--k", "3", "--classes", "2,2,2", "--samples", "-4", "--format", "json"], {},
+     "localization needs at least 2 samples, got -4"),
+    (["invariant", "--n", "2", "--k", "3", "--classes", "1,1,0", "--strategy", "symbolic", "--samples", "-4"], {},
+     "localization needs at least 2 samples, got -4"),
+]
 
-    monkeypatch.setattr(sgw.localize, "enumerate_graphs", heavy)
-    monkeypatch.setattr(sgw.quantum, "structure_table", heavy)
-    monkeypatch.setattr(sgw.point, "compositions", heavy)
-    monkeypatch.setattr(sgw.taut, "_push", heavy)
-    monkeypatch.setattr(sgw.taut, "pushforward_step", heavy)
 
-
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (["point", "--k", "1500"], f"'--k': 1500 is not in the range x<={MAX_POINT_K}."),
-        (["invariant", "--n", "100000", "--k", "1", "--classes", "0"], f"'--n': 100000 is not in the range x<={MAX_N}."),
-        (
-            ["invariant", "--n", "2", "--k", "1", "--classes", "0", "--samples", "100000000"],
-            f"'--samples': 100000000 is not in the range x<={MAX_SAMPLES}.",
-        ),
-        (["quantum", "--n", "40"], f"'--n': 40 is not in the range x<={MAX_QUANTUM_N}."),
-        (["taut", "--k", "60", "--exps", ""], f"'--k': 60 is not in the range x<={MAX_POINT_K}."),
-    ],
-)
-def test_huge_sizes_rejected_before_any_work(runner, monkeypatch, argv, message):
-    _forbid_heavy_paths(monkeypatch)
-    result = runner.invoke(main, argv)
-    assert result.exit_code == 2
-    assert result.output == f"Error: Invalid value for {message}\n"
+@pytest.mark.parametrize("argv,env,stderr", REFUSALS,
+                         ids=[shlex.join([*(f"{k}={v}" for k, v in env.items()), *argv]) for argv, env, _ in REFUSALS])
+def test_command_line_refused(runner, no_work, argv, env, stderr):
+    result = runner.invoke(main, argv, env=env)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", stderr + "\n")
 
 
 def test_readme_ceilings_match_the_cli():
@@ -285,63 +324,13 @@ def test_readme_ceilings_match_the_cli():
     assert {option: int(value) for option, value in rows.items()} == constants
 
 
-def test_samples_checked_before_negative_codegree(runner):
-    # (2, 2, 2) has negative codegree on P^2, so its value is zero without a
-    # sweep; the sample count is still refused.
-    result = runner.invoke(
-        main, ["invariant", "--n", "2", "--k", "3", "--classes", "2,2,2", "--samples", "-4", "--format", "json"]
-    )
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert len(result.stderr.splitlines()) == 1
-
-
-def test_symbolic_strategy_checks_samples(runner):
-    result = runner.invoke(
-        main,
-        ["invariant", "--n", "2", "--k", "3", "--classes", "1,1,0", "--strategy", "symbolic", "--samples", "-4"],
-    )
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert len(result.stderr.splitlines()) == 1
-    assert "at least 2 samples" in result.stderr
-
-
-@pytest.mark.parametrize(
-    "argv,env,message",
-    [
-        (["invariant", "--n", "1", "--k", "1", "--classes", "a"], {}, "--classes must be a comma-separated integer list"),
-        (["invariant", "--n", "x", "--k", "1", "--classes", "1"], {}, "Invalid value for '--n'"),
-        (["invariant", "--n", "1", "--k", "1.5", "--classes", "1"], {}, "Invalid value for '--k'"),
-        (["invariant", "--n", "1", "--k", "1", "--classes", "1", "--samples", "s"], {}, "Invalid value for '--samples'"),
-        (["point", "--k", "twelve"], {}, "Invalid value for '--k'"),
-        (
-            ["invariant", "--n", "1", "--k", "1", "--classes", "1"],
-            {"SGW_SEED": "abc"},
-            "Invalid value for '--seed' (env var: 'SGW_SEED'): 'abc' is not a valid integer.",
-        ),
-        (
-            ["quantum", "--n", "1"],
-            {"SGW_SEED": "1e3"},
-            "Invalid value for '--seed' (env var: 'SGW_SEED'): '1e3' is not a valid integer.",
-        ),
-        (["--bogus"], {}, "No such option '--bogus'"),
-        # a capped option words a non-integer as type=int does
-        (["quantum", "--n", "x"], {}, "Invalid value for '--n': 'x' is not a valid integer."),
-    ],
-)
-def test_usage_errors_are_one_line(runner, monkeypatch, argv, env, message):
-    _forbid_heavy_paths(monkeypatch)
-    result = runner.invoke(main, argv, env=env)
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert len(result.stderr.splitlines()) == 1
-    assert result.stderr.startswith(f"Error: {message}")
-
-
 def test_bare_group_prints_help(runner):
-    result = runner.invoke(main, [])
-    assert "Usage:" in result.output and "Commands:" in result.output
+    # a bare ``sgw`` is refused with the group's help on stderr; --help prints it on stdout and exits 0
+    bare, group, command = (runner.invoke(main, argv) for argv in ([], ["--help"], ["point", "--help"]))
+    assert (bare.exit_code, bare.stdout) == (2, "") and "Commands:" in bare.stderr
+    assert (group.exit_code, group.stdout, group.stderr) == (0, bare.stderr, "")
+    assert group.stdout.startswith("Usage: sgw [OPTIONS] COMMAND [ARGS]...\n")
+    assert (command.exit_code, command.stderr) == (0, "") and command.stdout.startswith("Usage: sgw point [OPTIONS]\n")
 
 
 def test_sizes_at_the_ceilings_are_accepted(runner, monkeypatch):
@@ -459,7 +448,7 @@ def test_no_command_needs_click():
     # command and refuses a bad one, with the bytes and codes of the runner.
     src = Path(sgw.cli.__file__).resolve().parent.parent
     runner = CliRunner()
-    for argv, exit_code in [(["quantum", "--n", "1"], 0), (["point", "--k", "25"], 2)]:
+    for argv, exit_code in [(["quantum", "--n", "1"], 0), (["point", "--k", "25"], 2), (["poin", "--k", "3"], 2)]:
         code = (
             f"import sys; sys.modules['click'] = None; sys.path.insert(0, {str(src)!r}); "
             f"import sgw.cli; sgw.cli.main({argv!r})"

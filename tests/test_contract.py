@@ -1,9 +1,10 @@
 """What the library refuses, stated once: a table of refused calls, a sweep of the int arguments, a completeness check.
 
-Each row is (callable, args, kwargs, exception type, exact message).  An autouse fixture makes the localization
-points, the quantum sweep and the pushforward kernel raise, so every row also shows that the input is refused
-before any work starts.  Every refusal is a ``DomainError`` but one: ``euler_data`` is a bare ``lru_cache``,
-which hashes its argument before its body can check it, so ``euler_data([2])`` raises ``TypeError``.
+Each row is (callable, args, kwargs, exception type, exact message).  Every test here runs under the ``no_work``
+fixture, which makes the localization points, the quantum sweep and the pushforward kernel raise, so every row
+also shows that the input is refused before any work starts.  Every refusal is a ``DomainError`` but one:
+``euler_data`` is a bare ``lru_cache``, which hashes its argument before its body can check it, so
+``euler_data([2])`` raises ``TypeError``.
 ``exact`` (the tests' reference ring) and ``tables`` (data) take no input, so no row names them.
 """
 
@@ -23,6 +24,8 @@ from sgw.localize import LocalizationJob, invariant, sample_taus, table, traced_
 from sgw.point import MAX_K, Invariant, compositions, sgw_point
 from sgw.quantum import QElement, star, structure_table
 from sgw.taut import TautExpr, integrate, integrate_monomial, point_sum, pushforward_step
+
+pytestmark = pytest.mark.usefixtures("no_work")
 
 MODULES = (errors, graphs, localize, point, quantum, taut)
 EXEMPT = {  # public callables without a row, and why
@@ -199,6 +202,7 @@ ROWS = [
     *[refused(f"{COEFF}{coeff!r}", TautExpr, 4, {(((0, 1),), ()): coeff}) for coeff in (0.0, "1")],
     refused("TautExpr needs a dict, got list", TautExpr, 4, [2]),
     refused("addition needs a TautExpr, got int", operator.add, TautExpr(4), 3),
+    refused("mixed moduli spaces in one expression", operator.add, TautExpr(4), TautExpr(5)),
     refused("pushforward_step needs a TautExpr, got NoneType", pushforward_step, None),
     refused("already on the 3-pointed space", pushforward_step, TautExpr.monomial(3)),
     *[refused(f"integrate needs a TautExpr, got {type(x).__name__}", integrate, x) for x in (None, 3)],
@@ -245,15 +249,6 @@ def call_id(call, args, kwargs):
 
 def qualified(call):
     return f"{call.__module__.rpartition('.')[2]}.{call.__qualname__}"
-
-
-@pytest.fixture(autouse=True)
-def no_work(monkeypatch):
-    def work(*args, **kwargs):
-        raise AssertionError("work began before the input was refused")
-
-    for module, name in [(localize, "_points"), (quantum, "_three_point"), (taut, "_push")]:
-        monkeypatch.setattr(module, name, work)
 
 
 @pytest.mark.parametrize("call,args,kwargs,error,message", ROWS, ids=[call_id(*row[:3]) for row in ROWS])

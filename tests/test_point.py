@@ -111,6 +111,7 @@ def test_pruning_skips_only_zero_terms():
                 assert oracle_monomial(k, comp) == 0
     # one part per level: a walk that recursed once per part would stop at the recursion limit
     assert list(compositions(0, 1200)) == [(0,) * 1200]
+    assert list(compositions(30, 29)) == []
 
 
 def test_invariant_canonical_zero():
